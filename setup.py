@@ -1,31 +1,9 @@
-"""Build script: compiles the optional pivot-loop extension.
+"""Build script.
 
-The package is pure Python except for one hot loop (the simplex pivot
-kernel).  The compiled variant is a drop-in replacement for
-persuade._pivot_py; if Cython or a C compiler is unavailable the build
-still succeeds and the package falls back to the pure-Python kernel at
-import time.  Set PERSUADE_NO_EXT=1 to skip the extension entirely.
+The package is pure Python with no runtime dependencies and nothing to
+compile; all metadata lives in pyproject.toml.
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if not os.environ.get("PERSUADE_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext = Extension(
-            "persuade._pivot_cy",
-            sources=["src/persuade/_pivot_cy.pyx"],
-            optional=True,
-        )
-        ext_modules = cythonize(
-            [ext], compiler_directives={"language_level": 3}
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

@@ -78,11 +78,7 @@ def _single_fast(instance, payment_model: PaymentModel):
 
     Returns (scheme, utility, dual section, extra report lines).
     """
-    inst = (
-        model.expand_typed(instance)
-        if isinstance(instance, TypedInstance)
-        else instance
-    )
+    inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     if payment_model is PaymentModel.ZERO:
         sweep = single.find_lambda_star(instance, cross_check=False)
         dual = {"symmetric_lambda": format_rational(sweep.lambda_star)}
@@ -118,11 +114,7 @@ def _single_fast(instance, payment_model: PaymentModel):
 
 
 def _solve_single(instance, payment_model, method, no_verify):
-    inst = (
-        model.expand_typed(instance)
-        if isinstance(instance, TypedInstance)
-        else instance
-    )
+    inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
     matches: Optional[bool] = None
     if method == "lp":

@@ -2,8 +2,10 @@
 
 Problems are stated over variables with optional rational bounds, sparse
 constraint rows (<=, >=, ==), and a linear objective in either sense.
-solve() runs a dense two-phase tableau simplex under Bland's rule on
-exact Fractions, so results are deterministic and free of rounding.
+solve() runs a dense two-phase tableau simplex under Bland's rule, so
+results are deterministic and free of rounding.  The tableau is kept in
+integers (fraction-free pivoting, see _pivot_py); only the final values
+become Fractions.
 
 Dual values are extracted from the final tableau and reported per
 constraint, in the stated sense's convention: for a maximization,
@@ -16,11 +18,14 @@ trust anything the solver did internally.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-from . import _kernel
+from . import _pivot_py
 from .errors import IterationLimit
 
 ZERO = Fraction(0)
@@ -33,6 +38,9 @@ EQ = "=="
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# The one pivot kernel, named on every LpSolution.
+KERNEL = "integer"
 
 
 @dataclass(frozen=True)
@@ -88,21 +96,26 @@ class LpSolution:
     kernel: str
 
 
-_audit_enabled = False
-_audit_entries: list = []
+_recording: contextvars.ContextVar = contextvars.ContextVar(
+    "persuade_lp_recording", default=None
+)
 
 
-def set_audit(enabled: bool) -> None:
-    """Start or stop recording every (problem, solution) pair solved."""
-    global _audit_enabled
-    _audit_enabled = enabled
-    if enabled:
-        _audit_entries.clear()
+@contextlib.contextmanager
+def recording():
+    """Record every optimal (problem, solution) pair solved in this context.
 
-
-def audit_entries() -> tuple:
-    """Pairs recorded since audit was last enabled."""
-    return tuple(_audit_entries)
+    Yields the list the pairs are appended to.  The log belongs to the
+    current context (thread or asyncio task), so concurrent solves
+    elsewhere do not land in it; an inner recording() takes the pairs
+    solved inside it away from the outer one.
+    """
+    log: list = []
+    token = _recording.set(log)
+    try:
+        yield log
+    finally:
+        _recording.reset(token)
 
 
 def _dense_row(constraint: LinearConstraint, n: int) -> list:
@@ -112,6 +125,22 @@ def _dense_row(constraint: LinearConstraint, n: int) -> list:
             raise ValueError(f"constraint references variable {j} of {n}")
         row[j] = row[j] + coeff
     return row
+
+
+def _integer_scale(values) -> Fraction:
+    """Smallest positive factor that turns every rational in values into an int."""
+    den = 1
+    for v in values:
+        den = lcm(den, v.denominator)
+    num = 0
+    for v in values:
+        num = gcd(num, v.numerator * (den // v.denominator))
+    return Fraction(den, num) if num else ONE
+
+
+def _scaled_ints(values, factor: Fraction) -> list:
+    num, den = factor.numerator, factor.denominator
+    return [v.numerator * num // (v.denominator * den) for v in values]
 
 
 def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
@@ -126,7 +155,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
     for lo, up in problem.bounds:
         if lo is not None and up is not None and lo > up:
-            return LpSolution(INFEASIBLE, None, None, None, 0, _kernel.KERNEL_NAME)
+            return LpSolution(INFEASIBLE, None, None, None, 0, KERNEL)
 
     # Variable transforms onto internal columns, all >= 0:
     #   ("shift", col, lo): x = lo + t
@@ -210,51 +239,60 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             next_col += 1
     id_base = next_col
     ncols = id_base + m  # identity block, one column per row
-    rhs_col = ncols
 
-    tab = []
+    # Integer tableau.  Row i is the stated row times scale[i] > 0, and
+    # its identity column (slack or artificial) is divided by scale[i] so
+    # that it keeps its 1: the substitution x' = scale[i] * x.  Neither
+    # step changes a sign or a ratio that Bland's rule reads, so the
+    # pivots are those of the Fraction tableau; the identity columns'
+    # reduced costs come out divided by scale[i], which the dual
+    # read-out undoes.
+    rows_int = []
+    scale = []
     artificial_rows = []
     enterable = [True] * ncols
     for i, (srow, rel, rhs, _sign) in enumerate(rows):
-        row = list(srow) + [ZERO] * (ncols - ncols_struct) + [rhs]
+        values = srow + [-ONE, rhs] if rel == GE else srow + [rhs]
+        k = _integer_scale(values)
+        ints = _scaled_ints(values, k)
+        row = ints[:ncols_struct] + [0] * (ncols - ncols_struct) + ints[-1:]
         if rel == GE:
-            row[surplus_of[i]] = -ONE
-        row[id_base + i] = ONE
+            row[surplus_of[i]] = ints[ncols_struct]
+        row[id_base + i] = 1
         if rel != LE:
             artificial_rows.append(i)
             enterable[id_base + i] = False
-        tab.append(row)
+        rows_int.append(row)
+        scale.append(k)
+    tab = _pivot_py.Tableau(rows_int)
     basis = [id_base + i for i in range(m)]
 
     budget = max_iter if max_iter is not None else 20000 + 200 * (m + ncols)
     total_iters = 0
 
-    def rebuild_objective(costs):
-        # Reduced-cost row z - c for the current basis, appended to tab.
-        obj = [-c for c in costs] + [ZERO]
-        for i in range(len(basis)):
-            cb = costs[basis[i]]
+    def append_objective(costs):
+        # Reduced-cost row z - c for the current basis and integer costs.
+        obj = [-tab.det * c for c in costs] + [0]
+        for i, b in enumerate(basis):
+            cb = costs[b]
             if cb:
-                row = tab[i]
-                for j in range(ncols + 1):
-                    if row[j]:
-                        obj[j] = obj[j] + cb * row[j]
+                obj = [o + cb * v for o, v in zip(obj, tab.current(i))]
         tab.append(obj)
 
     if artificial_rows:
-        phase1_cost = [ZERO] * ncols
+        # Maximize minus the sum of the artificials: cost -1/scale[i] in
+        # the substituted columns, brought to ints by one positive factor.
+        phase1 = [ZERO] * ncols
         for i in artificial_rows:
-            phase1_cost[id_base + i] = -ONE
-        rebuild_objective(phase1_cost)
-        status, iters = _kernel.run_simplex(tab, basis, enterable, budget)
+            phase1[id_base + i] = -1 / scale[i]
+        append_objective(_scaled_ints(phase1, _integer_scale(phase1)))
+        status, iters = _pivot_py.run_simplex(tab, basis, enterable, budget)
         total_iters += iters
-        if status == _kernel.ITERATION_LIMIT:
+        if status == _pivot_py.ITERATION_LIMIT:
             raise IterationLimit(f"simplex exceeded {budget} pivots in phase 1")
-        if status != _kernel.OPTIMAL or tab[-1][-1] < 0:
-            return LpSolution(
-                INFEASIBLE, None, None, None, total_iters, _kernel.KERNEL_NAME
-            )
-        tab.pop()  # phase-1 objective row
+        if status != _pivot_py.OPTIMAL or tab.rows[-1][-1] < 0:
+            return LpSolution(INFEASIBLE, None, None, None, total_iters, KERNEL)
+        tab.delete(len(basis))  # phase-1 objective row
 
         # Drive surviving artificials out of the basis, or drop rows that
         # reduced to 0 == 0 (dependent equality rows).
@@ -264,7 +302,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             if basis[pos] not in artificial_cols:
                 pos += 1
                 continue
-            prow = tab[pos]
+            prow = tab.rows[pos]
             enter = -1
             for j in range(ncols):
                 if j not in artificial_cols and prow[j]:
@@ -274,42 +312,28 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
                 # Row reduced to 0 == 0: a dependent equality row.  Its
                 # identity column stays, so its dual is still read out of
                 # the final objective row like every other row's.
-                del tab[pos]
+                tab.delete(pos)
                 del basis[pos]
                 continue
-            pivot = prow[enter]
-            if pivot != 1:
-                inv = ONE / pivot
-                for j in range(len(prow)):
-                    if prow[j]:
-                        prow[j] = prow[j] * inv
-            nonzero = [j for j in range(len(prow)) if prow[j]]
-            for k in range(len(tab)):
-                if k == pos:
-                    continue
-                row = tab[k]
-                factor = row[enter]
-                if factor:
-                    for j in nonzero:
-                        row[j] = row[j] - factor * prow[j]
+            tab.pivot(pos, enter)
             basis[pos] = enter
             pos += 1
 
-    phase2_cost = struct_cost + [ZERO] * (ncols - ncols_struct)
-    rebuild_objective(phase2_cost)
-    status, iters = _kernel.run_simplex(tab, basis, enterable, budget)
+    # Phase-2 costs as ints: the objective row comes out times k2 > 0.
+    k2 = _integer_scale(struct_cost)
+    phase2_cost = _scaled_ints(struct_cost, k2) + [0] * (ncols - ncols_struct)
+    append_objective(phase2_cost)
+    status, iters = _pivot_py.run_simplex(tab, basis, enterable, budget)
     total_iters += iters
-    if status == _kernel.ITERATION_LIMIT:
+    if status == _pivot_py.ITERATION_LIMIT:
         raise IterationLimit(f"simplex exceeded {budget} pivots in phase 2")
-    if status == _kernel.UNBOUNDED:
-        return LpSolution(
-            UNBOUNDED, None, None, None, total_iters, _kernel.KERNEL_NAME
-        )
+    if status == _pivot_py.UNBOUNDED:
+        return LpSolution(UNBOUNDED, None, None, None, total_iters, KERNEL)
 
-    obj = tab[-1]
+    # Only the right-hand sides and the objective row become Fractions.
     internal_x = [ZERO] * ncols
     for i, b in enumerate(basis):
-        internal_x[b] = tab[i][-1]
+        internal_x[b] = tab.fraction(i, -1)
 
     primal = []
     for j in range(n):
@@ -323,10 +347,10 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
     dual = []
     for i in range(num_user):
-        y = obj[id_base + i] * rows[i][3]
+        y = tab.fraction(-1, id_base + i) * scale[i] / k2 * rows[i][3]
         dual.append(y if sense_max else -y)
 
-    value_max = obj[-1] + shift_const
+    value_max = tab.fraction(-1, -1) / k2 + shift_const
     value = value_max if sense_max else -value_max
     solution = LpSolution(
         OPTIMAL,
@@ -334,10 +358,11 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         tuple(primal),
         tuple(dual),
         total_iters,
-        _kernel.KERNEL_NAME,
+        KERNEL,
     )
-    if _audit_enabled:
-        _audit_entries.append((problem, solution))
+    log = _recording.get()
+    if log is not None:
+        log.append((problem, solution))
     return solution
 
 

@@ -19,6 +19,7 @@ comparing expected payments against per-recommendation thresholds.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -96,6 +97,11 @@ class TypedInstance:
     iid_marginal: Optional[tuple] = None
     joint: Optional[tuple] = None  # ((profile tuple, prob), ...)
     default_model: PaymentModel = PaymentModel.ZERO
+
+    @functools.cached_property
+    def expanded(self) -> PersuasionInstance:
+        """expand_typed(self), built on first use and kept with the instance."""
+        return expand_typed(self)
 
 
 @dataclass(frozen=True)
@@ -429,7 +435,7 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
     if isinstance(instance, TypedInstance):
         if instance.iid_marginal is not None:
             return True
-        instance = expand_typed(instance)
+        instance = instance.expanded
     n = instance.actions
     base: dict = {}
     for state in instance.states:

@@ -125,7 +125,7 @@ def _as_instance(
     instance: Union[PersuasionInstance, TypedInstance]
 ) -> PersuasionInstance:
     if isinstance(instance, TypedInstance):
-        return model.expand_typed(instance)
+        return instance.expanded
     model.ensure_valid(instance)
     return instance
 

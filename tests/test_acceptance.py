@@ -155,8 +155,7 @@ def test_criterion_10_every_lp_certifies_and_supports_check():
         examples.two_action_type_instance(),
         examples.zero_sum_two_state_instance(),
     )
-    lp.set_audit(True)
-    try:
+    with lp.recording() as entries:
         results = [
             single.solve_optimal(inst, pm)
             for inst in single_instances
@@ -184,9 +183,6 @@ def test_criterion_10_every_lp_certifies_and_supports_check():
         )
         reduction.solve_dropped(rinst)
         reduction.cutting_plane_solve(rinst)
-        entries = lp.audit_entries()
-    finally:
-        lp.set_audit(False)
 
     uncertified = sum(
         1 for prob, sol in entries if lp.certify_report(prob, sol)

@@ -106,6 +106,29 @@ def test_characterization_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     assert "fast-path utility" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("joint", [False, True])
+@pytest.mark.parametrize("payment_model", ["zero", "nonnegative", "arbitrary"])
+def test_fast_solve_expands_a_typed_instance_once(
+    tmp_path, capsys, monkeypatch, joint, payment_model
+):
+    instance = model.random_instance(
+        3, actions=3, symmetric=True, types=2, joint=joint
+    )
+    path = write_instance(tmp_path, instance)
+    calls = []
+    real = model.expand_typed
+
+    def counting(typed):
+        calls.append(typed)
+        return real(typed)
+
+    monkeypatch.setattr(model, "expand_typed", counting)
+    code = cli.main(["solve", path, "--model", payment_model, "--method", "fast"])
+    assert code == 0
+    assert "fast_path_matches_lp=yes" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_size_limit_exits_5(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(multi.SIZE_LIMIT_ENV, "8")
     instance = model.random_multi_instance(2, receivers=3, states=2)

@@ -1,35 +1,255 @@
-"""Pivot-kernel selection and exact parity between the two twins.
+"""The integer pivot kernel against a Fraction Bland oracle.
 
-The compiled twin is built from the shipped ``_pivot_cy.c`` into a
-temporary copy of the package, so these tests need a C compiler and the
-Python headers but not Cython, and they write nothing under the source
-tree.
+The oracle below is the two-phase Bland simplex on exact ``Fraction``
+tableaux that the integer kernel replaced.  It lives only here, as the
+reference: the integer kernel must take the same pivots, end in the same
+basis and report the same solution.  The campaign on random LPs is what
+guards the kernel's unchecked exact divisions.
 """
 
-import importlib.util
-import os
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import persuade._kernel as kernel
 from persuade import _pivot_py, lp, model, multi, single
 from persuade.model import PaymentModel
 
-PACKAGE_SRC = Path(__file__).resolve().parents[1] / "src" / "persuade"
-COMPILED_MODULE = "persuade._pivot_cy"
+# ---------------------------------------------------------------------------
+# Fraction oracle
 
-_BUILD_SCRIPT = (
-    "from setuptools import Extension, setup; "
-    "setup(name='persuade-kernel', script_args=['-q', 'build_ext', '--inplace'], "
-    "ext_modules=[Extension('persuade._pivot_cy', ['persuade/_pivot_cy.c'])])"
-)
+ORACLE_OPTIMAL, ORACLE_UNBOUNDED, ORACLE_ITERATION_LIMIT = 0, 1, 2
+
+
+def oracle_run_simplex(tab, basis, enterable, max_iter):
+    """Bland's rule on a Fraction tableau; returns (status, iterations)."""
+    m = len(basis)
+    obj = tab[m]
+    ncols = len(obj) - 1
+    iters = 0
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if enterable[j] and obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return ORACLE_OPTIMAL, iters
+        if iters >= max_iter:
+            return ORACLE_ITERATION_LIMIT, iters
+        iters += 1
+
+        leave = -1
+        best_ratio = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return ORACLE_UNBOUNDED, iters
+        oracle_pivot(tab, leave, enter)
+        basis[leave] = enter
+
+
+def oracle_pivot(tab, row, col):
+    prow = tab[row]
+    pivot = prow[col]
+    if pivot != 1:
+        prow[:] = [v / pivot for v in prow]
+    for i, other in enumerate(tab):
+        factor = other[col]
+        if i != row and factor:
+            other[:] = [v - factor * w for v, w in zip(other, prow)]
+
+
+def oracle_solve(problem):
+    """(solution, final basis) of the Fraction two-phase Bland simplex."""
+    n = problem.num_vars
+    sense_max = problem.sense == "max"
+    cost = [c if sense_max else -c for c in problem.objective]
+    for lo, up in problem.bounds:
+        if lo is not None and up is not None and lo > up:
+            return (lp.INFEASIBLE, None, None, None, 0), None
+
+    trans, upper, ncols_struct = [], [], 0
+    for lo, up in problem.bounds:
+        if lo is not None:
+            trans.append(("shift", ncols_struct, lo))
+            if up is not None:
+                upper.append((ncols_struct, up - lo))
+            ncols_struct += 1
+        elif up is not None:
+            trans.append(("flip", ncols_struct, up))
+            ncols_struct += 1
+        else:
+            trans.append(("free", ncols_struct, ncols_struct + 1))
+            ncols_struct += 2
+
+    struct_cost = [F(0)] * ncols_struct
+    shift_const = F(0)
+    for j, kind in enumerate(trans):
+        if kind[0] == "shift":
+            struct_cost[kind[1]] += cost[j]
+            shift_const += cost[j] * kind[2]
+        elif kind[0] == "flip":
+            struct_cost[kind[1]] -= cost[j]
+            shift_const += cost[j] * kind[2]
+        else:
+            struct_cost[kind[1]] += cost[j]
+            struct_cost[kind[2]] -= cost[j]
+
+    rows = []
+    for constraint in problem.constraints:
+        srow = [F(0)] * ncols_struct
+        rhs = constraint.rhs
+        for j, a in constraint.coeffs:
+            kind = trans[j]
+            if kind[0] == "shift":
+                srow[kind[1]] += a
+                rhs -= a * kind[2]
+            elif kind[0] == "flip":
+                srow[kind[1]] -= a
+                rhs -= a * kind[2]
+            else:
+                srow[kind[1]] += a
+                srow[kind[2]] -= a
+        rel, sign = constraint.rel, 1
+        if rhs < 0:
+            srow, rhs, sign = [-v for v in srow], -rhs, -1
+            rel = {lp.LE: lp.GE, lp.GE: lp.LE}.get(rel, rel)
+        rows.append((srow, rel, rhs, sign))
+    for col, cap in upper:
+        srow = [F(0)] * ncols_struct
+        srow[col] = F(1)
+        rows.append((srow, lp.LE, cap, 1))
+
+    m = len(rows)
+    surplus_of, next_col = {}, ncols_struct
+    for i, (_, rel, _, _) in enumerate(rows):
+        if rel == lp.GE:
+            surplus_of[i] = next_col
+            next_col += 1
+    id_base = next_col
+    ncols = id_base + m
+
+    tab, artificial_rows, enterable = [], [], [True] * ncols
+    for i, (srow, rel, rhs, _) in enumerate(rows):
+        row = srow + [F(0)] * (ncols - ncols_struct) + [rhs]
+        if rel == lp.GE:
+            row[surplus_of[i]] = F(-1)
+        row[id_base + i] = F(1)
+        if rel != lp.LE:
+            artificial_rows.append(i)
+            enterable[id_base + i] = False
+        tab.append(row)
+    basis = [id_base + i for i in range(m)]
+    budget = 20000 + 200 * (m + ncols)
+    total = 0
+
+    def objective_row(costs):
+        obj = [-c for c in costs] + [F(0)]
+        for row, b in zip(tab, basis):
+            if costs[b]:
+                obj = [o + costs[b] * v for o, v in zip(obj, row)]
+        return obj
+
+    if artificial_rows:
+        phase1 = [F(0)] * ncols
+        for i in artificial_rows:
+            phase1[id_base + i] = F(-1)
+        tab.append(objective_row(phase1))
+        status, iters = oracle_run_simplex(tab, basis, enterable, budget)
+        total += iters
+        assert status != ORACLE_ITERATION_LIMIT
+        if status != ORACLE_OPTIMAL or tab[-1][-1] < 0:
+            return (lp.INFEASIBLE, None, None, None, total), basis
+        tab.pop()
+        artificial_cols = {id_base + i for i in artificial_rows}
+        pos = 0
+        while pos < len(basis):
+            if basis[pos] not in artificial_cols:
+                pos += 1
+                continue
+            enter = next(
+                (j for j in range(ncols) if j not in artificial_cols and tab[pos][j]),
+                -1,
+            )
+            if enter < 0:
+                del tab[pos]
+                del basis[pos]
+                continue
+            oracle_pivot(tab, pos, enter)
+            basis[pos] = enter
+            pos += 1
+
+    tab.append(objective_row(struct_cost + [F(0)] * (ncols - ncols_struct)))
+    status, iters = oracle_run_simplex(tab, basis, enterable, budget)
+    total += iters
+    assert status != ORACLE_ITERATION_LIMIT
+    if status == ORACLE_UNBOUNDED:
+        return (lp.UNBOUNDED, None, None, None, total), basis
+
+    obj = tab[-1]
+    x = [F(0)] * ncols
+    for i, b in enumerate(basis):
+        x[b] = tab[i][-1]
+    primal = []
+    for kind in trans:
+        if kind[0] == "shift":
+            primal.append(kind[2] + x[kind[1]])
+        elif kind[0] == "flip":
+            primal.append(kind[2] - x[kind[1]])
+        else:
+            primal.append(x[kind[1]] - x[kind[2]])
+    dual = []
+    for i in range(len(problem.constraints)):
+        y = obj[id_base + i] * rows[i][3]
+        dual.append(y if sense_max else -y)
+    value = obj[-1] + shift_const
+    value = (value if sense_max else -value) + problem.constant
+    return (lp.OPTIMAL, value, tuple(primal), tuple(dual), total), basis
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def integer_solve(problem):
+    """lp.solve with the integer kernel, and the basis it ended in."""
+    seen = []
+    real = _pivot_py.run_simplex
+
+    def spy(tab, basis, enterable, max_iter):
+        seen.append(basis)
+        return real(tab, basis, enterable, max_iter)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_pivot_py, "run_simplex", spy)
+        solution = lp.solve(problem)
+    return solution, (seen[-1] if seen else None)
+
+
+def assert_matches_oracle(problem):
+    solution, basis = integer_solve(problem)
+    expected, expected_basis = oracle_solve(problem)
+    assert solution.kernel == lp.KERNEL
+    assert solution.status == expected[0]
+    assert solution.objective == expected[1]
+    assert solution.primal == expected[2]
+    assert solution.dual == expected[3]
+    # Same pivot rule on the same exact tableau: the walk must match
+    # step for step and end in the same basis.
+    assert solution.iterations == expected[4]
+    assert basis == expected_basis
+    return solution
 
 
 def _sample_problems():
@@ -42,108 +262,118 @@ def _sample_problems():
     return problems
 
 
-@pytest.fixture(scope="session")
-def compiled_build(tmp_path_factory):
-    """Directory holding a copy of the package with ``_pivot_cy`` built."""
-    pytest.importorskip("setuptools")
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or ""
-    if not shlex.split(cc) or shutil.which(shlex.split(cc)[0]) is None:
-        pytest.skip(f"no C compiler found (CC={cc!r})")
-    headers = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not headers.is_file():
-        pytest.skip(f"Python headers not found ({headers} is missing)")
-
-    root = tmp_path_factory.mktemp("compiled_kernel")
-    shutil.copytree(
-        PACKAGE_SRC,
-        root / "persuade",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
+def _run_both(tab):
+    """Drive one int tableau with a unit basis through both kernels."""
+    m = len(tab) - 1
+    ncols = len(tab[0]) - 1
+    basis = [ncols - m + i for i in range(m)]
+    enterable = [True] * ncols
+    int_tab = _pivot_py.Tableau([row[:] for row in tab])
+    frac_tab = [[F(v) for v in row] for row in tab]
+    int_basis, frac_basis = basis[:], basis[:]
+    status, iters = _pivot_py.run_simplex(int_tab, int_basis, enterable, 100)
+    frac_status, frac_iters = oracle_run_simplex(
+        frac_tab, frac_basis, enterable, 100
     )
-    build = subprocess.run(
-        [sys.executable, "-c", _BUILD_SCRIPT],
-        cwd=root,
-        capture_output=True,
-        text=True,
-    )
-    assert build.returncode == 0, build.stdout + build.stderr
-    return root
-
-
-@pytest.fixture(scope="session")
-def compiled_run_simplex(compiled_build):
-    """``run_simplex`` of the built extension, loaded into this process."""
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    (path,) = (compiled_build / "persuade").glob("_pivot_cy*" + suffix)
-    spec = importlib.util.spec_from_file_location(COMPILED_MODULE, path)
-    module = importlib.util.module_from_spec(spec)
-    # The extension registers itself in sys.modules while it initialises.
-    # Undo that on the way out, so the rest of the session keeps the
-    # kernel it selected at import.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(sys.modules, COMPILED_MODULE, module)
-        spec.loader.exec_module(module)
-    return module.run_simplex
-
-
-def test_compiled_kernel_is_selected_by_default(compiled_build):
-    env = {k: v for k, v in os.environ.items() if k != "PERSUADE_PURE_PYTHON"}
-    env["PYTHONPATH"] = str(compiled_build)
-    out = subprocess.run(
-        [sys.executable, "-c", "import persuade._kernel as k; print(k.KERNEL_NAME)"],
-        cwd=compiled_build,
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "compiled"
-
-
-def test_env_var_forces_pure_python_kernel():
-    env = dict(os.environ, PERSUADE_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import persuade._kernel as k; print(k.KERNEL_NAME)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_kernels_produce_identical_solutions(monkeypatch, compiled_run_simplex):
-    problems = _sample_problems()
-    monkeypatch.setattr(kernel, "run_simplex", compiled_run_simplex)
-    monkeypatch.setattr(kernel, "KERNEL_NAME", "compiled")
-    baseline = [lp.solve(p) for p in problems]
-    monkeypatch.setattr(kernel, "run_simplex", _pivot_py.run_simplex)
-    monkeypatch.setattr(kernel, "KERNEL_NAME", "python")
-    for problem, reference in zip(problems, baseline):
-        redone = lp.solve(problem)
-        assert redone.kernel == "python"
-        assert redone.status == reference.status
-        assert redone.objective == reference.objective
-        assert redone.primal == reference.primal
-        assert redone.dual == reference.dual
-        # Same pivot rule, same tableau: the walk must match step for step.
-        assert redone.iterations == reference.iterations
-
-
-def test_kernel_twins_agree_on_a_raw_tableau(compiled_run_simplex):
-    # One explicit tableau driven through both entry points directly.
-    tab = [
-        [F(1), F(1), F(1), F(0), F(4)],
-        [F(3), F(1), F(0), F(1), F(6)],
-        [F(-1), F(-1), F(0), F(0), F(0)],
+    assert status == frac_status
+    assert iters == frac_iters
+    assert int_basis == frac_basis
+    exact = [
+        [int_tab.fraction(i, j) for j in range(ncols + 1)] for i in range(m + 1)
     ]
-    basis = [2, 3]
-    enterable = [True, True, True, True]
-    tab_py = [row[:] for row in tab]
-    tab_cy = [row[:] for row in tab]
-    status_py, iters_py = _pivot_py.run_simplex(
-        tab_py, basis[:], enterable[:], 100
+    assert exact == frac_tab
+    return iters
+
+
+# ---------------------------------------------------------------------------
+# Tests
+
+
+def test_kernels_produce_identical_solutions():
+    problems = _sample_problems()
+    # A 16-state action-symmetric LP: 4 actions, 2 iid types.
+    typed = model.random_instance(5, actions=4, symmetric=True, types=2)
+    problems.append(
+        single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)[0]
     )
-    status_cy, iters_cy = compiled_run_simplex(tab_cy, basis[:], enterable[:], 100)
-    assert status_py == status_cy
-    assert iters_py == iters_cy
-    assert tab_py == tab_cy
+    # Phase 1 ends with the artificial of row 0 basic at zero; driving it
+    # out pivots on a negative entry, and phase 2 pivots after that.
+    problems.append(
+        lp.LpProblem(
+            sense="max",
+            objective=(F(-1), F(-2)),
+            bounds=((F(0), None), (F(0), None)),
+            constraints=(
+                lp.LinearConstraint(((1, F(-1)), (0, F(1))), lp.EQ, F(2)),
+                lp.LinearConstraint(((1, F(-3)),), lp.GE, F(0)),
+            ),
+        )
+    )
+    for problem in problems:
+        assert assert_matches_oracle(problem).status == lp.OPTIMAL
+
+
+def test_kernel_twins_agree_on_a_raw_tableau():
+    _run_both(
+        [
+            [1, 1, 1, 0, 4],
+            [3, 1, 0, 1, 6],
+            [-1, -1, 0, 0, 0],
+        ]
+    )
+    # Beale's cycling example, rows scaled to integers: every ratio test
+    # of the first pivots ties at 0, so only Bland's leaving rule picks
+    # the row.
+    iters = _run_both(
+        [
+            [1, -32, -4, 36, 1, 0, 0, 0],
+            [1, -24, -1, 6, 0, 1, 0, 0],
+            [0, 0, 1, 0, 0, 0, 1, 1],
+            [-3, 80, -2, 24, 0, 0, 0, 0],
+        ]
+    )
+    assert iters > 2
+
+
+_rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+# Zero right-hand sides and zero lower bounds make degenerate vertices:
+# ratio ties, and artificials left basic at zero after phase 1.
+_rhs = st.one_of(st.just(F(0)), _rational)
+
+
+@st.composite
+def _random_problem(draw):
+    n = draw(st.integers(1, 4))
+    bounds = []
+    for _ in range(n):
+        lo = draw(st.one_of(st.none(), st.just(F(0)), _rational))
+        up = draw(st.one_of(st.none(), _rational))
+        if lo is not None and up is not None and up < lo:
+            lo, up = up, lo
+        bounds.append((lo, up))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        coeffs = tuple((j, draw(_rational)) for j in cols)
+        constraints.append(
+            lp.LinearConstraint(
+                coeffs=coeffs,
+                rel=draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
+                rhs=draw(_rhs),
+            )
+        )
+    return lp.LpProblem(
+        sense=draw(st.sampled_from(["max", "min"])),
+        objective=tuple(draw(_rational) for _ in range(n)),
+        bounds=tuple(bounds),
+        constraints=tuple(constraints),
+        constant=draw(_rational),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_random_problem())
+def test_integer_kernel_matches_fraction_oracle_on_random_lps(problem):
+    solution = assert_matches_oracle(problem)
+    if solution.status == lp.OPTIMAL:
+        assert not lp.certify_report(problem, solution)

@@ -1,6 +1,7 @@
 """Exact LP solver tests: known optima, statuses, duals, and certificates."""
 
 import random
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -254,15 +255,24 @@ def test_random_lps_deterministic():
 
 
 def test_audit_log_records_solves():
-    lp.set_audit(True)
-    try:
+    with lp.recording() as entries:
         p = make("max", [1], [(F(0), F(2))], [])
         lp.solve(p)
-        entries = lp.audit_entries()
-        assert len(entries) == 1
-        assert entries[0][1].objective == F(2)
-    finally:
-        lp.set_audit(False)
+    assert len(entries) == 1
+    assert entries[0][1].objective == F(2)
+
+
+def test_recording_is_scoped_to_its_thread():
+    mine = make("max", [1], [(F(0), F(2))], [])
+    theirs = make("max", [1], [(F(0), F(3))], [])
+    with lp.recording() as entries:
+        worker = threading.Thread(target=lp.solve, args=(theirs,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        lp.solve(mine)
+    lp.solve(mine)
+    assert [sol.objective for _, sol in entries] == [F(2)]
 
 
 def test_certify_rejects_tampering():
