@@ -19,8 +19,17 @@ and carry the determinant they were last rewritten at instead.  The
 update above then divides by that row's own determinant, which is the
 same integer result: the skipped rescalings telescope to ``D / D_i``.
 
-Signs and ratios of the exact tableau are read straight off the ints, so
-the pivot sequence is Bland's, pivot for pivot, as on a Fraction tableau.
+Signs and ratios of the exact tableau are read straight off the ints, and
+the objective row's entries share one denominator, so its ints compare
+as the exact reduced costs do: the pivot sequence is the one the same
+rule takes on a Fraction tableau, pivot for pivot.
+
+The entering rule is Dantzig's (most negative reduced cost), which takes
+far fewer pivots than Bland's on the LPs this package builds.  Dantzig's
+rule can cycle on a degenerate vertex, so after ``DEGENERATE_RUN``
+consecutive pivots that leave the right-hand side unchanged (the leaving
+row's is 0) a phase switches to Bland's rule for good, and Bland's rule
+cannot cycle (Bland, Math. Oper. Res. 2 (1977)).
 """
 
 from __future__ import annotations
@@ -30,6 +39,9 @@ from fractions import Fraction
 OPTIMAL = 0
 UNBOUNDED = 1
 ITERATION_LIMIT = 2
+
+# Consecutive degenerate pivots after which a phase enters by Bland's rule.
+DEGENERATE_RUN = 50
 
 
 class Tableau:
@@ -90,7 +102,13 @@ class Tableau:
 
 
 def run_simplex(tab: Tableau, basis, enterable, max_iter):
-    """Pivot a tableau to optimality under Bland's rule.
+    """Pivot a tableau to optimality.
+
+    The entering column is the enterable one with the most negative
+    reduced cost, the lowest index on ties, until ``DEGENERATE_RUN``
+    degenerate pivots come in a row; from then on it is the lowest-index
+    enterable column with a negative reduced cost (Bland).  The leaving
+    row is the smallest ratio, ties going to the lowest basic index.
 
     Args:
         tab: the Tableau.  Rows 0..m-1 are constraint rows, row m is the
@@ -101,8 +119,8 @@ def run_simplex(tab: Tableau, basis, enterable, max_iter):
         basis: list of m column indices, the basic column of each row.
             Updated in place.
         enterable: list of bools per column; false columns never enter.
-        max_iter: pivot budget, a safety net only (Bland's rule cannot
-            cycle).
+        max_iter: pivot budget, a safety net only (the Bland fallback
+            cannot cycle).
 
     Returns:
         (status, iterations) with status OPTIMAL, UNBOUNDED, or
@@ -111,16 +129,16 @@ def run_simplex(tab: Tableau, basis, enterable, max_iter):
     rows = tab.rows
     m = len(basis)
     obj = rows[m]
-    ncols = len(obj) - 1
+    cols = [j for j in range(len(obj) - 1) if enterable[j]]
     iters = 0
+    degenerate = 0  # the current run of degenerate pivots, kept at the limit
     while True:
-        # Bland entering rule: lowest-index enterable column with a
-        # negative reduced cost.
-        enter = -1
-        for j in range(ncols):
-            if enterable[j] and obj[j] < 0:
-                enter = j
-                break
+        candidates = (j for j in cols if obj[j] < 0)
+        if degenerate < DEGENERATE_RUN:
+            # min() keeps the first of equal entries: the lowest index.
+            enter = min(candidates, key=obj.__getitem__, default=-1)
+        else:
+            enter = next(candidates, -1)
         if enter < 0:
             return OPTIMAL, iters
         if iters >= max_iter:
@@ -146,5 +164,7 @@ def run_simplex(tab: Tableau, basis, enterable, max_iter):
         if leave < 0:
             return UNBOUNDED, iters
 
+        if degenerate < DEGENERATE_RUN:
+            degenerate = 0 if best_rhs else degenerate + 1
         tab.pivot(leave, enter)
         basis[leave] = enter

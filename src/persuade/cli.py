@@ -7,10 +7,14 @@ the built-in instances to disk; "verify" runs the seeded property
 campaigns and reports a pass/fail table.
 
 Every verification flag in the solve report is recomputed from the
-returned scheme, never taken from solver-internal booleans.  Exit
-codes: 0 success, 2 unreadable or invalid input, 3 method or model
-precondition unmet, 4 a characterization failed its cross-check, 5
-instance above the size cap; "verify" exits 1 when any property fails.
+returned scheme, never taken from solver-internal booleans, and every
+flag is a check that reads "yes" on a correct answer.  Under the
+nonnegative and arbitrary models budget balance is no check (payments
+need not sum to zero there), so it is printed on a "properties:" line
+instead.  Exit codes: 0 success, 2 unreadable or invalid input, 3
+method or model precondition unmet, 4 a characterization failed its
+cross-check, 5 instance above the size cap, 6 a solver exceeded its
+iteration limit; "verify" exits 1 when any property fails.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from . import jsonio, model, multi, reduction, single, verify
 from .errors import (
     CharacterizationMismatch,
     InconsistentPayments,
+    IterationLimit,
     MalformedRational,
     NonMonotoneSender,
     NotSymmetric,
@@ -52,6 +57,7 @@ EXIT_INVALID_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 EXIT_SIZE_LIMIT = 5
+EXIT_ITERATION_LIMIT = 6
 
 MODELS = tuple(m.value for m in PaymentModel)
 METHODS = ("lp", "fast", "cutting-plane")
@@ -344,6 +350,9 @@ def cmd_solve(args) -> int:
             instance, payment_model, args.method, args.no_verify
         )
     elapsed = time.perf_counter() - start
+    properties = {}
+    if payment_model in (PaymentModel.NONNEGATIVE, PaymentModel.ARBITRARY):
+        properties["budget_balanced"] = flags.pop("budget_balanced")
 
     report = [
         _describe(instance, args.input),
@@ -351,10 +360,10 @@ def cmd_solve(args) -> int:
         f"method: {args.method}",
     ]
     report.extend(lines)
-    report.append(
-        "flags: "
-        + " ".join(f"{k}={'yes' if v else 'no'}" for k, v in flags.items())
-    )
+    for label, values in (("flags", flags), ("properties", properties)):
+        if values:
+            pairs = (f"{k}={'yes' if v else 'no'}" for k, v in values.items())
+            report.append(f"{label}: " + " ".join(pairs))
     report.append(f"wall time: {elapsed:.3f}s")
     if args.out:
         jsonio.save_json(args.out, doc)
@@ -505,6 +514,9 @@ def main(argv=None) -> int:
     except SizeLimitExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE_LIMIT
+    except IterationLimit as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ITERATION_LIMIT
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Problems are stated over variables with optional rational bounds, sparse
 constraint rows (<=, >=, ==), and a linear objective in either sense.
-solve() runs a dense two-phase tableau simplex under Bland's rule, so
+solve() runs a dense two-phase tableau simplex that enters by Dantzig's
+rule and falls back to Bland's after a run of degenerate pivots, so
 results are deterministic and free of rounding.  The tableau is kept in
 integers (fraction-free pivoting, see _pivot_py); only the final values
 become Fractions.
@@ -242,11 +243,11 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
     # Integer tableau.  Row i is the stated row times scale[i] > 0, and
     # its identity column (slack or artificial) is divided by scale[i] so
-    # that it keeps its 1: the substitution x' = scale[i] * x.  Neither
-    # step changes a sign or a ratio that Bland's rule reads, so the
-    # pivots are those of the Fraction tableau; the identity columns'
-    # reduced costs come out divided by scale[i], which the dual
-    # read-out undoes.
+    # that it keeps its 1: the substitution x' = scale[i] * x.  The
+    # pivots are those of a Fraction tableau over the same substituted
+    # columns.  The identity columns' reduced costs come out divided by
+    # scale[i], which steers Dantzig's rule and which the dual read-out
+    # undoes.
     rows_int = []
     scale = []
     artificial_rows = []

@@ -18,9 +18,11 @@ comparing expected payments against per-recommendation thresholds.
 
 from __future__ import annotations
 
+import collections
 import enum
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,28 +431,30 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
 
     Payoff profiles are aggregated into a map (sender vector, receiver
     vector) -> total probability, and the map must be unchanged when
-    action coordinates are permuted.  Typed instances with an iid
-    marginal are symmetric by construction.
+    action coordinates are permuted.  That holds iff every orbit that
+    meets the map's support is present in full with one mass.  Keys
+    sharing a sorted tuple of per-action (sender, receiver) pairs lie in
+    one orbit, of n! / prod(m!) keys, m running over the multiplicities
+    of the pairs.
+    Typed instances with an iid marginal are symmetric by construction.
     """
     if isinstance(instance, TypedInstance):
         if instance.iid_marginal is not None:
             return True
         instance = instance.expanded
-    n = instance.actions
     base: dict = {}
     for state in instance.states:
-        key = (tuple(state.sender), tuple(state.receiver))
+        key = tuple(zip(state.sender, state.receiver))
         base[key] = base.get(key, ZERO) + state.prob
-    base = {k: v for k, v in base.items() if v}
-    for perm in itertools.permutations(range(n)):
-        permuted: dict = {}
-        for (s, r), prob in base.items():
-            key = (
-                tuple(s[perm[i]] for i in range(n)),
-                tuple(r[perm[i]] for i in range(n)),
-            )
-            permuted[key] = permuted.get(key, ZERO) + prob
-        if permuted != base:
+    orbits: dict = {}
+    for key, prob in base.items():
+        if prob:
+            orbits.setdefault(tuple(sorted(key)), []).append(prob)
+    for pairs, masses in orbits.items():
+        size = math.factorial(len(pairs))
+        for count in collections.Counter(pairs).values():
+            size //= math.factorial(count)
+        if len(masses) != size or any(p != masses[0] for p in masses):
             return False
     return True
 

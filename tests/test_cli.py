@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from persuade import cli, examples, jsonio, model, multi, single
+from persuade import _pivot_py, cli, examples, jsonio, model, multi, single
 from persuade.verify import PropertyReport
 
 
@@ -14,6 +14,14 @@ def write_instance(tmp_path, instance, name="inst.json"):
     path = tmp_path / name
     jsonio.save_instance(str(path), instance)
     return str(path)
+
+
+def report_line(out, label):
+    """The key=value pairs of the report's "label:" line ({} if absent)."""
+    for line in out.splitlines():
+        if line.startswith(f"{label}: "):
+            return dict(tok.split("=") for tok in line.split()[1:])
+    return {}
 
 
 def test_examples_roundtrip_and_unknown_name(tmp_path, capsys):
@@ -45,6 +53,29 @@ def test_solve_lp_budget_balanced_two_state(tmp_path, capsys):
     assert code == 0
     assert "objective: 1 (= 1)" in out
     assert "budget_balanced=yes" in out
+
+
+@pytest.mark.parametrize("payment_model", cli.MODELS)
+@pytest.mark.parametrize("multi_receiver", [False, True])
+def test_budget_balance_is_a_flag_only_where_the_model_requires_it(
+    tmp_path, capsys, payment_model, multi_receiver
+):
+    if multi_receiver:
+        instance = model.random_multi_instance(4, receivers=2, states=3)
+    else:
+        instance = examples.zero_sum_two_state_instance()
+    path = write_instance(tmp_path, instance)
+    assert cli.main(["solve", path, "--model", payment_model]) == 0
+    out = capsys.readouterr().out
+    flags, properties = report_line(out, "flags"), report_line(out, "properties")
+    # Every flag is a check, so all read yes on a correct answer.
+    assert flags and set(flags.values()) == {"yes"}
+    if payment_model in ("zero", "budget_balanced"):
+        assert "budget_balanced" in flags and not properties
+    else:
+        # These optima pay unbalanced transfers, which the model allows.
+        assert "budget_balanced" not in flags
+        assert properties == {"budget_balanced": "no"}
 
 
 def test_scheme_file_roundtrips_and_reverifies(tmp_path):
@@ -136,6 +167,16 @@ def test_size_limit_exits_5(tmp_path, capsys, monkeypatch):
     code = cli.main(["solve", path, "--method", "lp"])
     assert code == 5
     assert "error:" in capsys.readouterr().err
+
+
+def test_iteration_limit_exits_6(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, examples.zero_sum_two_state_instance())
+    def out_of_pivots(tab, basis, enterable, max_iter):
+        return _pivot_py.ITERATION_LIMIT, max_iter
+
+    monkeypatch.setattr(_pivot_py, "run_simplex", out_of_pivots)
+    assert cli.main(["solve", path, "--model", "arbitrary"]) == 6
+    assert "error: simplex exceeded" in capsys.readouterr().err
 
 
 def test_cutting_plane_reports_generated_rows(tmp_path, capsys):

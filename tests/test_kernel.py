@@ -1,13 +1,21 @@
-"""The integer pivot kernel against a Fraction Bland oracle.
+"""The integer pivot kernel against a Fraction oracle.
 
-The oracle below is the two-phase Bland simplex on exact ``Fraction``
-tableaux that the integer kernel replaced.  It lives only here, as the
-reference: the integer kernel must take the same pivots, end in the same
-basis and report the same solution.  The campaign on random LPs is what
-guards the kernel's unchecked exact divisions.
+The oracle below is a two-phase simplex on exact ``Fraction`` tableaux,
+built over the same column scaling as ``lp.solve``: each row times the
+factor that makes it integral, and its slack or artificial column
+divided by that factor so it keeps its 1.  That scaling changes which
+reduced cost is most negative, so Dantzig's rule needs it; Bland's rule
+and the ratio test read only signs and ratios, which it leaves alone.
+The oracle enters by Dantzig's rule until ``degenerate_run`` degenerate
+pivots come in a row and by Bland's rule after that, as the kernel does;
+``degenerate_run=0`` makes it the Bland oracle the integer kernel first
+replaced.  The integer kernel must take the same pivots, end in the same
+basis and report the same solution under both rules.  The campaign on
+random LPs is what guards the kernel's unchecked exact divisions.
 """
 
 from fractions import Fraction as F
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,20 +28,34 @@ from persuade.model import PaymentModel
 # Fraction oracle
 
 ORACLE_OPTIMAL, ORACLE_UNBOUNDED, ORACLE_ITERATION_LIMIT = 0, 1, 2
+BLAND = 0  # degenerate_run that makes the oracle (and the kernel) Bland's
 
 
-def oracle_run_simplex(tab, basis, enterable, max_iter):
-    """Bland's rule on a Fraction tableau; returns (status, iterations)."""
+def oracle_run_simplex(tab, basis, enterable, max_iter, degenerate_run, pivots):
+    """Dantzig's rule with the Bland fallback on a Fraction tableau.
+
+    Appends each (row, column) pivot to pivots; returns (status,
+    iterations).
+    """
     m = len(basis)
     obj = tab[m]
     ncols = len(obj) - 1
     iters = 0
+    run = 0
     while True:
         enter = -1
-        for j in range(ncols):
-            if enterable[j] and obj[j] < 0:
-                enter = j
-                break
+        if run < degenerate_run:
+            # Dantzig: most negative reduced cost, lowest index on ties.
+            for j in range(ncols):
+                if enterable[j] and obj[j] < 0:
+                    if enter < 0 or obj[j] < obj[enter]:
+                        enter = j
+        else:
+            # Bland: lowest index with a negative reduced cost.
+            for j in range(ncols):
+                if enterable[j] and obj[j] < 0:
+                    enter = j
+                    break
         if enter < 0:
             return ORACLE_OPTIMAL, iters
         if iters >= max_iter:
@@ -55,11 +77,14 @@ def oracle_run_simplex(tab, basis, enterable, max_iter):
                     leave = i
         if leave < 0:
             return ORACLE_UNBOUNDED, iters
-        oracle_pivot(tab, leave, enter)
+        if run < degenerate_run:
+            run = run + 1 if best_ratio == 0 else 0
+        oracle_pivot(tab, leave, enter, pivots)
         basis[leave] = enter
 
 
-def oracle_pivot(tab, row, col):
+def oracle_pivot(tab, row, col, pivots):
+    pivots.append((row, col))
     prow = tab[row]
     pivot = prow[col]
     if pivot != 1:
@@ -70,14 +95,21 @@ def oracle_pivot(tab, row, col):
             other[:] = [v - factor * w for v, w in zip(other, prow)]
 
 
-def oracle_solve(problem):
-    """(solution, final basis) of the Fraction two-phase Bland simplex."""
+def _row_scale(values):
+    """The smallest positive factor that makes every rational in values an int."""
+    den = lcm(*(v.denominator for v in values))
+    num = gcd(*(v.numerator * (den // v.denominator) for v in values))
+    return F(den, num) if num else F(1)
+
+
+def oracle_solve(problem, degenerate_run):
+    """(solution, final basis, pivots) of the Fraction two-phase simplex."""
     n = problem.num_vars
     sense_max = problem.sense == "max"
     cost = [c if sense_max else -c for c in problem.objective]
     for lo, up in problem.bounds:
         if lo is not None and up is not None and lo > up:
-            return (lp.INFEASIBLE, None, None, None, 0), None
+            return (lp.INFEASIBLE, None, None, None, 0), None, []
 
     trans, upper, ncols_struct = [], [], 0
     for lo, up in problem.bounds:
@@ -140,19 +172,25 @@ def oracle_solve(problem):
     id_base = next_col
     ncols = id_base + m
 
-    tab, artificial_rows, enterable = [], [], [True] * ncols
+    # Row i times scale[i]; its identity column keeps its 1, so that
+    # column's variable is scale[i] times the stated slack or artificial.
+    tab, scale, artificial_rows, enterable = [], [], [], [True] * ncols
     for i, (srow, rel, rhs, _) in enumerate(rows):
         row = srow + [F(0)] * (ncols - ncols_struct) + [rhs]
         if rel == lp.GE:
             row[surplus_of[i]] = F(-1)
+        k = _row_scale(row)
+        row = [k * v for v in row]
         row[id_base + i] = F(1)
         if rel != lp.LE:
             artificial_rows.append(i)
             enterable[id_base + i] = False
         tab.append(row)
+        scale.append(k)
     basis = [id_base + i for i in range(m)]
     budget = 20000 + 200 * (m + ncols)
     total = 0
+    pivots = []
 
     def objective_row(costs):
         obj = [-c for c in costs] + [F(0)]
@@ -164,13 +202,15 @@ def oracle_solve(problem):
     if artificial_rows:
         phase1 = [F(0)] * ncols
         for i in artificial_rows:
-            phase1[id_base + i] = F(-1)
+            phase1[id_base + i] = -1 / scale[i]
         tab.append(objective_row(phase1))
-        status, iters = oracle_run_simplex(tab, basis, enterable, budget)
+        status, iters = oracle_run_simplex(
+            tab, basis, enterable, budget, degenerate_run, pivots
+        )
         total += iters
         assert status != ORACLE_ITERATION_LIMIT
         if status != ORACLE_OPTIMAL or tab[-1][-1] < 0:
-            return (lp.INFEASIBLE, None, None, None, total), basis
+            return (lp.INFEASIBLE, None, None, None, total), basis, pivots
         tab.pop()
         artificial_cols = {id_base + i for i in artificial_rows}
         pos = 0
@@ -186,16 +226,18 @@ def oracle_solve(problem):
                 del tab[pos]
                 del basis[pos]
                 continue
-            oracle_pivot(tab, pos, enter)
+            oracle_pivot(tab, pos, enter, pivots)
             basis[pos] = enter
             pos += 1
 
     tab.append(objective_row(struct_cost + [F(0)] * (ncols - ncols_struct)))
-    status, iters = oracle_run_simplex(tab, basis, enterable, budget)
+    status, iters = oracle_run_simplex(
+        tab, basis, enterable, budget, degenerate_run, pivots
+    )
     total += iters
     assert status != ORACLE_ITERATION_LIMIT
     if status == ORACLE_UNBOUNDED:
-        return (lp.UNBOUNDED, None, None, None, total), basis
+        return (lp.UNBOUNDED, None, None, None, total), basis, pivots
 
     obj = tab[-1]
     x = [F(0)] * ncols
@@ -211,44 +253,62 @@ def oracle_solve(problem):
             primal.append(x[kind[1]] - x[kind[2]])
     dual = []
     for i in range(len(problem.constraints)):
-        y = obj[id_base + i] * rows[i][3]
+        y = obj[id_base + i] * scale[i] * rows[i][3]
         dual.append(y if sense_max else -y)
     value = obj[-1] + shift_const
     value = (value if sense_max else -value) + problem.constant
-    return (lp.OPTIMAL, value, tuple(primal), tuple(dual), total), basis
+    return (lp.OPTIMAL, value, tuple(primal), tuple(dual), total), basis, pivots
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 
 
-def integer_solve(problem):
-    """lp.solve with the integer kernel, and the basis it ended in."""
-    seen = []
-    real = _pivot_py.run_simplex
+def integer_solve(problem, degenerate_run):
+    """lp.solve under the given fallback constant: solution, final basis, pivots."""
+    seen, pivots = [], []
+    real_run, real_pivot = _pivot_py.run_simplex, _pivot_py.Tableau.pivot
 
-    def spy(tab, basis, enterable, max_iter):
+    def run_spy(tab, basis, enterable, max_iter):
         seen.append(basis)
-        return real(tab, basis, enterable, max_iter)
+        return real_run(tab, basis, enterable, max_iter)
+
+    def pivot_spy(tab, row, col):
+        pivots.append((row, col))
+        return real_pivot(tab, row, col)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(_pivot_py, "run_simplex", spy)
+        monkeypatch.setattr(_pivot_py, "DEGENERATE_RUN", degenerate_run)
+        monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "pivot", pivot_spy)
         solution = lp.solve(problem)
-    return solution, (seen[-1] if seen else None)
+    return solution, (seen[-1] if seen else None), pivots
 
 
-def assert_matches_oracle(problem):
-    solution, basis = integer_solve(problem)
-    expected, expected_basis = oracle_solve(problem)
-    assert solution.kernel == lp.KERNEL
-    assert solution.status == expected[0]
-    assert solution.objective == expected[1]
-    assert solution.primal == expected[2]
-    assert solution.dual == expected[3]
-    # Same pivot rule on the same exact tableau: the walk must match
-    # step for step and end in the same basis.
-    assert solution.iterations == expected[4]
-    assert basis == expected_basis
+# Bland's rule from the first pivot; a hand-over after five degenerate
+# pivots in a row, which the persuasion LPs among the samples reach in
+# mid-phase, some after a nondegenerate pivot has cut a shorter run; the
+# shipped constant.
+RULES = (BLAND, 5, _pivot_py.DEGENERATE_RUN)
+
+
+def assert_matches_oracle(problem, rules=RULES):
+    """Compare the kernel with the oracle under each rule; return the last solution."""
+    for degenerate_run in rules:
+        solution, basis, pivots = integer_solve(problem, degenerate_run)
+        expected, expected_basis, expected_pivots = oracle_solve(
+            problem, degenerate_run
+        )
+        assert solution.kernel == lp.KERNEL
+        assert solution.status == expected[0]
+        assert solution.objective == expected[1]
+        assert solution.primal == expected[2]
+        assert solution.dual == expected[3]
+        # Same pivot rule on the same exact tableau: the walk must match
+        # step for step and end in the same basis.
+        assert solution.iterations == expected[4]
+        assert pivots == expected_pivots
+        assert basis == expected_basis
     return solution
 
 
@@ -262,8 +322,8 @@ def _sample_problems():
     return problems
 
 
-def _run_both(tab):
-    """Drive one int tableau with a unit basis through both kernels."""
+def _run_both(tab, degenerate_run):
+    """Drive one int tableau with a unit basis through the kernel and the oracle."""
     m = len(tab) - 1
     ncols = len(tab[0]) - 1
     basis = [ncols - m + i for i in range(m)]
@@ -271,9 +331,11 @@ def _run_both(tab):
     int_tab = _pivot_py.Tableau([row[:] for row in tab])
     frac_tab = [[F(v) for v in row] for row in tab]
     int_basis, frac_basis = basis[:], basis[:]
-    status, iters = _pivot_py.run_simplex(int_tab, int_basis, enterable, 100)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_pivot_py, "DEGENERATE_RUN", degenerate_run)
+        status, iters = _pivot_py.run_simplex(int_tab, int_basis, enterable, 100)
     frac_status, frac_iters = oracle_run_simplex(
-        frac_tab, frac_basis, enterable, 100
+        frac_tab, frac_basis, enterable, 100, degenerate_run, []
     )
     assert status == frac_status
     assert iters == frac_iters
@@ -282,7 +344,7 @@ def _run_both(tab):
         [int_tab.fraction(i, j) for j in range(ncols + 1)] for i in range(m + 1)
     ]
     assert exact == frac_tab
-    return iters
+    return status, iters
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +375,62 @@ def test_kernels_produce_identical_solutions():
         assert assert_matches_oracle(problem).status == lp.OPTIMAL
 
 
+# Beale's cycling example, rows scaled to integers: every ratio test of
+# the first pivots ties at 0, so only the leaving rule picks the row.
+BEALE = [
+    [1, -32, -4, 36, 1, 0, 0, 0],
+    [1, -24, -1, 6, 0, 1, 0, 0],
+    [0, 0, 1, 0, 0, 0, 1, 1],
+    [-3, 80, -2, 24, 0, 0, 0, 0],
+]
+
+
 def test_kernel_twins_agree_on_a_raw_tableau():
-    _run_both(
-        [
-            [1, 1, 1, 0, 4],
-            [3, 1, 0, 1, 6],
-            [-1, -1, 0, 0, 0],
-        ]
+    for degenerate_run in RULES:
+        _run_both(
+            [
+                [1, 1, 1, 0, 4],
+                [3, 1, 0, 1, 6],
+                [-1, -1, 0, 0, 0],
+            ],
+            degenerate_run,
+        )
+        status, iters = _run_both(BEALE, degenerate_run)
+        assert status == _pivot_py.OPTIMAL
+        assert iters > 2
+
+
+@pytest.mark.parametrize("degenerate_run", [_pivot_py.DEGENERATE_RUN, 1, 2])
+def test_degenerate_lp_reaches_a_certified_optimum(degenerate_run):
+    # Beale's LP as stated: its first pivots are degenerate, so with the
+    # constant at 1 or 2 the phase hands over to Bland's rule midway.
+    x = (F(0), None)
+    beale = lp.LpProblem(
+        sense="max",
+        objective=(F(3, 4), F(-20), F(1, 2), F(-6)),
+        bounds=(x, x, x, x),
+        constraints=(
+            lp.LinearConstraint(
+                ((0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))), lp.LE, F(0)
+            ),
+            lp.LinearConstraint(
+                ((0, F(1, 2)), (1, F(-12)), (2, F(-1, 2)), (3, F(3))), lp.LE, F(0)
+            ),
+            lp.LinearConstraint(((2, F(1)),), lp.LE, F(1)),
+        ),
     )
-    # Beale's cycling example, rows scaled to integers: every ratio test
-    # of the first pivots ties at 0, so only Bland's leaving rule picks
-    # the row.
-    iters = _run_both(
-        [
-            [1, -32, -4, 36, 1, 0, 0, 0],
-            [1, -24, -1, 6, 0, 1, 0, 0],
-            [0, 0, 1, 0, 0, 0, 1, 1],
-            [-3, 80, -2, 24, 0, 0, 0, 0],
-        ]
-    )
-    assert iters > 2
+    solution = assert_matches_oracle(beale, rules=(degenerate_run,))
+    assert solution.objective == F(5, 4)
+    assert not lp.certify_report(beale, solution)
+
+
+def test_seed_108_lp_takes_few_pivots():
+    # 81 states, 93 rows: 1,326 pivots under Bland's rule alone.
+    typed = model.random_instance(108, actions=4, symmetric=True, types=3)
+    problem = single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)[0]
+    solution = lp.solve(problem)
+    assert solution.iterations <= 300
+    assert not lp.certify_report(problem, solution)
 
 
 _rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))

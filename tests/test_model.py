@@ -1,5 +1,8 @@
 """Domain model tests: parsing, validation, scheme arithmetic, generators."""
 
+import dataclasses
+import itertools
+import operator
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
@@ -128,6 +131,62 @@ def test_symmetry_detection():
         ),
     )
     assert model.is_symmetric(sym)
+
+
+def _symmetric_by_permutations(inst):
+    """The definition: no permutation of actions changes the aggregated prior."""
+    base = {}
+    for state in inst.states:
+        key = (state.sender, state.receiver)
+        base[key] = base.get(key, 0) + state.prob
+    base = {k: v for k, v in base.items() if v}
+    for perm in itertools.permutations(range(inst.actions)):
+        permute = operator.itemgetter(*perm)
+        permuted = {}
+        for (s, r), prob in base.items():
+            key = (permute(s), permute(r))
+            permuted[key] = permuted.get(key, 0) + prob
+        if permuted != base:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("actions,types", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
+def test_symmetry_orbit_check_matches_permutation_definition(actions, types):
+    rng = random.Random(actions)
+    verdicts = []
+    for seed in range(2):
+        typed = model.random_instance(
+            seed, actions=actions, symmetric=True, types=types, joint=True
+        )
+        # Two types with one payoff pair: profiles that differ only in
+        # which of them sits where aggregate to the same key.
+        merged = dataclasses.replace(
+            typed, types=(typed.types[0],) + typed.types[:-1]
+        )
+        for base in (typed, merged):
+            cases = [base]
+            joint = [list(row) for row in base.joint]
+            i, j = rng.sample(range(len(joint)), 2)
+            # Part of one profile's mass moved to another, then all of it,
+            # which leaves that profile's orbit incomplete.
+            for moved in (joint[i][1] / 2, joint[i][1]):
+                rows = [row[:] for row in joint]
+                rows[i][1] -= moved
+                rows[j][1] += moved
+                cases.append(
+                    dataclasses.replace(
+                        base, joint=tuple(tuple(row) for row in rows)
+                    )
+                )
+            for case in cases:
+                verdict = model.is_symmetric(case)
+                assert verdict == _symmetric_by_permutations(
+                    model.expand_typed(case)
+                )
+                assert verdict == model.is_symmetric(model.expand_typed(case))
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_cross_utility_and_thresholds():
