@@ -11,10 +11,15 @@ returned scheme, never taken from solver-internal booleans, and every
 flag is a check that reads "yes" on a correct answer.  Under the
 nonnegative and arbitrary models budget balance is no check (payments
 need not sum to zero there), so it is printed on a "properties:" line
-instead.  Exit codes: 0 success, 2 unreadable or invalid input, 3
+instead.  Exit codes: 0 success, 2 unreadable or invalid input
+(including a PERSUADE_SIZE_LIMIT that is not a positive integer), 3
 method or model precondition unmet, 4 a characterization failed its
 cross-check, 5 instance above the size cap, 6 a solver exceeded its
 iteration limit; "verify" exits 1 when any property fails.
+
+The multi-receiver, cutting-plane and verify modules are imported only
+by the commands that use them, so a single-receiver solve starts
+without them.
 """
 
 from __future__ import annotations
@@ -26,10 +31,11 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import jsonio, model, multi, reduction, single, verify
+from . import jsonio, model, single
 from .errors import (
     CharacterizationMismatch,
     InconsistentPayments,
+    InvalidSetting,
     IterationLimit,
     MalformedRational,
     NonMonotoneSender,
@@ -198,6 +204,8 @@ def _subset_label(subset: int, receivers: int) -> str:
 
 
 def _solve_multi(instance, payment_model, method, no_verify):
+    from . import multi, reduction
+
     extra: list = []
     matches: Optional[bool] = None
     dual_ok: Optional[bool] = None
@@ -300,6 +308,8 @@ def _solve_multi(instance, payment_model, method, no_verify):
 
 def _recheck_cutting_dual(instance, outcome) -> bool:
     """Re-derive the exhaustive dual-feasibility flag from the artifacts."""
+    from . import multi
+
     if any(a < 0 for a in outcome.alpha):
         return False
     if sum(outcome.y, Fraction(0)) != outcome.objective:
@@ -394,6 +404,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     kwargs = dict(
         seeds=args.seeds,
         max_actions=args.max_actions,
@@ -434,6 +446,18 @@ def cmd_verify(args) -> int:
 # wiring
 
 
+def _suite_name(name: str) -> str:
+    """The --suite value, checked against verify.SUITES when verify runs."""
+    from . import verify
+
+    choices = verify.SUITES + ("all",)
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(choices)})"
+        )
+    return name
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="persuade",
@@ -472,7 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the seeded property campaigns"
     )
     verify_cmd.add_argument(
-        "--suite", choices=verify.SUITES + ("all",), default="all"
+        "--suite",
+        type=_suite_name,
+        default="all",
+        help="one suite of campaigns, or all (the default)",
     )
     verify_cmd.add_argument("--seeds", type=int, default=50)
     verify_cmd.add_argument("--max-actions", type=int, default=3)
@@ -493,7 +520,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.func(args)
-    except (ValidationFailed, MalformedRational, UnknownExample) as exc:
+    except (
+        ValidationFailed,
+        MalformedRational,
+        UnknownExample,
+        InvalidSetting,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:

@@ -56,6 +56,10 @@ class SizeLimitExceeded(PersuadeError):
     """The instance would create more LP columns than the configured cap."""
 
 
+class InvalidSetting(PersuadeError):
+    """An environment variable read by the package holds an unusable value."""
+
+
 class CharacterizationMismatch(PersuadeError):
     """A closed-form construction failed to reproduce the LP optimum."""
 

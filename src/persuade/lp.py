@@ -40,9 +40,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# The one pivot kernel, named on every LpSolution.
-KERNEL = "integer"
-
 
 @dataclass(frozen=True)
 class LinearConstraint:
@@ -94,7 +91,6 @@ class LpSolution:
     primal: Optional[tuple]
     dual: Optional[tuple]
     iterations: int
-    kernel: str
 
 
 _recording: contextvars.ContextVar = contextvars.ContextVar(
@@ -119,44 +115,18 @@ def recording():
         _recording.reset(token)
 
 
-def _dense_row(constraint: LinearConstraint, n: int) -> list:
-    row = [ZERO] * n
-    for j, coeff in constraint.coeffs:
-        if not 0 <= j < n:
-            raise ValueError(f"constraint references variable {j} of {n}")
-        row[j] = row[j] + coeff
-    return row
-
-
-def _integer_scale(values) -> Fraction:
-    """Smallest positive factor that turns every rational in values into an int."""
-    den = 1
-    for v in values:
-        den = lcm(den, v.denominator)
-    num = 0
-    for v in values:
-        num = gcd(num, v.numerator * (den // v.denominator))
-    return Fraction(den, num) if num else ONE
-
-
-def _scaled_ints(values, factor: Fraction) -> list:
-    num, den = factor.numerator, factor.denominator
-    return [v.numerator * num // (v.denominator * den) for v in values]
-
-
 def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     """Solve to proven optimality, infeasibility, or unboundedness."""
     n = problem.num_vars
     sense_max = problem.sense == "max"
     if problem.sense not in ("max", "min"):
         raise ValueError(f"unknown sense {problem.sense!r}")
-    cost = [c if sense_max else -c for c in problem.objective]
-    if len(cost) != n:
+    if len(problem.objective) != n:
         raise ValueError("objective length does not match variable count")
 
     for lo, up in problem.bounds:
         if lo is not None and up is not None and lo > up:
-            return LpSolution(INFEASIBLE, None, None, None, 0, KERNEL)
+            return LpSolution(INFEASIBLE, None, None, None, 0)
 
     # Variable transforms onto internal columns, all >= 0:
     #   ("shift", col, lo): x = lo + t
@@ -177,59 +147,66 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         else:
             trans.append(("free", ncols_struct, ncols_struct + 1))
             ncols_struct += 2
+    # Internal columns of each variable, with the sign it enters them by.
+    columns = [
+        ((kind[1], 1),)
+        if kind[0] == "shift"
+        else ((kind[1], -1),)
+        if kind[0] == "flip"
+        else ((kind[1], 1), (kind[2], -1))
+        for kind in trans
+    ]
 
-    struct_cost = [ZERO] * ncols_struct
+    # Phase-2 costs (maximized) in ints over the objective's common
+    # denominator, divided by their gcd: the objective row comes out
+    # times k2 > 0.
+    direction = 1 if sense_max else -1
+    cost_den = lcm(*(c.denominator for c in problem.objective))
+    struct_cost = [0] * ncols_struct
     shift_const = ZERO
-    for j in range(n):
+    for j, c in enumerate(problem.objective):
+        v = direction * c.numerator * (cost_den // c.denominator)
+        for col, s in columns[j]:
+            struct_cost[col] = s * v  # each column belongs to one variable
         kind = trans[j]
-        if kind[0] == "shift":
-            struct_cost[kind[1]] = struct_cost[kind[1]] + cost[j]
-            shift_const += cost[j] * kind[2]
-        elif kind[0] == "flip":
-            struct_cost[kind[1]] = struct_cost[kind[1]] - cost[j]
-            shift_const += cost[j] * kind[2]
-        else:
-            struct_cost[kind[1]] = struct_cost[kind[1]] + cost[j]
-            struct_cost[kind[2]] = struct_cost[kind[2]] - cost[j]
+        if kind[0] != "free" and kind[2] and c:
+            shift_const += direction * c * kind[2]
+    g = gcd(*struct_cost)
+    k2 = Fraction(cost_den, g) if g else ONE
+    if g:
+        struct_cost = [v // g for v in struct_cost]
 
     # Rows: user constraints in order, then internal upper-bound rows.
-    rows = []  # (dense structural coeffs, rel, rhs, sign) after rhs >= 0 fix
+    # Each is (sparse ints over its common denominator den, rel, rhs
+    # times den, den, sign), negated (sign -1) where that makes the
+    # right-hand side >= 0.
+    rows = []
     num_user = len(problem.constraints)
     for constraint in problem.constraints:
         if constraint.rel not in (LE, GE, EQ):
             raise ValueError(f"unknown relation {constraint.rel!r}")
-        dense = _dense_row(constraint, n)
-        srow = [ZERO] * ncols_struct
         rhs = constraint.rhs
-        for j in range(n):
-            a = dense[j]
-            if not a:
-                continue
+        den = 1
+        for j, a in constraint.coeffs:
+            if not 0 <= j < n:
+                raise ValueError(f"constraint references variable {j} of {n}")
             kind = trans[j]
-            if kind[0] == "shift":
-                srow[kind[1]] = srow[kind[1]] + a
+            if kind[0] != "free" and kind[2]:
                 rhs -= a * kind[2]
-            elif kind[0] == "flip":
-                srow[kind[1]] = srow[kind[1]] - a
-                rhs -= a * kind[2]
-            else:
-                srow[kind[1]] = srow[kind[1]] + a
-                srow[kind[2]] = srow[kind[2]] - a
-        rel = constraint.rel
-        sign = 1
+            den = lcm(den, a.denominator)
+        den = lcm(den, rhs.denominator)
+        rel, sign = constraint.rel, 1
         if rhs < 0:
-            srow = [-v for v in srow]
-            rhs = -rhs
-            sign = -1
-            if rel == LE:
-                rel = GE
-            elif rel == GE:
-                rel = LE
-        rows.append((srow, rel, rhs, sign))
+            rel, sign = {LE: GE, GE: LE}.get(rel, rel), -1
+        acc: dict = {}  # duplicate indices are summed
+        for j, a in constraint.coeffs:
+            v = sign * a.numerator * (den // a.denominator)
+            for col, s in columns[j]:
+                acc[col] = acc.get(col, 0) + s * v
+        rhs_int = sign * rhs.numerator * (den // rhs.denominator)
+        rows.append((acc, rel, rhs_int, den, sign))
     for col, cap in extra_upper_rows:
-        srow = [ZERO] * ncols_struct
-        srow[col] = ONE
-        rows.append((srow, LE, cap, 1))
+        rows.append(({col: cap.denominator}, LE, cap.numerator, cap.denominator, 1))
 
     m = len(rows)
     surplus_of = {}
@@ -241,30 +218,33 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     id_base = next_col
     ncols = id_base + m  # identity block, one column per row
 
-    # Integer tableau.  Row i is the stated row times scale[i] > 0, and
-    # its identity column (slack or artificial) is divided by scale[i] so
-    # that it keeps its 1: the substitution x' = scale[i] * x.  The
-    # pivots are those of a Fraction tableau over the same substituted
-    # columns.  The identity columns' reduced costs come out divided by
-    # scale[i], which steers Dantzig's rule and which the dual read-out
-    # undoes.
+    # Integer tableau.  Row i is the stated row times scale[i] > 0, the
+    # least factor that makes it integral (its ints over den, divided by
+    # their gcd), and its identity column (slack or artificial) is
+    # divided by scale[i] so that it keeps its 1: the substitution
+    # x' = scale[i] * x.  The pivots are those of a Fraction tableau over
+    # the same substituted columns.  The identity columns' reduced costs
+    # come out divided by scale[i], which steers Dantzig's rule and which
+    # the dual read-out undoes.
     rows_int = []
     scale = []
     artificial_rows = []
     enterable = [True] * ncols
-    for i, (srow, rel, rhs, _sign) in enumerate(rows):
-        values = srow + [-ONE, rhs] if rel == GE else srow + [rhs]
-        k = _integer_scale(values)
-        ints = _scaled_ints(values, k)
-        row = ints[:ncols_struct] + [0] * (ncols - ncols_struct) + ints[-1:]
+    for i, (acc, rel, rhs, den, _sign) in enumerate(rows):
+        surplus = -den if rel == GE else 0
+        g = gcd(rhs, surplus, *acc.values()) or 1  # 0 for an all-zero row
+        row = [0] * (ncols + 1)
+        for col, v in acc.items():
+            row[col] = v // g
         if rel == GE:
-            row[surplus_of[i]] = ints[ncols_struct]
+            row[surplus_of[i]] = surplus // g
         row[id_base + i] = 1
+        row[-1] = rhs // g
         if rel != LE:
             artificial_rows.append(i)
             enterable[id_base + i] = False
         rows_int.append(row)
-        scale.append(k)
+        scale.append(Fraction(den, g))
     tab = _pivot_py.Tableau(rows_int)
     basis = [id_base + i for i in range(m)]
 
@@ -282,17 +262,24 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
     if artificial_rows:
         # Maximize minus the sum of the artificials: cost -1/scale[i] in
-        # the substituted columns, brought to ints by one positive factor.
-        phase1 = [ZERO] * ncols
-        for i in artificial_rows:
-            phase1[id_base + i] = -1 / scale[i]
-        append_objective(_scaled_ints(phase1, _integer_scale(phase1)))
+        # the substituted columns, brought to coprime ints by one positive
+        # factor.
+        den = lcm(*(scale[i].numerator for i in artificial_rows))
+        costs = {
+            id_base + i: -(den // scale[i].numerator) * scale[i].denominator
+            for i in artificial_rows
+        }
+        g = gcd(*costs.values())
+        phase1 = [0] * ncols
+        for col, v in costs.items():
+            phase1[col] = v // g
+        append_objective(phase1)
         status, iters = _pivot_py.run_simplex(tab, basis, enterable, budget)
         total_iters += iters
         if status == _pivot_py.ITERATION_LIMIT:
             raise IterationLimit(f"simplex exceeded {budget} pivots in phase 1")
         if status != _pivot_py.OPTIMAL or tab.rows[-1][-1] < 0:
-            return LpSolution(INFEASIBLE, None, None, None, total_iters, KERNEL)
+            return LpSolution(INFEASIBLE, None, None, None, total_iters)
         tab.delete(len(basis))  # phase-1 objective row
 
         # Drive surviving artificials out of the basis, or drop rows that
@@ -320,16 +307,13 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             basis[pos] = enter
             pos += 1
 
-    # Phase-2 costs as ints: the objective row comes out times k2 > 0.
-    k2 = _integer_scale(struct_cost)
-    phase2_cost = _scaled_ints(struct_cost, k2) + [0] * (ncols - ncols_struct)
-    append_objective(phase2_cost)
+    append_objective(struct_cost + [0] * (ncols - ncols_struct))
     status, iters = _pivot_py.run_simplex(tab, basis, enterable, budget)
     total_iters += iters
     if status == _pivot_py.ITERATION_LIMIT:
         raise IterationLimit(f"simplex exceeded {budget} pivots in phase 2")
     if status == _pivot_py.UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None, total_iters, KERNEL)
+        return LpSolution(UNBOUNDED, None, None, None, total_iters)
 
     # Only the right-hand sides and the objective row become Fractions.
     internal_x = [ZERO] * ncols
@@ -340,16 +324,25 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     for j in range(n):
         kind = trans[j]
         if kind[0] == "shift":
-            primal.append(kind[2] + internal_x[kind[1]])
+            x = internal_x[kind[1]]
+            primal.append(kind[2] + x if kind[2] else x)
         elif kind[0] == "flip":
             primal.append(kind[2] - internal_x[kind[1]])
         else:
             primal.append(internal_x[kind[1]] - internal_x[kind[2]])
 
+    # Row i's dual is its identity column's reduced cost times scale[i]
+    # / k2, with the row's sign and the sense's.
+    obj, obj_den = tab.rows[-1], tab.dens[-1]
     dual = []
     for i in range(num_user):
-        y = tab.fraction(-1, id_base + i) * scale[i] / k2 * rows[i][3]
-        dual.append(y if sense_max else -y)
+        k = scale[i]
+        dual.append(
+            Fraction(
+                direction * rows[i][4] * obj[id_base + i] * k.numerator * k2.denominator,
+                obj_den * k.denominator * k2.numerator,
+            )
+        )
 
     value_max = tab.fraction(-1, -1) / k2 + shift_const
     value = value_max if sense_max else -value_max
@@ -359,7 +352,6 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         tuple(primal),
         tuple(dual),
         total_iters,
-        KERNEL,
     )
     log = _recording.get()
     if log is not None:

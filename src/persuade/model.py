@@ -23,6 +23,7 @@ import enum
 import functools
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,12 +32,17 @@ from typing import Optional, Union
 from .errors import (
     GenerationFailed,
     InconsistentPayments,
+    InvalidSetting,
+    SizeLimitExceeded,
     ValidationFailed,
     ValidationIssue,
 )
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+SIZE_LIMIT_ENV = "PERSUADE_SIZE_LIMIT"
+DEFAULT_SIZE_LIMIT = 4096
 
 
 class PaymentModel(enum.Enum):
@@ -390,6 +396,26 @@ def validate_scheme(instance: PersuasionInstance, scheme: SignalingScheme) -> tu
     return tuple(issues)
 
 
+def size_limit() -> int:
+    """Maximum number of scheme columns an explicit LP or enumeration may have.
+
+    Read from PERSUADE_SIZE_LIMIT (default 4096) on every call; a value
+    that is not a positive integer raises InvalidSetting.
+    """
+    raw = os.environ.get(SIZE_LIMIT_ENV)
+    if not raw:
+        return DEFAULT_SIZE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0  # rejected below, with the values below 1
+    if limit < 1:
+        raise InvalidSetting(
+            f"{SIZE_LIMIT_ENV}={raw!r} is not a positive integer"
+        )
+    return limit
+
+
 # ---------------------------------------------------------------------------
 # Typed expansion and symmetry
 
@@ -399,10 +425,27 @@ def expand_typed(instance: TypedInstance) -> PersuasionInstance:
 
     States are type profiles; taking action i earns the payoffs of the
     type sitting on action i.  iid profiles enumerate in lexicographic
-    order so the expansion is deterministic.
+    order so the expansion is deterministic.  Raises SizeLimitExceeded,
+    before enumerating, when actions times profiles (the single-receiver
+    LP's scheme columns) exceeds size_limit().
     """
     ensure_valid(instance)
     n = instance.actions
+    limit = size_limit()
+    if instance.iid_marginal is not None:
+        k = len(instance.types)
+        # k**n profiles; past limit.bit_length() actions 2**n alone
+        # exceeds the limit, so the exponent is clipped there.
+        profiles = k ** min(n, limit.bit_length())
+        count = f"{k}**{n}"
+    else:
+        profiles = len(instance.joint)
+        count = str(profiles)
+    if n * profiles > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions times {count} type profiles exceed the configured "
+            f"limit of {limit} scheme columns"
+        )
     states = []
     if instance.iid_marginal is not None:
         for profile in itertools.product(range(len(instance.types)), repeat=n):

@@ -19,7 +19,6 @@ payoff.  Both are verified against the exact LP on every call.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -39,16 +38,6 @@ from .model import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-SIZE_LIMIT_ENV = "PERSUADE_SIZE_LIMIT"
-DEFAULT_SIZE_LIMIT = 4096
-
-
-def size_limit() -> int:
-    """Maximum number of scheme columns the explicit LP will build."""
-    raw = os.environ.get(SIZE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_SIZE_LIMIT
-
 
 # ---------------------------------------------------------------------------
 # Variable/row layout and result containers
@@ -302,7 +291,7 @@ def build_lp_binary(
     m = instance.num_states
     n = instance.receivers
     cols = nsub * m
-    limit = size_limit()
+    limit = model.size_limit()
     if cols > limit:
         raise SizeLimitExceeded(
             f"{cols} scheme columns exceed the configured limit {limit}"

@@ -282,7 +282,7 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
     """
     model.ensure_valid(instance)
     nsub = instance.num_subsets
-    limit = multi.size_limit()
+    limit = model.size_limit()
     if nsub > limit:
         raise SizeLimitExceeded(
             f"{nsub} subsets exceed the configured limit {limit}"

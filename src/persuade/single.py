@@ -18,13 +18,20 @@ lambda and the optimizer of sender payoff + n*lambda*receiver payoff
 (ties uniform) is optimal: at the smallest persuasive lambda for the
 no-payment model, and at lambda = 1/(n-1) with threshold payments for
 free payments.  Those fast paths are implemented here and cross-checked
-against the LP.
+against the LP.  Under that scalar dual a scheme that treats the actions
+alike is persuasive exactly when its follow payoff (the receiver's
+expected payoff from following) reaches the unconditional expected
+payoff of one action, so the lambda sweep tests each candidate with that
+one comparison.  The fast paths compute in ints: each call codes the
+expanded instance with its masses and payoffs over one common
+denominator, and only the returned values become Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Union
 
 from . import lp, model
@@ -335,23 +342,106 @@ def verify_support_optimality(
     return True
 
 
-def _uniform_over(indices, n: int) -> tuple:
-    share = Fraction(1, len(indices))
-    return tuple(share if i in indices else ZERO for i in range(n))
+@dataclass(frozen=True)
+class _Coding:
+    """An expanded instance in ints over one common denominator.
+
+    mass[t] is state t's probability times E, and sender[t][i] and
+    receiver[t][i] are its payoffs times D, for the least such E and D.
+    A sum of masses times payoffs is then an int over unit = E * D, and
+    the fast paths compare such sums without building a Fraction.
+    """
+
+    actions: int
+    mass: tuple
+    sender: tuple
+    receiver: tuple
+    unit: int
+
+
+def _coding(inst: PersuasionInstance) -> _Coding:
+    states = inst.states
+    e = lcm(*{state.prob.denominator for state in states})
+    d = lcm(
+        *{v.denominator for state in states for v in state.sender + state.receiver}
+    )
+
+    def ints(values):
+        return tuple(v.numerator * (d // v.denominator) for v in values)
+
+    return _Coding(
+        actions=inst.actions,
+        mass=tuple(
+            state.prob.numerator * (e // state.prob.denominator) for state in states
+        ),
+        sender=tuple(ints(state.sender) for state in states),
+        receiver=tuple(ints(state.receiver) for state in states),
+        unit=e * d,
+    )
+
+
+def _argmax_sets(code: _Coding, a: int, b: int) -> list:
+    """Per state, the actions maximizing s + (a/b) * r, for b > 0.
+
+    Compared in ints as b*S + a*R.  Within one set the value is constant,
+    so actions with equal receiver payoff also have equal sender payoff.
+    """
+    sets = []
+    for sender, receiver in zip(code.sender, code.receiver):
+        values = [b * s + a * r for s, r in zip(sender, receiver)]
+        best = max(values)
+        sets.append([i for i, v in enumerate(values) if v == best])
+    return sets
+
+
+def _uniform_rows(sets, n: int) -> tuple:
+    """One distribution row per state, uniform over that state's set."""
+    shares: dict = {}
+    rows = []
+    for winners in sets:
+        k = len(winners)
+        share = shares.get(k)
+        if share is None:
+            share = shares[k] = Fraction(1, k)
+        row = [ZERO] * n
+        for i in winners:
+            row[i] = share
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _uniform_cross(code: _Coding, sets) -> tuple:
+    """Cross utilities and sender payoff of the uniform rows over sets.
+
+    Returns (X, sender, L): X[i][j] = sum over states of mass times
+    Pr[recommend i] times r(j), and the expected sender payoff, as ints
+    over code.unit * L, L the lcm of the set sizes.
+    """
+    n = code.actions
+    scale = lcm(*{len(winners) for winners in sets})
+    cross = [[0] * n for _ in range(n)]
+    sender_total = 0
+    for m, sender, receiver, winners in zip(
+        code.mass, code.sender, code.receiver, sets
+    ):
+        if not m:
+            continue
+        w = m * (scale // len(winners))
+        for i in winners:
+            sender_total += w * sender[i]
+            row = cross[i]
+            for j in range(n):
+                row[j] += w * receiver[j]
+    return cross, sender_total, scale
 
 
 def welfare_weighted_scheme(
     instance: PersuasionInstance, weight: Fraction
 ) -> tuple:
     """Distribution recommending argmax of s + weight * r, ties uniform."""
-    n = instance.actions
-    rows = []
-    for state in instance.states:
-        values = [state.sender[i] + weight * state.receiver[i] for i in range(n)]
-        best = max(values)
-        winners = {i for i in range(n) if values[i] == best}
-        rows.append(_uniform_over(winners, n))
-    return tuple(rows)
+    code = _coding(instance)
+    sets = _argmax_sets(code, weight.numerator, weight.denominator)
+    return _uniform_rows(sets, instance.actions)
 
 
 def lambda_scheme(
@@ -365,6 +455,26 @@ def lambda_scheme(
     )
 
 
+def _candidates(code: _Coding) -> tuple:
+    n = code.actions
+    crossings = set()
+    for sender, receiver in zip(code.sender, code.receiver):
+        for i in range(n):
+            for j in range(i + 1, n):
+                ds = sender[i] - sender[j]
+                dr = receiver[j] - receiver[i]
+                # The crossing ds / (n * dr) lies above 0.
+                if ds and dr and (ds > 0) == (dr > 0):
+                    crossings.add((abs(ds), abs(dr)))
+    grid = [ZERO] + sorted({Fraction(ds, n * dr) for ds, dr in crossings})
+    out = [grid[0]]
+    for prev, cur in zip(grid, grid[1:]):
+        out.append((prev + cur) / 2)
+        out.append(cur)
+    out.append(grid[-1] + 1)
+    return tuple(out)
+
+
 def lambda_candidates(instance: PersuasionInstance) -> tuple:
     """Breakpoint grid for the scalar-lambda sweep.
 
@@ -374,60 +484,102 @@ def lambda_candidates(instance: PersuasionInstance) -> tuple:
     constant between consecutive breakpoints, so this grid meets every
     distinct scaled-welfare scheme.
     """
-    n = instance.actions
-    points = set()
-    for state in instance.states:
-        for i in range(n):
-            for j in range(i + 1, n):
-                dr = state.receiver[j] - state.receiver[i]
-                if dr:
-                    lam = Fraction(state.sender[i] - state.sender[j], n) / dr
-                    if lam > 0:
-                        points.add(lam)
-    grid = [ZERO] + sorted(points)
-    out = [grid[0]]
-    for prev, cur in zip(grid, grid[1:]):
-        out.append((prev + cur) / 2)
-        out.append(cur)
-    out.append(grid[-1] + 1)
-    return tuple(out)
+    return _candidates(_coding(instance))
 
 
-def _tie_break_extremes(instance: PersuasionInstance, weight: Fraction) -> tuple:
-    """Receiver-worst and receiver-best selections within each argmax set.
+def _require_symmetric(instance, inst: PersuasionInstance, what: str) -> None:
+    typed = isinstance(instance, TypedInstance)
+    if not model.is_symmetric(instance if typed else inst):
+        raise NotSymmetric(f"{what} requires a symmetric instance")
 
-    For each state, restrict to the actions maximizing s + weight * r and
-    return two distributions: uniform over the tied actions with the
-    smallest receiver payoff, and uniform over those with the largest.
-    Every distribution supported on the argmax sets has a follow payoff
-    between these two extremes.
-    """
-    n = instance.actions
-    lo_rows = []
-    hi_rows = []
-    for state in instance.states:
-        values = [state.sender[i] + weight * state.receiver[i] for i in range(n)]
-        best = max(values)
-        winners = [i for i in range(n) if values[i] == best]
-        r_lo = min(state.receiver[i] for i in winners)
-        r_hi = max(state.receiver[i] for i in winners)
-        lo_rows.append(
-            _uniform_over({i for i in winners if state.receiver[i] == r_lo}, n)
+
+def _sweep(inst: PersuasionInstance, code: _Coding) -> LambdaStarResult:
+    """The scalar-lambda sweep on a symmetric instance's integer coding."""
+    n = code.actions
+    mass, senders, receivers = code.mass, code.sender, code.receiver
+    # Unconditional expected receiver payoff of a fixed action, times
+    # unit; the same for every action on a symmetric instance.
+    unconditional = sum(m * receiver[0] for m, receiver in zip(mass, receivers))
+    candidates = _candidates(code)
+    for lam in candidates:
+        sets = _argmax_sets(code, n * lam.numerator, lam.denominator)
+        follow_hi = sum(
+            m * max(receiver[i] for i in winners)
+            for m, receiver, winners in zip(mass, receivers, sets)
         )
-        hi_rows.append(
-            _uniform_over({i for i in winners if state.receiver[i] == r_hi}, n)
+        if follow_hi >= unconditional:
+            break
+    else:
+        raise CharacterizationMismatch(
+            "no candidate lambda yields a persuasive scheme; the grid "
+            "should always end in one"
         )
-    return tuple(lo_rows), tuple(hi_rows)
 
+    # The receiver-worst and receiver-best actions of each tie set.
+    lo_sets, hi_sets = [], []
+    follow_lo = sender_lo = sender_hi = 0
+    for m, sender, receiver, winners in zip(mass, senders, receivers, sets):
+        r_lo = min(receiver[i] for i in winners)
+        r_hi = max(receiver[i] for i in winners)
+        lo = [i for i in winners if receiver[i] == r_lo]
+        hi = [i for i in winners if receiver[i] == r_hi]
+        lo_sets.append(lo)
+        hi_sets.append(hi)
+        follow_lo += m * r_lo
+        sender_lo += m * sender[lo[0]]
+        sender_hi += m * sender[hi[0]]
 
-def _follow_total(inst: PersuasionInstance, rows) -> Fraction:
-    """Expected receiver payoff of the recommended action, summed over states."""
-    total = ZERO
-    for state, row in zip(inst.states, rows):
-        for i, p in enumerate(row):
-            if p:
-                total += state.prob * p * state.receiver[i]
-    return total
+    unit = code.unit
+    if follow_hi == follow_lo:
+        rows = _uniform_rows(hi_sets, n)
+        utility = Fraction(sender_hi, unit)
+    else:
+        # Within a tie set sender payoff falls as the follow payoff
+        # rises, so mix the extremes to make the follow payoff as small
+        # as persuasiveness allows: a share t on the receiver-best side.
+        num = max(unconditional, follow_lo) - follow_lo
+        den = follow_hi - follow_lo
+        t = Fraction(num, den)
+        weights = (ONE - t, t, ONE)  # receiver-worst side, best side, no sides
+        shares: dict = {}
+
+        def share(side, k):
+            value = shares.get((side, k))
+            if value is None:
+                value = shares[side, k] = weights[side] / k
+            return value
+
+        blended = []
+        for lo, hi in zip(lo_sets, hi_sets):
+            row = [ZERO] * n
+            if lo == hi:
+                for i in lo:
+                    row[i] = share(2, len(lo))
+            else:
+                for i in lo:
+                    row[i] = share(0, len(lo))
+                for i in hi:
+                    row[i] = share(1, len(hi))
+            blended.append(tuple(row))
+        rows = tuple(blended)
+        utility = Fraction(
+            sender_lo * den + num * (sender_hi - sender_lo), unit * den
+        )
+
+    cross, sender_u, scale = _uniform_cross(code, sets)
+    if sum(cross[i][i] for i in range(n)) >= unconditional * scale:
+        uniform_utility = Fraction(sender_u, unit * scale)
+        if uniform_utility >= utility:
+            rows, utility = _uniform_rows(sets, n), uniform_utility
+
+    scheme = SignalingScheme(distribution=rows, payments=(ZERO,) * n)
+    if not model.is_persuasive(inst, scheme):
+        raise CharacterizationMismatch(
+            "the scheme at the critical lambda is not persuasive"
+        )
+    return LambdaStarResult(
+        lambda_star=lam, scheme=scheme, utility=utility, candidates=candidates
+    )
 
 
 def find_lambda_star(
@@ -441,73 +593,36 @@ def find_lambda_star(
     upward, the first candidate lambda is found at which some scheme
     supported on the per-state argmax sets of s + n*lambda*r is
     persuasive without payments; that support then carries the optimal
-    zero-payment scheme.  Away from breakpoints the argmax is essentially
-    unique and the scheme is the uniform tie-break.  At a breakpoint the
-    uniform tie-break can overshoot the follow incentive, which wastes
-    sender payoff: within a tie set s + n*lambda*r is constant, so sender
-    utility falls one-for-one (times n*lambda) as the follow payoff
-    rises, and the best scheme mixes the tied extremes so the follow
-    payoff is as small as persuasiveness allows.  The uniform scheme is
-    returned whenever it is persuasive and no such mixture beats it.
-    With cross_check the utility is compared against the LP optimum.
+    zero-payment scheme.  Every scheme built here treats the actions
+    alike, and on a symmetric instance such a scheme is persuasive
+    exactly when its follow payoff (the receiver's expected payoff from
+    following) reaches the unconditional expected payoff of one action.
+    So each candidate costs one scalar comparison: of the scheme that
+    takes the receiver-best action of every argmax set, whose follow
+    payoff is the largest the support allows.  Away from breakpoints the
+    argmax is essentially unique and the scheme is the uniform
+    tie-break.  At a breakpoint the uniform tie-break can overshoot the
+    follow incentive, which wastes sender payoff: within a tie set
+    s + n*lambda*r is constant, so sender utility falls one-for-one
+    (times n*lambda) as the follow payoff rises, and the best scheme
+    mixes the tied extremes so the follow payoff is as small as
+    persuasiveness allows.  The uniform scheme is returned whenever it
+    is persuasive and no such mixture beats it.  The sweep runs in ints
+    over one common denominator; the returned scheme is checked with
+    model.is_persuasive.  With cross_check the utility is compared
+    against the LP optimum.
     """
     inst = _as_instance(instance)
-    if not model.is_symmetric(instance if isinstance(instance, TypedInstance) else inst):
-        raise NotSymmetric("scalar-lambda sweep requires a symmetric instance")
-    n = inst.actions
-    zeros = (ZERO,) * n
-    # Unconditional expected receiver payoff of a fixed action; the same
-    # for every action on a symmetric instance.  A symmetric scheme is
-    # persuasive exactly when its follow payoff reaches this level.
-    unconditional = sum(
-        (state.prob * state.receiver[0] for state in inst.states), ZERO
-    )
-    found = None
-    candidates = lambda_candidates(inst)
-    for lam in candidates:
-        lo_rows, hi_rows = _tie_break_extremes(inst, n * lam)
-        hi_scheme = SignalingScheme(distribution=hi_rows, payments=zeros)
-        if model.is_persuasive(inst, hi_scheme):
-            found = (lam, lo_rows, hi_rows, hi_scheme)
-            break
-    if found is None:
-        raise CharacterizationMismatch(
-            "no candidate lambda yields a persuasive scheme; the grid "
-            "should always end in one"
-        )
-    lam, lo_rows, hi_rows, hi_scheme = found
-    follow_lo = _follow_total(inst, lo_rows)
-    follow_hi = _follow_total(inst, hi_rows)
-    target = max(unconditional, follow_lo)
-    if follow_hi == follow_lo:
-        best = hi_scheme
-    else:
-        t = (target - follow_lo) / (follow_hi - follow_lo)
-        blended = tuple(
-            tuple((ONE - t) * lo + t * hi for lo, hi in zip(lo_row, hi_row))
-            for lo_row, hi_row in zip(lo_rows, hi_rows)
-        )
-        best = SignalingScheme(distribution=blended, payments=zeros)
-    if not model.is_persuasive(inst, best):
-        raise CharacterizationMismatch(
-            "binding tie mixture at the critical lambda is not persuasive"
-        )
-    utility = model.sender_utility(inst, best)
-    uniform = lambda_scheme(inst, lam)
-    if model.is_persuasive(inst, uniform):
-        uniform_utility = model.sender_utility(inst, uniform)
-        if uniform_utility >= utility:
-            best, utility = uniform, uniform_utility
+    _require_symmetric(instance, inst, "scalar-lambda sweep")
+    sweep = _sweep(inst, _coding(inst))
     if cross_check:
         reference = solve_optimal(inst, PaymentModel.ZERO)
-        if reference.utility != utility:
+        if reference.utility != sweep.utility:
             raise CharacterizationMismatch(
-                f"lambda sweep utility {utility} != LP optimum "
+                f"lambda sweep utility {sweep.utility} != LP optimum "
                 f"{reference.utility}"
             )
-    return LambdaStarResult(
-        lambda_star=lam, scheme=best, utility=utility, candidates=candidates
-    )
+    return sweep
 
 
 def _constant_dual(n: int, value: Fraction) -> SingleDual:
@@ -517,11 +632,30 @@ def _constant_dual(n: int, value: Fraction) -> SingleDual:
     return SingleDual(lam=lam)
 
 
+def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
+    """Argmax-of-s + weight*r rows (ties uniform) and their threshold payments.
+
+    Returns (rows, thresholds, gross, unit): the minimal expected payment
+    per recommendation, T[i] = max over j != i of X[i][j] - X[i][i], and
+    the expected sender payoff before payments, as ints over unit.
+    """
+    n = code.actions
+    sets = _argmax_sets(code, weight.numerator, weight.denominator)
+    cross, gross, scale = _uniform_cross(code, sets)
+    thresholds = [
+        max((cross[i][j] for j in range(n) if j != i), default=0) - cross[i][i]
+        for i in range(n)
+    ]
+    return _uniform_rows(sets, n), thresholds, gross, code.unit * scale
+
+
 def _threshold_scheme(inst: PersuasionInstance, weight: Fraction) -> tuple:
-    distribution = welfare_weighted_scheme(inst, weight)
-    payments = model.payment_thresholds(inst, distribution)
-    scheme = SignalingScheme(distribution=distribution, payments=payments)
-    return scheme, model.sender_utility(inst, scheme)
+    rows, thresholds, gross, unit = _threshold_parts(_coding(inst), weight)
+    scheme = SignalingScheme(
+        distribution=rows,
+        payments=tuple(Fraction(t, unit) for t in thresholds),
+    )
+    return scheme, Fraction(gross - sum(thresholds), unit)
 
 
 def canonical_two_action_scheme(
@@ -573,8 +707,7 @@ def canonical_symmetric_scheme(
     n = inst.actions
     if n < 2:
         raise WrongActionCount("symmetric fast path needs at least two actions")
-    if not model.is_symmetric(instance if isinstance(instance, TypedInstance) else inst):
-        raise NotSymmetric("symmetric fast path requires a symmetric instance")
+    _require_symmetric(instance, inst, "symmetric fast path")
     scheme, utility = _threshold_scheme(inst, Fraction(n, n - 1))
     result = SingleResult(
         instance=inst,
@@ -606,15 +739,19 @@ def nonnegative_dichotomy(
     compared against the LP optimum.
     """
     inst = _as_instance(instance)
-    if inst.actions < 2:
+    n = inst.actions
+    if n < 2:
         raise WrongActionCount("dichotomy needs at least two actions")
-    sweep = find_lambda_star(instance, cross_check=False)
+    _require_symmetric(instance, inst, "scalar-lambda sweep")
+    code = _coding(inst)
+    sweep = _sweep(inst, code)
 
-    canonical = welfare_weighted_scheme(inst, Fraction(inst.actions, inst.actions - 1))
-    thresholds = model.payment_thresholds(inst, canonical)
-    clipped = tuple(max(ZERO, t) for t in thresholds)
-    paid_scheme = SignalingScheme(distribution=canonical, payments=clipped)
-    paid_utility = model.sender_utility(inst, paid_scheme)
+    rows, thresholds, gross, unit = _threshold_parts(code, Fraction(n, n - 1))
+    clipped = [max(0, t) for t in thresholds]
+    paid_scheme = SignalingScheme(
+        distribution=rows, payments=tuple(Fraction(t, unit) for t in clipped)
+    )
+    paid_utility = Fraction(gross - sum(clipped), unit)
 
     if sweep.utility >= paid_utility:
         branch = "no_payment"

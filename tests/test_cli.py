@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
-from persuade import _pivot_py, cli, examples, jsonio, model, multi, single
+from persuade import _pivot_py, cli, examples, jsonio, model, multi, single, verify
 from persuade.verify import PropertyReport
 
 
@@ -161,12 +164,82 @@ def test_fast_solve_expands_a_typed_instance_once(
 
 
 def test_size_limit_exits_5(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(multi.SIZE_LIMIT_ENV, "8")
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "8")
     instance = model.random_multi_instance(2, receivers=3, states=2)
     path = write_instance(tmp_path, instance)
     code = cli.main(["solve", path, "--method", "lp"])
     assert code == 5
     assert "error:" in capsys.readouterr().err
+
+
+def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
+    # 13 actions over 2 iid types: 106,496 scheme columns.
+    typed = model.TypedInstance(
+        actions=13,
+        types=(
+            model.ActionType(sender=F(1), receiver=F(0)),
+            model.ActionType(sender=F(0), receiver=F(1)),
+        ),
+        iid_marginal=(F(1, 2), F(1, 2)),
+    )
+    path = write_instance(tmp_path, typed)
+
+    def never_enumerate(*args):
+        raise AssertionError("expand_typed enumerated profiles past the size cap")
+
+    monkeypatch.setattr(model, "_profile_state", never_enumerate)
+    for method in ("lp", "fast"):
+        code = cli.main(["solve", path, "--model", "zero", "--method", method])
+        assert code == 5
+        assert "scheme columns" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+@pytest.mark.parametrize("kind", ["multi", "typed"])
+def test_bad_size_limit_exits_2(tmp_path, capsys, monkeypatch, raw, kind):
+    if kind == "multi":
+        instance = model.random_multi_instance(2, receivers=2, states=2)
+    else:
+        instance = model.random_instance(2, actions=2, symmetric=True)
+    path = write_instance(tmp_path, instance)
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, raw)
+    assert cli.main(["solve", path, "--method", "lp"]) == 2
+    assert f"error: {model.SIZE_LIMIT_ENV}={raw!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "lp"],
+        ["--model", "nonnegative", "--method", "fast"],
+    ],
+)
+def test_single_receiver_solve_leaves_other_modules_unimported(tmp_path, argv):
+    path = write_instance(tmp_path, model.random_instance(3, actions=3, symmetric=True))
+    script = (
+        "import sys\n"
+        "from persuade import cli\n"
+        f"code = cli.main(['solve', {path!r}, '--out', {str(tmp_path / 'o.json')!r}]"
+        f" + {argv!r})\n"
+        "names = ('persuade.multi', 'persuade.reduction', 'persuade.verify')\n"
+        "print(code, sorted(n for n in names if n in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_unknown_suite_is_a_usage_error(capsys):
+    assert cli.main(["verify", "--suite", "no-such-suite"]) == 2
+    assert "invalid choice: 'no-such-suite'" in capsys.readouterr().err
 
 
 def test_iteration_limit_exits_6(tmp_path, capsys, monkeypatch):
@@ -241,7 +314,7 @@ def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
         assert suite == "single"
         return [failing]
 
-    monkeypatch.setattr(cli.verify, "run_suite", fake_run_suite)
+    monkeypatch.setattr(verify, "run_suite", fake_run_suite)
     code = cli.main(
         [
             "verify",

@@ -289,7 +289,6 @@ def test_certify_rejects_tampering():
         primal=(F(0), F(0)),
         dual=s.dual,
         iterations=s.iterations,
-        kernel=s.kernel,
     )
     assert not lp.certify(p, worse)
     weak_dual = lp.LpSolution(
@@ -298,7 +297,6 @@ def test_certify_rejects_tampering():
         primal=s.primal,
         dual=(F(0), F(0)),
         iterations=s.iterations,
-        kernel=s.kernel,
     )
     assert not lp.certify(p, weak_dual)
 

@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persuade import model
-from persuade.errors import InconsistentPayments, MalformedRational
+from persuade.errors import (
+    InconsistentPayments,
+    InvalidSetting,
+    MalformedRational,
+    SizeLimitExceeded,
+)
 from persuade.model import (
     ActionType,
     PersuasionInstance,
@@ -105,6 +110,53 @@ def test_expand_typed_joint():
     assert inst.num_states == 2
     assert inst.states[0].sender == (F(2), F(0))
     assert model.is_symmetric(inst)
+
+
+def _never_enumerate(*args):
+    raise AssertionError("expand_typed enumerated profiles past the size cap")
+
+
+def test_typed_expansion_is_capped_before_enumerating(monkeypatch):
+    types = (
+        ActionType(sender=F(1), receiver=F(0)),
+        ActionType(sender=F(0), receiver=F(1)),
+    )
+    monkeypatch.setattr(model, "_profile_state", _never_enumerate)
+    # 13 * 2**13 = 106,496 scheme columns against the default 4,096; at
+    # 40 actions the exponent is clipped, not computed.
+    for actions in (13, 40):
+        typed = TypedInstance(
+            actions=actions, types=types, iid_marginal=(F(1, 2), F(1, 2))
+        )
+        with pytest.raises(SizeLimitExceeded):
+            model.expand_typed(typed)
+    # Joint priors count their listed profiles: 3 actions x 3 profiles.
+    joint = TypedInstance(
+        actions=3,
+        types=types,
+        joint=(((0, 0, 1), F(1, 3)), ((0, 1, 0), F(1, 3)), ((1, 0, 0), F(1, 3))),
+    )
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "8")
+    with pytest.raises(SizeLimitExceeded):
+        model.expand_typed(joint)
+    monkeypatch.undo()
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "9")
+    assert model.expand_typed(joint).num_states == 3
+    # An iid instance exactly at the cap expands: 3 * 2**3 = 24.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "24")
+    iid = TypedInstance(actions=3, types=types, iid_marginal=(F(1, 2), F(1, 2)))
+    assert model.expand_typed(iid).num_states == 8
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+def test_size_limit_must_be_a_positive_integer(monkeypatch, raw):
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, raw)
+    with pytest.raises(InvalidSetting, match=model.SIZE_LIMIT_ENV):
+        model.size_limit()
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "12")
+    assert model.size_limit() == 12
+    monkeypatch.delenv(model.SIZE_LIMIT_ENV)
+    assert model.size_limit() == model.DEFAULT_SIZE_LIMIT
 
 
 def test_symmetry_detection():

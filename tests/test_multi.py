@@ -109,11 +109,11 @@ def test_lp_shape_two_receivers_two_states_zero_model():
 
 
 def test_size_limit_enforced(monkeypatch):
-    monkeypatch.setenv(multi.SIZE_LIMIT_ENV, "16")
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "16")
     inst = model.random_multi_instance(2, receivers=2, states=5)
     with pytest.raises(SizeLimitExceeded):
         multi.build_lp_binary(inst, PaymentModel.ZERO)
-    monkeypatch.delenv(multi.SIZE_LIMIT_ENV)
+    monkeypatch.delenv(model.SIZE_LIMIT_ENV)
     multi.build_lp_binary(inst, PaymentModel.ZERO)
 
 

@@ -277,16 +277,14 @@ def test_oracle_validates_weights_and_size():
     with pytest.raises(ValueError):
         query(0, (F(1), F(-1)))
     wide = seeded(1, 3, 2)
-    import persuade.multi as multi_mod
-
     try:
         import os
 
-        os.environ[multi_mod.SIZE_LIMIT_ENV] = "4"
+        os.environ[model.SIZE_LIMIT_ENV] = "4"
         with pytest.raises(SizeLimitExceeded):
             reduction.brute_force_oracle(wide)
     finally:
-        os.environ.pop(multi_mod.SIZE_LIMIT_ENV, None)
+        os.environ.pop(model.SIZE_LIMIT_ENV, None)
 
 
 # ---------------------------------------------------------------------------
