@@ -33,6 +33,7 @@ from typing import Optional
 
 from . import jsonio, model, single
 from .errors import (
+    CertificateFailed,
     CharacterizationMismatch,
     InconsistentPayments,
     InvalidSetting,
@@ -64,6 +65,7 @@ EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 EXIT_SIZE_LIMIT = 5
 EXIT_ITERATION_LIMIT = 6
+EXIT_CERTIFICATE = 7
 
 MODELS = tuple(m.value for m in PaymentModel)
 METHODS = ("lp", "fast", "cutting-plane")
@@ -511,6 +513,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command may raise; any other propagates.
+_EXIT_CODES = (
+    (ValidationFailed, EXIT_INVALID_INPUT),
+    (MalformedRational, EXIT_INVALID_INPUT),
+    (UnknownExample, EXIT_INVALID_INPUT),
+    (InvalidSetting, EXIT_INVALID_INPUT),
+    (OSError, EXIT_INVALID_INPUT),
+    (NotSymmetric, EXIT_PRECONDITION),
+    (WrongActionCount, EXIT_PRECONDITION),
+    (PositiveExternalityViolated, EXIT_PRECONDITION),
+    (NonMonotoneSender, EXIT_PRECONDITION),
+    (UnsupportedMethod, EXIT_PRECONDITION),
+    (CharacterizationMismatch, EXIT_MISMATCH),
+    (OracleUnsound, EXIT_MISMATCH),
+    (SizeLimitExceeded, EXIT_SIZE_LIMIT),
+    (IterationLimit, EXIT_ITERATION_LIMIT),
+    (CertificateFailed, EXIT_CERTIFICATE),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -520,35 +542,12 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         return args.func(args)
-    except (
-        ValidationFailed,
-        MalformedRational,
-        UnknownExample,
-        InvalidSetting,
-    ) as exc:
+    except (PersuadeError, OSError) as exc:
+        code = next((c for kind, c in _EXIT_CODES if isinstance(exc, kind)), None)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (
-        NotSymmetric,
-        WrongActionCount,
-        PositiveExternalityViolated,
-        NonMonotoneSender,
-        UnsupportedMethod,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (CharacterizationMismatch, OracleUnsound) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except SizeLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_LIMIT
-    except IterationLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITERATION_LIMIT
+        return code
 
 
 if __name__ == "__main__":

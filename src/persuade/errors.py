@@ -84,6 +84,10 @@ class IterationLimit(PersuadeError):
     """An iterative procedure exceeded its bound; indicates a bug or bad input."""
 
 
+class CertificateFailed(PersuadeError):
+    """A solver's answer failed its independent optimality certificate."""
+
+
 class OracleUnsound(PersuadeError):
     """A separation oracle missed a violated constraint it should have found."""
 

@@ -13,8 +13,11 @@ constraint, in the stated sense's convention: for a maximization,
 <=-rows carry duals >= 0 and >=-rows carry duals <= 0; for a
 minimization the signs flip; equality rows are free.  certify()
 re-checks a claimed optimal pair from scratch (primal feasibility, dual
-sign and finiteness conditions, and a zero duality gap), so it does not
-trust anything the solver did internally.
+sign and finiteness conditions, and a zero duality gap).  It too works
+in ints, but reads only the problem and the claimed pair, never the
+tableau or solve()'s row scaling, so it trusts nothing the solver did.
+certified_solve() is the one boundary the package solves through: it
+returns an optimum whose certificate holds or raises CertificateFailed.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from . import _pivot_py
-from .errors import IterationLimit
+from .errors import CertificateFailed, IterationLimit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -161,7 +164,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     # denominator, divided by their gcd: the objective row comes out
     # times k2 > 0.
     direction = 1 if sense_max else -1
-    cost_den = lcm(*(c.denominator for c in problem.objective))
+    cost_den = lcm(*[c.denominator for c in problem.objective])
     struct_cost = [0] * ncols_struct
     shift_const = ZERO
     for j, c in enumerate(problem.objective):
@@ -264,7 +267,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         # Maximize minus the sum of the artificials: cost -1/scale[i] in
         # the substituted columns, brought to coprime ints by one positive
         # factor.
-        den = lcm(*(scale[i].numerator for i in artificial_rows))
+        den = lcm(*[scale[i].numerator for i in artificial_rows])
         costs = {
             id_base + i: -(den // scale[i].numerator) * scale[i].denominator
             for i in artificial_rows
@@ -362,105 +365,131 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     """All reasons the claimed optimal pair fails to certify (empty = valid).
 
-    Checks, independently of solver internals: primal feasibility against
-    every constraint and bound, dual sign conventions, finiteness side
-    conditions on reduced costs, complementary slackness, and an exactly
-    zero duality gap.
+    Checks, from the problem and the claimed pair alone: primal
+    feasibility against every constraint and bound, dual sign
+    conventions, finiteness side conditions on reduced costs,
+    complementary slackness, an exactly zero duality gap and the
+    objective field.  Computed in ints over common denominators, one per
+    row; Fractions are built only for the failure messages.
     """
-    failures = []
     if solution.status != OPTIMAL:
         return [f"status is {solution.status}, nothing to certify"]
-    if solution.primal is None or solution.dual is None:
+    x, duals = solution.primal, solution.dual
+    if x is None or duals is None:
         return ["optimal solution is missing primal or dual values"]
-    n = problem.num_vars
-    x = solution.primal
-    if len(x) != n or len(solution.dual) != len(problem.constraints):
+    if len(x) != problem.num_vars or len(duals) != len(problem.constraints):
         return ["primal or dual vector has the wrong length"]
+    failures = []
+
+    # x[j] = xs[j] / x_den; in max convention, duals ys[k] / y_den and
+    # costs cs[j] / c_den.
+    direction = 1 if problem.sense == "max" else -1
+    x_den = lcm(*[v.denominator for v in x])
+    xs = [v.numerator * (x_den // v.denominator) for v in x]
+    y_den = lcm(*[v.denominator for v in duals])
+    ys = [direction * v.numerator * (y_den // v.denominator) for v in duals]
+    c_den = lcm(*[c.denominator for c in problem.objective])
+    cs = [direction * c.numerator * (c_den // c.denominator) for c in problem.objective]
 
     for j, (lo, up) in enumerate(problem.bounds):
-        if lo is not None and x[j] < lo:
+        if lo is not None and xs[j] * lo.denominator < lo.numerator * x_den:
             failures.append(f"x[{j}]={x[j]} below lower bound {lo}")
-        if up is not None and x[j] > up:
+        if up is not None and xs[j] * up.denominator > up.numerator * x_den:
             failures.append(f"x[{j}]={x[j]} above upper bound {up}")
 
-    sense_max = problem.sense == "max"
-    cmax = [c if sense_max else -c for c in problem.objective]
-    ymax = [y if sense_max else -y for y in solution.dual]
-
-    rc = list(cmax)
-    dual_b = ZERO
+    priced = []  # (dual, row ints, rhs int, row den) of rows with a dual
     for k, constraint in enumerate(problem.constraints):
-        value = ZERO
-        for j, coeff in constraint.coeffs:
-            value += coeff * x[j]
-        ok = (
-            value <= constraint.rhs
-            if constraint.rel == LE
-            else value >= constraint.rhs
-            if constraint.rel == GE
-            else value == constraint.rhs
-        )
-        if not ok:
+        rhs, rel = constraint.rhs, constraint.rel
+        den = lcm(rhs.denominator, *[a.denominator for _, a in constraint.coeffs])
+        ints = [(j, a.numerator * (den // a.denominator)) for j, a in constraint.coeffs]
+        b = rhs.numerator * (den // rhs.denominator)
+        # Activity minus right-hand side, over den * x_den.
+        slack = sum(v * xs[j] for j, v in ints) - b * x_den
+        if (slack > 0) if rel == LE else (slack < 0) if rel == GE else slack != 0:
             failures.append(
                 f"constraint {k} {constraint.name!r} violated: "
-                f"{value} {constraint.rel} {constraint.rhs} fails"
+                f"{Fraction(slack + b * x_den, den * x_den)} {rel} {rhs} fails"
             )
-        y = ymax[k]
-        if constraint.rel == LE and y < 0:
-            failures.append(f"dual {k} should be >= 0 in max convention, got {y}")
-        if constraint.rel == GE and y > 0:
-            failures.append(f"dual {k} should be <= 0 in max convention, got {y}")
-        if y and value != constraint.rhs:
+        y = ys[k]
+        if (rel == LE and y < 0) or (rel == GE and y > 0):
             failures.append(
-                f"complementary slackness: dual {k} is {y} but row is slack"
+                f"dual {k} should be {'>=' if rel == LE else '<='} 0 in max "
+                f"convention, got {Fraction(y, y_den)}"
             )
-        dual_b += y * constraint.rhs
         if y:
-            for j, coeff in constraint.coeffs:
-                rc[j] = rc[j] - y * coeff
+            if slack:
+                failures.append(
+                    f"complementary slackness: dual {k} is {Fraction(y, y_den)} "
+                    "but row is slack"
+                )
+            priced.append((y, ints, b, den))
 
-    gap_terms = ZERO
+    # Reduced costs and the dual objective b.y as ints over y_den * r_den.
+    r_den = lcm(c_den, *[den for _, _, _, den in priced])
+    rc = [c * (r_den // c_den) * y_den for c in cs]
+    dual_b = 0
+    for y, ints, b, den in priced:
+        w = y * (r_den // den)
+        dual_b += w * b
+        for j, v in ints:
+            rc[j] -= w * v
+    rc_den = y_den * r_den
+
+    gap = []  # (reduced cost, the bound it prices)
     for j, (lo, up) in enumerate(problem.bounds):
         r = rc[j]
-        if r > 0:
-            if up is None:
-                failures.append(
-                    f"reduced cost {j} is {r} > 0 with no upper bound"
-                )
-            else:
-                gap_terms += r * up
-                if x[j] != up:
-                    failures.append(
-                        f"complementary slackness: rc[{j}]={r} > 0 but "
-                        f"x[{j}]={x[j]} != upper bound {up}"
-                    )
-        elif r < 0:
-            if lo is None:
-                failures.append(
-                    f"reduced cost {j} is {r} < 0 with no lower bound"
-                )
-            else:
-                gap_terms += r * lo
-                if x[j] != lo:
-                    failures.append(
-                        f"complementary slackness: rc[{j}]={r} < 0 but "
-                        f"x[{j}]={x[j]} != lower bound {lo}"
-                    )
+        if not r:
+            continue
+        bnd, cmp, side = (up, ">", "upper") if r > 0 else (lo, "<", "lower")
+        if bnd is None:
+            failures.append(
+                f"reduced cost {j} is {Fraction(r, rc_den)} {cmp} 0 "
+                f"with no {side} bound"
+            )
+            continue
+        gap.append((r, bnd))
+        if xs[j] * bnd.denominator != bnd.numerator * x_den:
+            failures.append(
+                f"complementary slackness: rc[{j}]={Fraction(r, rc_den)} {cmp} 0 "
+                f"but x[{j}]={x[j]} != {side} bound {bnd}"
+            )
 
-    primal_value = sum((cmax[j] * x[j] for j in range(n)), ZERO)
-    dual_value = dual_b + gap_terms
-    if primal_value != dual_value:
+    # Primal value over p_den, dual bound over d_den.
+    p_den = c_den * x_den
+    primal = sum(c * v for c, v in zip(cs, xs))
+    g_den = lcm(*[bnd.denominator for _, bnd in gap])
+    d_den = rc_den * g_den
+    dual = dual_b * g_den + sum(
+        r * bnd.numerator * (g_den // bnd.denominator) for r, bnd in gap
+    )
+    if primal * d_den != dual * p_den:
         failures.append(
-            f"duality gap: primal {primal_value} != dual bound {dual_value}"
+            f"duality gap: primal {Fraction(primal, p_den)} != dual bound "
+            f"{Fraction(dual, d_den)}"
         )
 
-    stated = primal_value if sense_max else -primal_value
-    if solution.objective != stated + problem.constant:
+    constant, claimed = problem.constant, solution.objective
+    stated = direction * primal * constant.denominator + constant.numerator * p_den
+    s_den = p_den * constant.denominator
+    if claimed is None or claimed.numerator * s_den != stated * claimed.denominator:
         failures.append(
-            f"objective field {solution.objective} != recomputed "
-            f"{stated + problem.constant}"
+            f"objective field {claimed} != recomputed {Fraction(stated, s_den)}"
         )
     return failures
+
+
+def certified_solve(problem: LpProblem) -> LpSolution:
+    """Solve, and return the answer only if certify_report finds no fault.
+
+    Otherwise, a non-optimal status included, raise CertificateFailed.
+    """
+    solution = solve(problem)
+    report = certify_report(problem, solution)
+    if report:
+        raise CertificateFailed(
+            "optimality certificate failed: " + "; ".join(report)
+        )
+    return solution
 
 
 def certify(problem: LpProblem, solution: LpSolution) -> bool:

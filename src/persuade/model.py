@@ -362,40 +362,6 @@ def ensure_valid(instance: Instance) -> Instance:
     return instance
 
 
-def validate_scheme(instance: PersuasionInstance, scheme: SignalingScheme) -> tuple:
-    """Check a scheme's shape against an instance."""
-    issues: list = []
-    if len(scheme.distribution) != instance.num_states:
-        issues.append(
-            ValidationIssue(
-                "DimensionMismatch",
-                "distribution",
-                f"expected {instance.num_states} rows, got {len(scheme.distribution)}",
-            )
-        )
-        return tuple(issues)
-    for t, dist_row in enumerate(scheme.distribution):
-        if len(dist_row) != instance.actions:
-            issues.append(
-                ValidationIssue(
-                    "DimensionMismatch",
-                    f"distribution[{t}]",
-                    f"expected {instance.actions} entries, got {len(dist_row)}",
-                )
-            )
-            continue
-        _check_prob_vector(issues, dist_row, f"distribution[{t}]")
-    if len(scheme.payments) != instance.actions:
-        issues.append(
-            ValidationIssue(
-                "DimensionMismatch",
-                "payments",
-                f"expected {instance.actions} entries, got {len(scheme.payments)}",
-            )
-        )
-    return tuple(issues)
-
-
 def size_limit() -> int:
     """Maximum number of scheme columns an explicit LP or enumeration may have.
 

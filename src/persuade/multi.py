@@ -386,10 +386,7 @@ def solve_lp(
 ) -> MultiLpResult:
     """Solve the subset LP exactly and attach the certified dual."""
     problem, vmap = build_lp_binary(instance, payment_model)
-    solution = lp.solve(problem)
-    assert solution.status == lp.OPTIMAL, f"LP came back {solution.status}"
-    report = lp.certify_report(problem, solution)
-    assert not report, f"optimality certificate failed: {report}"
+    solution = lp.certified_solve(problem)
 
     nsub, m, n = instance.num_subsets, instance.num_states, instance.receivers
     distribution = tuple(
@@ -612,9 +609,12 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
             f"optimum {target} at any candidate gamma"
         )
 
-    assert is_persuasive(instance, scheme), "reconstructed scheme not persuasive"
-    assert total_payments(scheme) == 0, "payments do not balance"
-    assert sender_value(instance, scheme) == target, "objective drifted"
+    if not is_persuasive(instance, scheme):
+        raise CharacterizationMismatch("reconstructed scheme not persuasive")
+    if total_payments(scheme) != 0:
+        raise CharacterizationMismatch("payments do not balance")
+    if sender_value(instance, scheme) != target:
+        raise CharacterizationMismatch("objective drifted")
     return BudgetBalancedResult(
         instance=instance,
         scheme=scheme,

@@ -26,6 +26,8 @@ from typing import Callable, Optional, Sequence
 
 from . import lp, model, multi
 from .errors import (
+    CertificateFailed,
+    CharacterizationMismatch,
     IterationLimit,
     NonMonotoneSender,
     OracleUnsound,
@@ -164,10 +166,7 @@ def build_lp_dropped(instance: MultiAgentInstance) -> tuple:
 def solve_dropped(instance: MultiAgentInstance) -> DroppedLpResult:
     """Solve the reduced program exactly with a certified optimum."""
     problem, dmap = build_lp_dropped(instance)
-    solution = lp.solve(problem)
-    assert solution.status == lp.OPTIMAL, f"LP came back {solution.status}"
-    report = lp.certify_report(problem, solution)
-    assert not report, f"optimality certificate failed: {report}"
+    solution = lp.certified_solve(problem)
     nsub = instance.num_subsets
     distribution = tuple(
         tuple(solution.primal[dmap.phi(t, subset)] for subset in range(nsub))
@@ -248,8 +247,10 @@ def repair_scheme(
         q_one=scheme.q_one,
         q_zero=scheme.q_zero,
     )
-    assert multi.is_persuasive(instance, repaired), "repair left a violated row"
-    assert multi.sender_value(instance, repaired) >= before, "repair lost value"
+    if not multi.is_persuasive(instance, repaired):
+        raise CharacterizationMismatch("repair left a violated row")
+    if multi.sender_value(instance, repaired) < before:
+        raise CharacterizationMismatch("repair lost value")
     return repaired
 
 
@@ -391,14 +392,6 @@ def _restricted_primal(instance: MultiAgentInstance, rows) -> lp.LpProblem:
     )
 
 
-def _certified_solve(problem: lp.LpProblem) -> lp.LpSolution:
-    solution = lp.solve(problem)
-    assert solution.status == lp.OPTIMAL, f"LP came back {solution.status}"
-    report = lp.certify_report(problem, solution)
-    assert not report, f"optimality certificate failed: {report}"
-    return solution
-
-
 def cutting_plane_solve(
     instance: MultiAgentInstance, oracle: Optional[SetFunctionOracle] = None
 ) -> CuttingPlaneResult:
@@ -440,7 +433,7 @@ def cutting_plane_solve(
             raise IterationLimit(
                 f"constraint generation still running after {max_rounds} rounds"
             )
-        solution = _certified_solve(_restricted_dual(instance, rows))
+        solution = lp.certified_solve(_restricted_dual(instance, rows))
         alpha = tuple(solution.primal[i] for i in range(n))
         y = tuple(solution.primal[n + t] for t in range(m))
         added = False
@@ -455,7 +448,8 @@ def cutting_plane_solve(
                 )
             prob = instance.states[t].prob
             if y[t] < prob * value:
-                assert (t, subset) not in present, "satisfied row reported violated"
+                if (t, subset) in present:
+                    raise CertificateFailed(f"certified row {t, subset} is violated")
                 rows.append((t, subset))
                 present.add((t, subset))
                 added = True
@@ -476,8 +470,9 @@ def cutting_plane_solve(
                     f"in state {t}; the oracle never reported it"
                 )
 
-    primal_solution = _certified_solve(_restricted_primal(instance, rows))
-    assert primal_solution.objective == objective, "restricted duality gap"
+    primal_solution = lp.certified_solve(_restricted_primal(instance, rows))
+    if primal_solution.objective != objective:
+        raise CertificateFailed("restricted primal and dual optima differ")
     dist = [[ZERO] * nsub for _ in range(m)]
     for k, (t, subset) in enumerate(rows):
         dist[t][subset] += primal_solution.primal[k]
@@ -488,9 +483,8 @@ def cutting_plane_solve(
         q_zero=zeros,
     )
     repaired = repair_scheme(instance, scheme)
-    assert multi.sender_value(instance, repaired) == objective, (
-        "repair changed the objective"
-    )
+    if multi.sender_value(instance, repaired) != objective:
+        raise CharacterizationMismatch("repair changed the objective")
 
     return CuttingPlaneResult(
         instance=instance,

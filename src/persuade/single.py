@@ -11,7 +11,9 @@ The follow rows' dual multipliers reweight the receiver's payoff into a
 dual-adjusted payoff; at an optimal dual the optimal scheme recommends,
 in every state, only actions maximizing sender payoff plus dual-adjusted
 payoff.  That support condition plus complementary slackness is what
-verify_support_optimality checks.
+verify_support_optimality checks, in ints on the instance's coding;
+solve_optimal solves through lp.certified_solve and raises
+CertificateFailed when either check fails.
 
 For action-symmetric instances the dual collapses to a single scalar
 lambda and the optimizer of sender payoff + n*lambda*receiver payoff
@@ -35,7 +37,12 @@ from math import lcm
 from typing import Optional, Union
 
 from . import lp, model
-from .errors import CharacterizationMismatch, NotSymmetric, WrongActionCount
+from .errors import (
+    CertificateFailed,
+    CharacterizationMismatch,
+    NotSymmetric,
+    WrongActionCount,
+)
 from .model import (
     PaymentModel,
     PersuasionInstance,
@@ -145,15 +152,26 @@ def build_lp(
     m = instance.num_states
     vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
     with_pay = payment_model is not PaymentModel.ZERO
-    num_vars = m * n + (n if with_pay else 0)
 
-    objective = [ZERO] * num_vars
-    for t, state in enumerate(instance.states):
-        for i in range(n):
-            objective[vmap.phi(t, i)] = state.prob * state.sender[i]
+    # Every coefficient is a mass times a payoff (difference), an int
+    # over code.unit; equal ints share one Fraction.
+    code = _coding(instance)
+    fractions: dict = {}
+
+    def over_unit(v: int) -> Fraction:
+        value = fractions.get(v)
+        if value is None:
+            value = fractions[v] = Fraction(v, code.unit)
+        return value
+
+    # Columns phi(t, i) = t * n + i, then the payments.
+    objective = [
+        over_unit(mass * s)
+        for mass, sender in zip(code.mass, code.sender)
+        for s in sender
+    ]
     if with_pay:
-        for i in range(n):
-            objective[vmap.payment(i)] = -ONE
+        objective += [-ONE] * n
 
     bounds = [(ZERO, None)] * (m * n)
     if with_pay:
@@ -168,10 +186,10 @@ def build_lp(
             if j == i:
                 continue
             coeffs = []
-            for t, state in enumerate(instance.states):
-                diff = state.prob * (state.receiver[i] - state.receiver[j])
+            for t, (mass, receiver) in enumerate(zip(code.mass, code.receiver)):
+                diff = mass * (receiver[i] - receiver[j])
                 if diff:
-                    coeffs.append((vmap.phi(t, i), diff))
+                    coeffs.append((vmap.phi(t, i), over_unit(diff)))
             if with_pay:
                 coeffs.append((vmap.payment(i), ONE))
             constraints.append(
@@ -223,10 +241,7 @@ def solve_optimal(
             "free payments are unbounded with a single action"
         )
     problem, vmap = build_lp(inst, payment_model)
-    solution = lp.solve(problem)
-    assert solution.status == lp.OPTIMAL, f"LP came back {solution.status}"
-    report = lp.certify_report(problem, solution)
-    assert not report, f"optimality certificate failed: {report}"
+    solution = lp.certified_solve(problem)
 
     n, m = inst.actions, inst.num_states
     distribution = tuple(
@@ -256,9 +271,10 @@ def solve_optimal(
         problem=problem,
         solution=solution,
     )
-    assert verify_support_optimality(inst, scheme, dual), (
-        "optimal scheme leaves the dual-adjusted argmax support"
-    )
+    if not verify_support_optimality(inst, scheme, dual):
+        raise CertificateFailed(
+            "optimal scheme leaves the dual-adjusted argmax support"
+        )
     return result
 
 
@@ -319,26 +335,46 @@ def verify_support_optimality(
     True iff in every positive-probability state the scheme only
     recommends actions maximizing sender payoff plus dual-adjusted
     payoff, and every strictly positive multiplier sits on a tight
-    follow constraint.
+    follow constraint.  Computed in ints on the instance's coding, with
+    the multipliers and the distribution each over one common denominator.
     """
-    n = instance.actions
-    for t, state in enumerate(instance.states):
-        if not state.prob:
-            continue
-        values = [
-            state.sender[i] + dual_adjusted_payoff(instance, dual, t, i)
-            for i in range(n)
-        ]
-        best = max(values)
-        for i in range(n):
-            if scheme.distribution[t][i] and values[i] != best:
+    code = _coding(instance)
+    n = code.actions
+    lam_den = lcm(*[v.denominator for row in dual.lam for v in row])
+    # Per action i, its nonzero multipliers (j, lam[i][j] * lam_den).
+    priced = [
+        [(j, v.numerator * (lam_den // v.denominator)) for j, v in enumerate(row) if v]
+        for row in dual.lam
+    ]
+    dist = scheme.distribution
+    for mass, sender, receiver, row in zip(code.mass, code.sender, code.receiver, dist):
+        if mass:
+            # Sender plus dual-adjusted payoff, times code's D and lam_den;
+            # a diagonal multiplier adds 0.
+            values = [
+                lam_den * sender[i]
+                + sum(v * (receiver[i] - receiver[j]) for j, v in pairs)
+                for i, pairs in enumerate(priced)
+            ]
+            best = max(values)
+            if any(p and v != best for p, v in zip(row, values)):
                 return False
-    x = model.cross_utility(instance, scheme.distribution)
-    for i in range(n):
-        for j in range(n):
-            if i != j and dual.lam[i][j]:
-                if x.entry(i, i) + scheme.payments[i] != x.entry(i, j):
-                    return False
+
+    # Tight rows: X[i][i] + P[i] == X[i][j], X over code.unit * d_den.
+    d_den = lcm(*[v.denominator for row in dist for v in row])
+    for i, pairs in enumerate(priced):
+        if not pairs:
+            continue
+        cross = [0] * n
+        for mass, receiver, row in zip(code.mass, code.receiver, dist):
+            w = mass * row[i].numerator * (d_den // row[i].denominator)
+            for j in range(n):
+                cross[j] += w * receiver[j]
+        pay = scheme.payments[i]
+        pay_int = pay.numerator * code.unit * d_den
+        for j, _ in pairs:
+            if j != i and (cross[i] - cross[j]) * pay.denominator + pay_int:
+                return False
     return True
 
 

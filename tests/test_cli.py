@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from persuade import _pivot_py, cli, examples, jsonio, model, multi, single, verify
+from persuade import _pivot_py, cli, examples, jsonio, lp, model, multi, single, verify
 from persuade.verify import PropertyReport
 
 
@@ -250,6 +250,15 @@ def test_iteration_limit_exits_6(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(_pivot_py, "run_simplex", out_of_pivots)
     assert cli.main(["solve", path, "--model", "arbitrary"]) == 6
     assert "error: simplex exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["lp", "fast"])
+def test_failed_certificate_exits_7(tmp_path, capsys, monkeypatch, method):
+    path = write_instance(tmp_path, examples.zero_sum_two_state_instance())
+    monkeypatch.setattr(lp, "certify_report", lambda problem, solution: ["forged"])
+    code = cli.main(["solve", path, "--model", "arbitrary", "--method", method])
+    assert code == cli.EXIT_CERTIFICATE == 7
+    assert "error: optimality certificate failed: forged" in capsys.readouterr().err
 
 
 def test_cutting_plane_reports_generated_rows(tmp_path, capsys):
