@@ -2,11 +2,14 @@
 
 Problems are stated over variables with optional rational bounds, sparse
 constraint rows (<=, >=, ==), and a linear objective in either sense.
-solve() runs a dense two-phase tableau simplex that enters by Dantzig's
-rule and falls back to Bland's after a run of degenerate pivots, so
-results are deterministic and free of rounding.  The tableau is kept in
-integers (fraction-free pivoting, see _pivot_py); only the final values
-become Fractions.
+solve() runs a dense tableau simplex from a crash basis: a >= row whose
+right-hand side is 0 is stated as a <= row, so its slack starts basic;
+the artificial of every other >= or == row is pivoted out at once where
+a feasible pivot exists, and phase 1 runs only over the artificials
+left, if any.  The simplex enters by Dantzig's rule and falls back to
+Bland's after a run of degenerate pivots, so results are deterministic
+and free of rounding.  The tableau is kept in integers (fraction-free
+pivoting, see _pivot_py); only the final values become Fractions.
 
 Dual values are extracted from the final tableau and reported per
 constraint, in the stated sense's convention: for a maximization,
@@ -119,7 +122,17 @@ def recording():
 
 
 def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
-    """Solve to proven optimality, infeasibility, or unboundedness."""
+    """Solve to proven optimality, infeasibility, or unboundedness.
+
+    The start is a crash basis.  Each row is negated where that makes its
+    right-hand side >= 0, and a >= row with right-hand side 0 is negated
+    into a <= row; <= rows start with their slack basic.  Each remaining
+    row's artificial is pivoted out in row order on the structural or
+    surplus column of largest phase-2 cost (lowest index on ties) whose
+    pivot keeps the basis feasible.  Phase 1 then minimizes the sum of
+    the artificials still basic and is skipped when there are none.
+    Crash pivots count in the solution's iterations.
+    """
     n = problem.num_vars
     sense_max = problem.sense == "max"
     if problem.sense not in ("max", "min"):
@@ -182,7 +195,9 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     # Rows: user constraints in order, then internal upper-bound rows.
     # Each is (sparse ints over its common denominator den, rel, rhs
     # times den, den, sign), negated (sign -1) where that makes the
-    # right-hand side >= 0.
+    # right-hand side >= 0, and a >= row whose right-hand side is 0 is
+    # stated as the negated <= row, so its slack starts basic at 0 and
+    # the row needs no artificial.
     rows = []
     num_user = len(problem.constraints)
     for constraint in problem.constraints:
@@ -199,7 +214,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             den = lcm(den, a.denominator)
         den = lcm(den, rhs.denominator)
         rel, sign = constraint.rel, 1
-        if rhs < 0:
+        if rhs < 0 or (rhs == 0 and rel == GE):
             rel, sign = {LE: GE, GE: LE}.get(rel, rel), -1
         acc: dict = {}  # duplicate indices are summed
         for j, a in constraint.coeffs:
@@ -263,14 +278,46 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
                 obj = [o + cb * v for o, v in zip(obj, tab.current(i))]
         tab.append(obj)
 
-    if artificial_rows:
-        # Maximize minus the sum of the artificials: cost -1/scale[i] in
-        # the substituted columns, brought to coprime ints by one positive
-        # factor.
-        den = lcm(*[scale[i].numerator for i in artificial_rows])
+    # Crash (see the docstring).  A pivot keeps every right-hand side >= 0
+    # on any nonzero entry of a row whose right-hand side is 0, and on a
+    # positive entry of another row when no row has a smaller ratio (a
+    # row's denominator cancels in its ratio).
+    tab_rows = tab.rows
+    by_cost = sorted(
+        range(id_base),
+        key=lambda j: (-struct_cost[j] if j < ncols_struct else 0, j),
+    )
+    still_basic = []  # artificial rows the crash could not pivot out
+    for r in artificial_rows:
+        prow = tab_rows[r]
+        rhs = prow[-1]
+        enter = -1
+        for j in by_cost:
+            a = prow[j]
+            if not a:
+                continue
+            if rhs and (
+                a < 0
+                or any(row[j] > 0 and row[-1] * a < rhs * row[j] for row in tab_rows)
+            ):
+                continue
+            enter = j
+            break
+        if enter < 0:
+            still_basic.append(r)
+            continue
+        tab.pivot(r, enter)
+        basis[r] = enter
+        total_iters += 1
+
+    if still_basic:
+        # Maximize minus the sum of the artificials still basic: cost
+        # -1/scale[i] in the substituted columns, brought to coprime ints
+        # by one positive factor.
+        den = lcm(*[scale[i].numerator for i in still_basic])
         costs = {
             id_base + i: -(den // scale[i].numerator) * scale[i].denominator
-            for i in artificial_rows
+            for i in still_basic
         }
         g = gcd(*costs.values())
         phase1 = [0] * ncols

@@ -666,13 +666,7 @@ def recover_payments(
     probability zero pays nothing and its Q must already be zero.
     """
     n = instance.receivers
-    x_star = [ZERO] * n
-    for state, row in zip(instance.states, scheme.distribution):
-        for subset, p in enumerate(row):
-            if p:
-                for i in range(n):
-                    if (subset >> i) & 1:
-                        x_star[i] += state.prob * p
+    x_star = _branch_probabilities(instance, scheme.distribution)
     p_one = []
     p_zero = []
     for i in range(n):

@@ -187,6 +187,11 @@ def solve_dropped(instance: MultiAgentInstance) -> DroppedLpResult:
 # Constructive repair
 
 
+def _move_bound(receivers: int, support: int) -> int:
+    """Most moves a repair makes: each lifts a mass one lattice level."""
+    return receivers * support
+
+
 def repair_scheme(
     instance: MultiAgentInstance, scheme: MultiAgentScheme
 ) -> MultiAgentScheme:
@@ -207,8 +212,7 @@ def repair_scheme(
         raise ValueError("repair applies to zero-payment schemes only")
     n = instance.receivers
     dist = [list(row) for row in scheme.distribution]
-    support = sum(1 for row in dist for p in row if p > 0)
-    bound = n * support
+    bound = _move_bound(n, sum(1 for row in dist for p in row if p > 0))
     before = multi.sender_value(instance, scheme)
 
     moves = 0
@@ -233,12 +237,14 @@ def repair_scheme(
             if moved:
                 break
         if not moved:
-            raise RuntimeError(
+            raise CharacterizationMismatch(
                 "violated keep-playing-0 row without a positive-gain witness"
             )
         moves += 1
         if moves > bound:
-            raise RuntimeError("repair exceeded its structural move bound")
+            raise CharacterizationMismatch(
+                "repair exceeded its structural move bound"
+            )
 
     if not moves:
         return scheme

@@ -9,7 +9,18 @@ from types import SimpleNamespace
 
 import pytest
 
-from persuade import _pivot_py, cli, examples, jsonio, lp, model, multi, single, verify
+from persuade import (
+    _pivot_py,
+    cli,
+    examples,
+    jsonio,
+    lp,
+    model,
+    multi,
+    reduction,
+    single,
+    verify,
+)
 from persuade.verify import PropertyReport
 
 
@@ -58,6 +69,24 @@ def test_solve_lp_budget_balanced_two_state(tmp_path, capsys):
     assert "budget_balanced=yes" in out
 
 
+def solve_and_report(tmp_path, capsys, instance, payment_model):
+    """Solve through the CLI: (flags, properties, total of written payments)."""
+    path = write_instance(tmp_path, instance)
+    out_path = tmp_path / "scheme.json"
+    code = cli.main(["solve", path, "--model", payment_model, "--out", str(out_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    flags, properties = report_line(out, "flags"), report_line(out, "properties")
+    # Every flag is a check, so all read yes on a correct answer.
+    assert flags and set(flags.values()) == {"yes"}
+    scheme = jsonio.scheme_from_json(json.loads(out_path.read_text(encoding="utf-8")))
+    if isinstance(scheme, model.MultiAgentScheme):
+        total = multi.total_payments(scheme)
+    else:
+        total = sum(scheme.payments, F(0))
+    return flags, properties, total
+
+
 @pytest.mark.parametrize("payment_model", cli.MODELS)
 @pytest.mark.parametrize("multi_receiver", [False, True])
 def test_budget_balance_is_a_flag_only_where_the_model_requires_it(
@@ -67,18 +96,34 @@ def test_budget_balance_is_a_flag_only_where_the_model_requires_it(
         instance = model.random_multi_instance(4, receivers=2, states=3)
     else:
         instance = examples.zero_sum_two_state_instance()
-    path = write_instance(tmp_path, instance)
-    assert cli.main(["solve", path, "--model", payment_model]) == 0
-    out = capsys.readouterr().out
-    flags, properties = report_line(out, "flags"), report_line(out, "properties")
-    # Every flag is a check, so all read yes on a correct answer.
-    assert flags and set(flags.values()) == {"yes"}
+    flags, properties, total = solve_and_report(
+        tmp_path, capsys, instance, payment_model
+    )
     if payment_model in ("zero", "budget_balanced"):
         assert "budget_balanced" in flags and not properties
     else:
-        # These optima pay unbalanced transfers, which the model allows.
+        # The model allows unbalanced transfers, so whether this optimum
+        # pays any is reported, not checked.  On both instances the
+        # nonnegative optimum equals the payment-free one (1/2 and 2), so
+        # a vertex that pays nothing is as optimal as one that does.
         assert "budget_balanced" not in flags
-        assert properties == {"budget_balanced": "no"}
+        assert properties == {"budget_balanced": "yes" if total == 0 else "no"}
+
+
+def test_budget_balanced_property_reads_no_when_payments_are_needed(tmp_path, capsys):
+    # The nonnegative optimum 4/7 exceeds the payment-free -4/7.  Payments
+    # are >= 0, so one summing to 0 pays nothing and reaches only -4/7:
+    # every nonnegative optimum pays a positive total.
+    instance = model.random_instance(16, actions=2, states=2)
+    zero, nonnegative = model.PaymentModel.ZERO, model.PaymentModel.NONNEGATIVE
+    assert single.solve_optimal(instance, zero).utility == F(-4, 7)
+    assert single.solve_optimal(instance, nonnegative).utility == F(4, 7)
+    flags, properties, total = solve_and_report(
+        tmp_path, capsys, instance, "nonnegative"
+    )
+    assert "budget_balanced" not in flags
+    assert total != 0
+    assert properties == {"budget_balanced": "no"}
 
 
 def test_scheme_file_roundtrips_and_reverifies(tmp_path):
@@ -280,6 +325,23 @@ def test_cutting_plane_reports_generated_rows(tmp_path, capsys):
         ["solve", path, "--model", "arbitrary", "--method", "cutting-plane"]
     )
     assert code == 3
+
+
+def test_failed_repair_exits_4(tmp_path, capsys, monkeypatch):
+    # This instance's restricted optimum needs one repair move; with the
+    # move bound forced to 0 the repair reports a mismatch, not a traceback.
+    instance = model.random_multi_instance(
+        6,
+        receivers=2,
+        states=2,
+        positive_externalities=True,
+        monotone_sender=True,
+    )
+    path = write_instance(tmp_path, instance)
+    monkeypatch.setattr(reduction, "_move_bound", lambda receivers, support: 0)
+    code = cli.main(["solve", path, "--method", "cutting-plane"])
+    assert code == cli.EXIT_MISMATCH == 4
+    assert "error: repair exceeded its structural move bound" in capsys.readouterr().err
 
 
 def test_no_verify_skips_the_cross_check(tmp_path, capsys):

@@ -1,11 +1,16 @@
 """The integer pivot kernel against a Fraction oracle.
 
-The oracle below is a two-phase simplex on exact ``Fraction`` tableaux,
-built over the same column scaling as ``lp.solve``: each row times the
-factor that makes it integral, and its slack or artificial column
-divided by that factor so it keeps its 1.  That scaling changes which
-reduced cost is most negative, so Dantzig's rule needs it; Bland's rule
-and the ratio test read only signs and ratios, which it leaves alone.
+The oracle below is a crash-started two-phase simplex on exact
+``Fraction`` tableaux, built over the same column scaling as
+``lp.solve``: each row times the factor that makes it integral, and its
+slack or artificial column divided by that factor so it keeps its 1.
+That scaling changes which reduced cost is most negative, so Dantzig's
+rule needs it; Bland's rule and the ratio test read only signs and
+ratios, which it leaves alone.  A ``>=`` row whose shifted right-hand
+side is 0 is stated as the negated ``<=`` row; each artificial is then
+pivoted out, in row order, on the column of largest phase-2 cost whose
+pivot keeps the basis feasible, and phase 1 runs only over the
+artificials left.
 The oracle enters by Dantzig's rule until ``degenerate_run`` degenerate
 pivots come in a row and by Bland's rule after that, as the kernel does;
 ``degenerate_run=0`` makes it the Bland oracle the integer kernel first
@@ -102,8 +107,17 @@ def _row_scale(values):
     return F(den, num) if num else F(1)
 
 
-def oracle_solve(problem, degenerate_run):
-    """(solution, final basis, pivots) of the Fraction two-phase simplex."""
+def oracle_solve(problem, degenerate_run, cases=None):
+    """(solution, final basis, pivots) of the Fraction two-phase simplex.
+
+    When cases is a set, the crash adds to it what it met:
+    "blocked_by_zero_rhs_le" (a candidate column turned away by a <= row
+    at right-hand side 0), "crash_on_zero_rhs_eq" (an artificial of an
+    == row at right-hand side 0 pivoted out) and "phase1_after_crash"
+    (phase 1 runs after at least one crash pivot).
+    """
+    if cases is None:
+        cases = set()
     n = problem.num_vars
     sense_max = problem.sense == "max"
     cost = [c if sense_max else -c for c in problem.objective]
@@ -154,7 +168,7 @@ def oracle_solve(problem, degenerate_run):
                 srow[kind[1]] += a
                 srow[kind[2]] -= a
         rel, sign = constraint.rel, 1
-        if rhs < 0:
+        if rhs < 0 or (rhs == 0 and rel == lp.GE):
             srow, rhs, sign = [-v for v in srow], -rhs, -1
             rel = {lp.LE: lp.GE, lp.GE: lp.LE}.get(rel, rel)
         rows.append((srow, rel, rhs, sign))
@@ -199,9 +213,42 @@ def oracle_solve(problem, degenerate_run):
                 obj = [o + costs[b] * v for o, v in zip(obj, row)]
         return obj
 
-    if artificial_rows:
+    # Crash: each artificial row in order, the feasible entering column
+    # of largest phase-2 cost (the lowest index on ties).
+    crash_cost = struct_cost + [F(0)] * (id_base - ncols_struct)
+    still_basic = []
+    for r in artificial_rows:
+        rhs = tab[r][-1]
+        feasible = []
+        for j in range(id_base):
+            a = tab[r][j]
+            if a == 0 or (rhs > 0 and a < 0):
+                continue
+            if rhs > 0:
+                least = min(tab[i][-1] / tab[i][j] for i in range(m) if tab[i][j] > 0)
+                if least < rhs / a:
+                    if any(
+                        rows[i][1] == lp.LE and tab[i][-1] == 0 and tab[i][j] > 0
+                        for i in range(m)
+                    ):
+                        cases.add("blocked_by_zero_rhs_le")
+                    continue
+            feasible.append(j)
+        if not feasible:
+            still_basic.append(r)
+            continue
+        if rows[r][1] == lp.EQ and rhs == 0:
+            cases.add("crash_on_zero_rhs_eq")
+        enter = max(feasible, key=lambda j: (crash_cost[j], -j))
+        oracle_pivot(tab, r, enter, pivots)
+        basis[r] = enter
+        total += 1
+
+    if still_basic:
+        if len(still_basic) < len(artificial_rows):
+            cases.add("phase1_after_crash")
         phase1 = [F(0)] * ncols
-        for i in artificial_rows:
+        for i in still_basic:
             phase1[id_base + i] = -1 / scale[i]
         tab.append(objective_row(phase1))
         status, iters = oracle_run_simplex(
@@ -428,8 +475,44 @@ def test_seed_108_lp_takes_few_pivots():
     typed = model.random_instance(108, actions=4, symmetric=True, types=3)
     problem = single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)[0]
     solution = lp.solve(problem)
-    assert solution.iterations <= 300
+    assert solution.iterations <= 200
     assert not lp.certify_report(problem, solution)
+
+
+def _single_receiver_instances():
+    for seed in range(1, 9):
+        yield model.random_instance(seed, actions=3, states=4)
+        yield model.expand_typed(
+            model.random_instance(seed, actions=3, symmetric=True, types=2)
+        )
+        yield model.expand_typed(
+            model.random_instance(
+                seed, actions=3, symmetric=True, types=2, joint=True
+            )
+        )
+
+
+@pytest.mark.parametrize("payment_model", list(PaymentModel), ids=lambda pm: pm.value)
+def test_single_receiver_lps_start_feasible(payment_model):
+    # Full information (each state's receiver-best action, no payments)
+    # is persuasive, so the crash pivots every simplex row's artificial
+    # out (and the budget row's, which has right-hand side 0): phase 2 is
+    # the only simplex run.
+    runs = []
+    real_run = _pivot_py.run_simplex
+
+    def run_spy(tab, basis, enterable, max_iter):
+        runs.append(len(basis))
+        return real_run(tab, basis, enterable, max_iter)
+
+    for instance in _single_receiver_instances():
+        problem = single.build_lp(instance, payment_model)[0]
+        runs.clear()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
+            solution = lp.solve(problem)
+        assert runs == [len(problem.constraints)]
+        assert not lp.certify_report(problem, solution)
 
 
 _rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -474,6 +557,82 @@ def test_integer_kernel_matches_fraction_oracle_on_random_lps(problem):
     solution = assert_matches_oracle(problem)
     if solution.status == lp.OPTIMAL:
         assert not lp.certify_report(problem, solution)
+
+
+_positive = st.builds(F, st.integers(1, 6), st.integers(1, 4))
+_nonzero = st.one_of(_positive, _positive.map(lambda v: -v))
+_nonneg = (F(0), None)
+
+
+@st.composite
+def _blocked_crash_problem(draw):
+    """A partial crash: one artificial row blocked by a zero-rhs <= row.
+
+    The row a*x0 - b*x1 <= 0 (or its >= 0 negation) has its slack basic
+    at 0 and a positive entry on x0, the only column of the row
+    c*x0 (== or >=) e > 0, so that row's artificial stays; the row
+    d*x2 (== or >=) f > 0 crashes on x2.
+    """
+    a, b, c, d, e, f = (draw(_positive) for _ in range(6))
+    if draw(st.booleans()):
+        zero_row = lp.LinearConstraint(((0, a), (1, -b)), lp.LE, F(0))
+    else:
+        zero_row = lp.LinearConstraint(((0, -a), (1, b)), lp.GE, F(0))
+    crashed = [
+        lp.LinearConstraint(((0, c),), draw(st.sampled_from([lp.EQ, lp.GE])), e),
+        lp.LinearConstraint(((2, d),), draw(st.sampled_from([lp.EQ, lp.GE])), f),
+    ]
+    rows = draw(st.permutations([zero_row] + crashed))
+    return lp.LpProblem(
+        sense=draw(st.sampled_from(["max", "min"])),
+        objective=tuple(draw(_rational) for _ in range(3)),
+        bounds=(_nonneg, _nonneg, _nonneg),
+        constraints=tuple(rows),
+    )
+
+
+@st.composite
+def _zero_rhs_equality_problem(draw):
+    """An == row at right-hand side 0, first, so any nonzero entry crashes it."""
+    n = draw(st.integers(2, 3))
+    bounds = tuple(draw(st.sampled_from([_nonneg, (None, None)])) for _ in range(n))
+    cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    rows = [
+        lp.LinearConstraint(tuple((j, draw(_nonzero)) for j in cols), lp.EQ, F(0)),
+        lp.LinearConstraint(
+            tuple((j, draw(_nonzero)) for j in range(n)),
+            draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
+            draw(_rational),
+        ),
+    ]
+    return lp.LpProblem(
+        sense=draw(st.sampled_from(["max", "min"])),
+        objective=tuple(draw(_rational) for _ in range(n)),
+        bounds=bounds,
+        constraints=tuple(rows),
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy, expected",
+    [
+        (_blocked_crash_problem(), {"blocked_by_zero_rhs_le", "phase1_after_crash"}),
+        (_zero_rhs_equality_problem(), {"crash_on_zero_rhs_eq"}),
+    ],
+    ids=["blocked-partial-crash", "zero-rhs-equality"],
+)
+def test_crash_cases_match_fraction_oracle(strategy, expected):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(strategy)
+    def check(problem):
+        cases = set()
+        oracle_solve(problem, _pivot_py.DEGENERATE_RUN, cases)
+        assert expected <= cases
+        solution = assert_matches_oracle(problem)
+        if solution.status == lp.OPTIMAL:
+            assert not lp.certify_report(problem, solution)
+
+    check()
 
 
 def _initial_rows(problem):

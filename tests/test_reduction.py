@@ -7,6 +7,7 @@ import pytest
 
 from persuade import lp, model, multi, reduction
 from persuade.errors import (
+    CharacterizationMismatch,
     NonMonotoneSender,
     OracleUnsound,
     PositiveExternalityViolated,
@@ -198,7 +199,7 @@ def test_repair_rejects_payment_carrying_schemes():
         reduction.repair_scheme(inst, paying)
 
 
-def test_repair_moves_mass_up_the_lattice():
+def lattice_start():
     # Sender wants both in; receiver 1 only profits once receiver 0 is
     # in, so all-mass-on-{0} violates receiver 1's keep-playing-0 row
     # and must migrate to the full set.
@@ -207,12 +208,32 @@ def test_repair_moves_mass_up_the_lattice():
         [[0, 1, 1, 2]],
         [[[0, 1, 0, 1], [0, 0, -1, 1]]],
     )
-    start = zero_payment_scheme(inst, [(ZERO_F, F(1), ZERO_F, ZERO_F)])
+    return inst, zero_payment_scheme(inst, [(ZERO_F, F(1), ZERO_F, ZERO_F)])
+
+
+def test_repair_moves_mass_up_the_lattice():
+    inst, start = lattice_start()
     assert not multi.is_persuasive(inst, start)
     fixed = reduction.repair_scheme(inst, start)
     assert fixed.distribution == ((ZERO_F, ZERO_F, ZERO_F, F(1)),)
     assert multi.is_persuasive(inst, fixed)
     assert multi.sender_value(inst, fixed) == F(2)
+
+
+def test_repair_without_a_witness_raises_mismatch(monkeypatch):
+    # With every marginal read as 0 no set offers the violated receiver a
+    # gain, which positive externalities rule out on a true instance.
+    inst, start = lattice_start()
+    monkeypatch.setattr(reduction, "_marginal", lambda state, i, subset: ZERO_F)
+    with pytest.raises(CharacterizationMismatch, match="positive-gain witness"):
+        reduction.repair_scheme(inst, start)
+
+
+def test_repair_beyond_its_move_bound_raises_mismatch(monkeypatch):
+    inst, start = lattice_start()
+    monkeypatch.setattr(reduction, "_move_bound", lambda receivers, support: 0)
+    with pytest.raises(CharacterizationMismatch, match="structural move bound"):
+        reduction.repair_scheme(inst, start)
 
 
 # ---------------------------------------------------------------------------
