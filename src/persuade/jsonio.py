@@ -43,8 +43,30 @@ def _fail(message: str) -> ValidationFailed:
     return ValidationFailed([issue])
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise _fail(f"{where} must be a JSON object")
+    return value
+
+
+def _array(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise _fail(f"{where} must be a JSON array")
+    return value
+
+
+def _objects(value, where: str) -> list:
+    return [_object(v, f"{where}[{k}]") for k, v in enumerate(_array(value, where))]
+
+
+def _integer(value, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _fail(f"{where} must be an integer")
+    return value
+
+
 def _vector(values) -> tuple:
-    return tuple(parse_rational(v) for v in values)
+    return tuple(parse_rational(v) for v in _array(values, "a vector of numbers"))
 
 
 def _strings(values) -> list:
@@ -125,10 +147,21 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _joint_row(row: dict) -> tuple:
+    profile = _array(_require(row, "profile"), "profile")
+    return (
+        tuple(_integer(ty, "profile entry") for ty in profile),
+        parse_rational(_require(row, "prob")),
+    )
+
+
 def instance_from_json(data: dict) -> Instance:
-    """Parse and validate an instance document of any kind."""
-    if not isinstance(data, dict):
-        raise _fail("instance document must be a JSON object")
+    """Parse and validate an instance document of any kind.
+
+    A field of the wrong JSON type raises ValidationFailed, as a missing
+    one does; numbers go through parse_rational.
+    """
+    data = _object(data, "instance document")
     kind = data.get("kind")
     if kind == "single":
         states = tuple(
@@ -137,10 +170,10 @@ def instance_from_json(data: dict) -> Instance:
                 sender=_vector(_require(s, "sender")),
                 receiver=_vector(_require(s, "receiver")),
             )
-            for s in _require(data, "states")
+            for s in _objects(_require(data, "states"), "states")
         )
         instance: Instance = PersuasionInstance(
-            actions=_require(data, "actions"),
+            actions=_integer(_require(data, "actions"), "actions"),
             states=states,
             default_model=_payment_model(data),
         )
@@ -150,9 +183,9 @@ def instance_from_json(data: dict) -> Instance:
                 sender=parse_rational(_require(t, "sender")),
                 receiver=parse_rational(_require(t, "receiver")),
             )
-            for t in _require(data, "types")
+            for t in _objects(_require(data, "types"), "types")
         )
-        dist = _require(data, "distribution")
+        dist = _object(_require(data, "distribution"), "distribution")
         iid = dist.get("iid_marginal")
         joint = dist.get("joint")
         if (iid is None) == (joint is None):
@@ -160,15 +193,12 @@ def instance_from_json(data: dict) -> Instance:
                 "distribution needs exactly one of iid_marginal or joint"
             )
         instance = TypedInstance(
-            actions=_require(data, "actions"),
+            actions=_integer(_require(data, "actions"), "actions"),
             types=types,
             iid_marginal=None if iid is None else _vector(iid),
             joint=None
             if joint is None
-            else tuple(
-                (tuple(row["profile"]), parse_rational(row["prob"]))
-                for row in joint
-            ),
+            else tuple(_joint_row(row) for row in _objects(joint, "joint")),
             default_model=_payment_model(data),
         )
     elif kind == "multi":
@@ -177,13 +207,14 @@ def instance_from_json(data: dict) -> Instance:
                 prob=parse_rational(_require(s, "prob")),
                 sender=_vector(_require(s, "sender")),
                 receivers=tuple(
-                    _vector(table) for table in _require(s, "receivers")
+                    _vector(table)
+                    for table in _array(_require(s, "receivers"), "receivers")
                 ),
             )
-            for s in _require(data, "states")
+            for s in _objects(_require(data, "states"), "states")
         )
         instance = MultiAgentInstance(
-            receivers=_require(data, "receivers"),
+            receivers=_integer(_require(data, "receivers"), "receivers"),
             states=states,
             default_model=_payment_model(data),
         )

@@ -131,7 +131,8 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     surplus column of largest phase-2 cost (lowest index on ties) whose
     pivot keeps the basis feasible.  Phase 1 then minimizes the sum of
     the artificials still basic and is skipped when there are none.
-    Crash pivots count in the solution's iterations.
+    Crash pivots, and the pivots that drive an artificial left basic at
+    0 out after phase 1, count in the solution's iterations.
     """
     n = problem.num_vars
     sense_max = problem.sense == "max"
@@ -355,6 +356,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
                 continue
             tab.pivot(pos, enter)
             basis[pos] = enter
+            total_iters += 1
             pos += 1
 
     append_objective(struct_cost + [0] * (ncols - ncols_struct))

@@ -15,12 +15,19 @@ gamma* times the net marginal pull of the set (members' marginal utility
 for playing 1 minus outsiders' gain from switching to 1).  With
 unrestricted payments the weight is 1 and the rule maximizes total
 payoff.  Both are verified against the exact LP on every call.
+
+The LP build, the virtual-payoff argmax, the gamma grid and the scheme
+evaluations compute in ints: each call codes the instance with its
+masses and payoffs over one common denominator and its pulls, which do
+not depend on gamma, computed once (_coding); only the returned values
+become Fractions.  The gamma sweep tries each distinct allocation once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import lp, model
@@ -35,6 +42,7 @@ from .model import (
     MultiState,
     PaymentModel,
 )
+from .rationals import breakpoint_grid, shared_fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -157,7 +165,7 @@ class RealizedPayments:
 
 
 # ---------------------------------------------------------------------------
-# Marginal utilities and virtual payoff
+# Marginal utilities, the integer coding and the virtual payoff
 
 
 def _marginal(state: MultiState, i: int, subset: int) -> Fraction:
@@ -176,14 +184,87 @@ def marginal(
     return _marginal(instance.states[theta], i, subset)
 
 
-def _pull(state: MultiState, receivers: int, subset: int) -> Fraction:
-    total = ZERO
-    for i in range(receivers):
-        if (subset >> i) & 1:
-            total += _marginal(state, i, subset)
-        else:
-            total -= _marginal(state, i, subset | (1 << i))
-    return total
+@dataclass(frozen=True)
+class _Coding:
+    """A multi-receiver instance in ints over one common denominator.
+
+    mass[t] is state t's probability times E and sender[t][S] its sender
+    payoff times D, for the least such E and D.  gain[t][i][S] is
+    u_i(S with i) - u_i(S without i) times D, for every S: receiver i's
+    marginal utility at S when i is in S, its gain from switching to 1
+    when it is not.  pull[t][S] is the net marginal pull of S times D:
+    the members' gains minus the outsiders'.  A sum of masses times
+    payoffs is an int over unit = E * D.
+    """
+
+    receivers: int
+    mass: list
+    sender: list
+    gain: list
+    pull: list
+    mass_den: int
+    payoff_den: int
+
+    @property
+    def unit(self) -> int:
+        return self.mass_den * self.payoff_den
+
+
+def _coding(instance: MultiAgentInstance) -> _Coding:
+    states = instance.states
+    nsub = instance.num_subsets
+    e = lcm(*{state.prob.denominator for state in states})
+    d = lcm(
+        *{
+            v.denominator
+            for state in states
+            for table in (state.sender, *state.receivers)
+            for v in table
+        }
+    )
+
+    def ints(values):
+        return [v.numerator * (d // v.denominator) for v in values]
+
+    gain, pull = [], []
+    for state in states:
+        gains = []
+        pulls = [0] * nsub
+        for i, table in enumerate(state.receivers):
+            u = ints(table)
+            bit = 1 << i
+            g = [u[subset | bit] - u[subset & ~bit] for subset in range(nsub)]
+            for subset, v in enumerate(g):
+                pulls[subset] += v if subset & bit else -v
+            gains.append(g)
+        gain.append(gains)
+        pull.append(pulls)
+    return _Coding(
+        receivers=instance.receivers,
+        mass=[state.prob.numerator * (e // state.prob.denominator) for state in states],
+        sender=[ints(state.sender) for state in states],
+        gain=gain,
+        pull=pull,
+        mass_den=e,
+        payoff_den=d,
+    )
+
+
+def _virtual_values(code: _Coding, gamma: Fraction) -> list:
+    """Per state, the virtual payoff of every set at gamma, times b * D.
+
+    For gamma = a/b (b > 0) that is b*f + a*pull, an int.
+    """
+    a, b = gamma.numerator, gamma.denominator
+    return [
+        [b * f + a * p for f, p in zip(sender, pull)]
+        for sender, pull in zip(code.sender, code.pull)
+    ]
+
+
+def _argmax(code: _Coding, gamma: Fraction) -> tuple:
+    """Per state, the smallest bitmask maximizing the virtual payoff at gamma."""
+    return tuple([values.index(max(values)) for values in _virtual_values(code, gamma)])
 
 
 def total_virtual_payoff(
@@ -196,25 +277,50 @@ def total_virtual_payoff(
     gamma favors sets whose members want in and whose outsiders want to
     stay out.
     """
-    state = instance.states[theta]
-    return state.sender[subset] + gamma * _pull(state, instance.receivers, subset)
+    code = _coding(instance)
+    f, p = code.sender[theta][subset], code.pull[theta][subset]
+    return Fraction(f + gamma * p, code.payoff_den)
 
 
 def virtual_payoff_argmax(
     instance: MultiAgentInstance, theta: int, gamma: Fraction
 ) -> int:
     """Smallest bitmask maximizing the total virtual payoff at gamma."""
-    best_subset = 0
-    best = None
-    for subset in range(instance.num_subsets):
-        value = total_virtual_payoff(instance, theta, subset, gamma)
-        if best is None or value > best:
-            best, best_subset = value, subset
-    return best_subset
+    return _argmax(_coding(instance), gamma)[theta]
 
 
 # ---------------------------------------------------------------------------
 # Scheme evaluation
+
+
+def _evaluate(code: _Coding, distribution) -> tuple:
+    """Sender payoff and incentive totals of a distribution, in ints.
+
+    Returns (sender, follow_one, switch_zero, den): the expected sender
+    payoff and, per receiver, incentive_totals' two sums, all over den,
+    code.unit times the distribution's common denominator.
+    """
+    p_den = lcm(*[p.denominator for row in distribution for p in row])
+    n = code.receivers
+    sender_total = 0
+    follow_one = [0] * n
+    switch_zero = [0] * n
+    for mass, sender, gains, row in zip(
+        code.mass, code.sender, code.gain, distribution
+    ):
+        if not mass:
+            continue
+        for subset, p in enumerate(row):
+            if not p:
+                continue
+            w = mass * p.numerator * (p_den // p.denominator)
+            sender_total += w * sender[subset]
+            for i, g in enumerate(gains):
+                if (subset >> i) & 1:
+                    follow_one[i] += w * g[subset]
+                else:
+                    switch_zero[i] += w * g[subset]
+    return sender_total, follow_one, switch_zero, code.unit * p_den
 
 
 def incentive_totals(instance: MultiAgentInstance, distribution) -> tuple:
@@ -226,42 +332,37 @@ def incentive_totals(instance: MultiAgentInstance, distribution) -> tuple:
     payments (q_one, q_zero) is persuasive exactly when
     follow_one[i] + q_one[i] >= 0 and switch_zero[i] - q_zero[i] <= 0.
     """
-    n = instance.receivers
-    follow_one = [ZERO] * n
-    switch_zero = [ZERO] * n
-    for state, row in zip(instance.states, distribution):
-        for subset, p in enumerate(row):
-            if not p:
-                continue
-            weight = state.prob * p
-            for i in range(n):
-                if (subset >> i) & 1:
-                    follow_one[i] += weight * _marginal(state, i, subset)
-                else:
-                    switch_zero[i] += weight * _marginal(
-                        state, i, subset | (1 << i)
-                    )
-    return tuple(follow_one), tuple(switch_zero)
+    _, follow_one, switch_zero, den = _evaluate(_coding(instance), distribution)
+    return (
+        tuple([Fraction(v, den) for v in follow_one]),
+        tuple([Fraction(v, den) for v in switch_zero]),
+    )
+
+
+def _is_persuasive(code: _Coding, scheme: MultiAgentScheme) -> bool:
+    _, follow_one, switch_zero, den = _evaluate(code, scheme.distribution)
+    return all(
+        f * q1.denominator + q1.numerator * den >= 0
+        and s * q0.denominator - q0.numerator * den <= 0
+        for f, s, q1, q0 in zip(
+            follow_one, switch_zero, scheme.q_one, scheme.q_zero, strict=True
+        )
+    )
 
 
 def is_persuasive(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> bool:
     """Whether both incentive families hold given the expected payments."""
-    follow_one, switch_zero = incentive_totals(instance, scheme.distribution)
-    return all(
-        follow_one[i] + scheme.q_one[i] >= 0
-        and switch_zero[i] - scheme.q_zero[i] <= 0
-        for i in range(instance.receivers)
-    )
+    return _is_persuasive(_coding(instance), scheme)
+
+
+def _sender_value(code: _Coding, scheme: MultiAgentScheme) -> Fraction:
+    sender, _, _, den = _evaluate(code, scheme.distribution)
+    return Fraction(sender, den) - total_payments(scheme)
 
 
 def sender_value(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> Fraction:
     """Expected sender payoff net of expected payments."""
-    total = ZERO
-    for state, row in zip(instance.states, scheme.distribution):
-        for subset, p in enumerate(row):
-            if p:
-                total += state.prob * p * state.sender[subset]
-    return total - sum(scheme.q_one, ZERO) - sum(scheme.q_zero, ZERO)
+    return _sender_value(_coding(instance), scheme)
 
 
 def total_payments(scheme: MultiAgentScheme) -> Fraction:
@@ -298,19 +399,19 @@ def build_lp_binary(
         )
     with_pay = payment_model is not PaymentModel.ZERO
     vmap = MultiVarMap(receivers=n, num_states=m, payment_model=payment_model)
-    num_vars = cols + (2 * n if with_pay else 0)
 
-    objective = [ZERO] * num_vars
-    for t, state in enumerate(instance.states):
-        for subset in range(nsub):
-            objective[vmap.phi(t, subset)] = state.prob * state.sender[subset]
-    if with_pay:
-        for i in range(n):
-            objective[vmap.q_one(i)] = -ONE
-            objective[vmap.q_zero(i)] = -ONE
-
+    # Every coefficient is a mass times a payoff (difference), an int
+    # over code.unit; equal ints share one Fraction.
+    code = _coding(instance)
+    over_unit = shared_fractions(code.unit)
+    objective = [
+        over_unit(mass * f)
+        for mass, sender in zip(code.mass, code.sender)
+        for f in sender
+    ]
     bounds = [(ZERO, None)] * cols
     if with_pay:
+        objective += [-ONE] * (2 * n)
         pay_bound = (
             (ZERO, None)
             if payment_model is PaymentModel.NONNEGATIVE
@@ -319,57 +420,49 @@ def build_lp_binary(
         bounds += [pay_bound] * (2 * n)
 
     constraints = []
+    follow_zero = []
     for i in range(n):
-        coeffs = []
-        for t, state in enumerate(instance.states):
-            for subset in range(nsub):
-                if (subset >> i) & 1:
-                    g = state.prob * _marginal(state, i, subset)
-                    if g:
-                        coeffs.append((vmap.phi(t, subset), g))
+        bit = 1 << i
+        one, zero = [], []
+        for t, (mass, gains) in enumerate(zip(code.mass, code.gain)):
+            if not mass:
+                continue
+            base = vmap.phi(t, 0)
+            for subset, g in enumerate(gains[i]):
+                if g:
+                    coeff = (base + subset, over_unit(mass * g))
+                    (one if subset & bit else zero).append(coeff)
         if with_pay:
-            coeffs.append((vmap.q_one(i), ONE))
+            one.append((vmap.q_one(i), ONE))
+            zero.append((vmap.q_zero(i), -ONE))
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple(coeffs),
-                rel=lp.GE,
-                rhs=ZERO,
-                name=f"follow1[{i}]",
+                coeffs=tuple(one), rel=lp.GE, rhs=ZERO, name=f"follow1[{i}]"
             )
         )
-    for i in range(n):
-        coeffs = []
-        for t, state in enumerate(instance.states):
-            for subset in range(nsub):
-                if not (subset >> i) & 1:
-                    g = state.prob * _marginal(state, i, subset | (1 << i))
-                    if g:
-                        coeffs.append((vmap.phi(t, subset), g))
-        if with_pay:
-            coeffs.append((vmap.q_zero(i), -ONE))
-        constraints.append(
+        follow_zero.append(
             lp.LinearConstraint(
-                coeffs=tuple(coeffs),
-                rel=lp.LE,
-                rhs=ZERO,
-                name=f"follow0[{i}]",
+                coeffs=tuple(zero), rel=lp.LE, rhs=ZERO, name=f"follow0[{i}]"
             )
         )
+    constraints += follow_zero
     for t in range(m):
+        base = vmap.phi(t, 0)
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple((vmap.phi(t, subset), ONE) for subset in range(nsub)),
+                coeffs=tuple([(base + subset, ONE) for subset in range(nsub)]),
                 rel=lp.EQ,
                 rhs=ONE,
                 name=f"dist[{t}]",
             )
         )
     if payment_model is PaymentModel.BUDGET_BALANCED:
-        coeffs = tuple((vmap.q_one(i), ONE) for i in range(n)) + tuple(
-            (vmap.q_zero(i), ONE) for i in range(n)
-        )
+        coeffs = [(vmap.q_one(i), ONE) for i in range(n)]
+        coeffs += [(vmap.q_zero(i), ONE) for i in range(n)]
         constraints.append(
-            lp.LinearConstraint(coeffs=coeffs, rel=lp.EQ, rhs=ZERO, name="budget")
+            lp.LinearConstraint(
+                coeffs=tuple(coeffs), rel=lp.EQ, rhs=ZERO, name="budget"
+            )
         )
 
     problem = lp.LpProblem(
@@ -389,22 +482,25 @@ def solve_lp(
     solution = lp.certified_solve(problem)
 
     nsub, m, n = instance.num_subsets, instance.num_states, instance.receivers
+    primal, duals = solution.primal, solution.dual
     distribution = tuple(
-        tuple(solution.primal[vmap.phi(t, subset)] for subset in range(nsub))
-        for t in range(m)
+        [
+            tuple([primal[vmap.phi(t, subset)] for subset in range(nsub)])
+            for t in range(m)
+        ]
     )
     if payment_model is PaymentModel.ZERO:
         q_one = q_zero = (ZERO,) * n
     else:
-        q_one = tuple(solution.primal[vmap.q_one(i)] for i in range(n))
-        q_zero = tuple(solution.primal[vmap.q_zero(i)] for i in range(n))
+        q_one = tuple([primal[vmap.q_one(i)] for i in range(n)])
+        q_zero = tuple([primal[vmap.q_zero(i)] for i in range(n)])
     scheme = MultiAgentScheme(distribution=distribution, q_one=q_one, q_zero=q_zero)
 
     # >=-rows carry non-positive duals in max convention, <=-rows
     # non-negative ones; alpha and beta are the non-negative multipliers.
-    alpha = tuple(-solution.dual[vmap.follow_one_row(i)] for i in range(n))
-    beta = tuple(solution.dual[vmap.follow_zero_row(i)] for i in range(n))
-    y = tuple(solution.dual[vmap.simplex_row(t)] for t in range(m))
+    alpha = tuple([-duals[vmap.follow_one_row(i)] for i in range(n)])
+    beta = tuple([duals[vmap.follow_zero_row(i)] for i in range(n)])
+    y = tuple([duals[vmap.simplex_row(t)] for t in range(m)])
     if payment_model is PaymentModel.BUDGET_BALANCED:
         # The objective charges each payment column -1 and the budget row
         # adds its dual to the same column, so the weight the dual prices
@@ -432,11 +528,12 @@ def solve_lp(
 
 
 def _allocation_rows(instance: MultiAgentInstance, alloc) -> tuple:
-    nsub = instance.num_subsets
-    return tuple(
-        tuple(ONE if subset == chosen else ZERO for subset in range(nsub))
-        for chosen in alloc
-    )
+    rows = []
+    for chosen in alloc:
+        row = [ZERO] * instance.num_subsets
+        row[chosen] = ONE
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _branch_probabilities(instance: MultiAgentInstance, distribution) -> list:
@@ -482,7 +579,7 @@ def _normalize_dead_branches(
 
 
 def _fixed_allocation_bb(
-    instance: MultiAgentInstance, alloc, target: Fraction
+    instance: MultiAgentInstance, code: _Coding, alloc, target: Fraction
 ) -> Optional[MultiAgentScheme]:
     """Budget-balanced payments for a deterministic allocation, or None.
 
@@ -494,26 +591,34 @@ def _fixed_allocation_bb(
     The balancing surplus lands on a live recommendation branch.
     """
     value = sum(
-        (
-            state.prob * state.sender[chosen]
-            for state, chosen in zip(instance.states, alloc)
-        ),
-        ZERO,
+        [mass * sender[s] for mass, sender, s in zip(code.mass, code.sender, alloc)]
     )
-    if value != target:
+    if value * target.denominator != target.numerator * code.unit:
         return None
     distribution = _allocation_rows(instance, alloc)
-    follow_one, switch_zero = incentive_totals(instance, distribution)
-    q_one = [-v for v in follow_one]
-    q_zero = list(switch_zero)
-    surplus = -(sum(q_one, ZERO) + sum(q_zero, ZERO))
+    _, follow_one, switch_zero, den = _evaluate(code, distribution)
+    surplus = sum(follow_one) - sum(switch_zero)
     if surplus < 0:
         return None
-    q_one[0] += surplus
+    q_one = [Fraction(-v, den) for v in follow_one]
+    q_one[0] = Fraction(surplus - follow_one[0], den)
+    q_zero = [Fraction(v, den) for v in switch_zero]
     q_one, q_zero = _normalize_dead_branches(instance, distribution, q_one, q_zero)
     return MultiAgentScheme(
         distribution=distribution, q_one=q_one, q_zero=q_zero
     )
+
+
+def _gamma_grid(code: _Coding) -> tuple:
+    crossings = set()
+    for sender, pull in zip(code.sender, code.pull):
+        for a, (fa, pa) in enumerate(zip(sender, pull)):
+            for fb, pb in zip(sender[a + 1 :], pull[a + 1 :]):
+                df, dp = fa - fb, pb - pa
+                # The crossing df / dp lies above 0.
+                if df and dp and (df > 0) == (dp > 0):
+                    crossings.add((abs(df), abs(dp)))
+    return breakpoint_grid({Fraction(df, dp) for df, dp in crossings})
 
 
 def gamma_candidates(instance: MultiAgentInstance) -> tuple:
@@ -524,38 +629,14 @@ def gamma_candidates(instance: MultiAgentInstance) -> tuple:
     crossing, midpoints of consecutive values, and one point past the
     last crossing.
     """
-    n = instance.receivers
-    nsub = instance.num_subsets
-    points = set()
-    for state in instance.states:
-        pulls = [_pull(state, n, subset) for subset in range(nsub)]
-        for a in range(nsub):
-            for b in range(a + 1, nsub):
-                dpull = pulls[b] - pulls[a]
-                if dpull:
-                    gamma = (state.sender[a] - state.sender[b]) / dpull
-                    if gamma > 0:
-                        points.add(gamma)
-    grid = [ZERO] + sorted(points)
-    out = [grid[0]]
-    for prev, cur in zip(grid, grid[1:]):
-        out.append((prev + cur) / 2)
-        out.append(cur)
-    out.append(grid[-1] + 1)
-    return tuple(out)
+    return _gamma_grid(_coding(instance))
 
 
-def _support_in_argmax(
-    instance: MultiAgentInstance, distribution, gamma: Fraction
-) -> bool:
-    for theta, row in enumerate(distribution):
-        best = max(
-            total_virtual_payoff(instance, theta, subset, gamma)
-            for subset in range(instance.num_subsets)
-        )
-        for subset, p in enumerate(row):
-            if p and total_virtual_payoff(instance, theta, subset, gamma) != best:
-                return False
+def _support_in_argmax(code: _Coding, distribution, gamma: Fraction) -> bool:
+    for values, row in zip(_virtual_values(code, gamma), distribution):
+        best = max(values)
+        if any(p and v != best for p, v in zip(row, values)):
+            return False
     return True
 
 
@@ -565,35 +646,38 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
     Solves the LP once for the exact value and the budget-row weight
     gamma*, then reconstructs the optimum in characterized form: first
     the deterministic argmax allocation at gamma*; then, against dual
-    degeneracy, deterministic allocations at swept candidate gammas;
-    finally the LP scheme itself, accepted only after verifying it
-    randomizes among virtual-payoff-maximal sets at gamma* - the optimum
-    may genuinely need such a mixture.  Every path re-checks
-    persuasiveness, exact budget balance, and the objective.
+    degeneracy, deterministic allocations at swept candidate gammas,
+    each distinct allocation tried once; finally the LP scheme itself,
+    accepted only after verifying it randomizes among
+    virtual-payoff-maximal sets at gamma* - the optimum may genuinely
+    need such a mixture.  Every path re-checks persuasiveness, exact
+    budget balance, and the objective.
     """
     ref = solve_lp(instance, PaymentModel.BUDGET_BALANCED)
+    code = _coding(instance)
     gamma_star = ref.dual.gamma
     target = ref.utility
-    m = instance.num_states
 
     via = "argmax"
     gamma_used = gamma_star
-    alloc = tuple(
-        virtual_payoff_argmax(instance, t, gamma_star) for t in range(m)
-    )
-    scheme = _fixed_allocation_bb(instance, alloc, target)
+    alloc = _argmax(code, gamma_star)
+    scheme = _fixed_allocation_bb(instance, code, alloc, target)
     if scheme is None:
-        for gamma in gamma_candidates(instance):
-            alloc = tuple(
-                virtual_payoff_argmax(instance, t, gamma) for t in range(m)
-            )
-            scheme = _fixed_allocation_bb(instance, alloc, target)
+        # The test depends on the allocation alone, so an allocation
+        # already tried would fail again.
+        tried = {alloc}
+        for gamma in _gamma_grid(code):
+            alloc = _argmax(code, gamma)
+            if alloc in tried:
+                continue
+            tried.add(alloc)
+            scheme = _fixed_allocation_bb(instance, code, alloc, target)
             if scheme is not None:
                 via = "gamma_sweep"
                 gamma_used = gamma
                 break
     if scheme is None and _support_in_argmax(
-        instance, ref.scheme.distribution, gamma_star
+        code, ref.scheme.distribution, gamma_star
     ):
         q_one, q_zero = _normalize_dead_branches(
             instance, ref.scheme.distribution, ref.scheme.q_one, ref.scheme.q_zero
@@ -609,11 +693,11 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
             f"optimum {target} at any candidate gamma"
         )
 
-    if not is_persuasive(instance, scheme):
+    if not _is_persuasive(code, scheme):
         raise CharacterizationMismatch("reconstructed scheme not persuasive")
     if total_payments(scheme) != 0:
         raise CharacterizationMismatch("payments do not balance")
-    if sender_value(instance, scheme) != target:
+    if _sender_value(code, scheme) != target:
         raise CharacterizationMismatch("objective drifted")
     return BudgetBalancedResult(
         instance=instance,
@@ -636,18 +720,15 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     LP, and any argmax tie-break yields the same value.
     """
     model.ensure_valid(instance)
-    alloc = tuple(
-        virtual_payoff_argmax(instance, t, ONE)
-        for t in range(instance.num_states)
-    )
-    distribution = _allocation_rows(instance, alloc)
-    follow_one, switch_zero = incentive_totals(instance, distribution)
+    code = _coding(instance)
+    distribution = _allocation_rows(instance, _argmax(code, ONE))
+    sender, follow_one, switch_zero, den = _evaluate(code, distribution)
     scheme = MultiAgentScheme(
         distribution=distribution,
-        q_one=tuple(-v for v in follow_one),
-        q_zero=tuple(switch_zero),
+        q_one=tuple([Fraction(-v, den) for v in follow_one]),
+        q_zero=tuple([Fraction(v, den) for v in switch_zero]),
     )
-    utility = sender_value(instance, scheme)
+    utility = Fraction(sender + sum(follow_one) - sum(switch_zero), den)
     ref = solve_lp(instance, PaymentModel.ARBITRARY)
     if utility != ref.utility:
         raise CharacterizationMismatch(

@@ -1,9 +1,12 @@
-"""Exact rational parsing and formatting.
+"""Exact rational parsing and formatting, and helpers the solvers share.
 
-All arithmetic in the package is done on fractions.Fraction, which keeps
+Every value the package returns is a fractions.Fraction, which keeps
 values in lowest terms with a positive denominator.  JSON carries numbers
 as strings ("3/4", "-1/16", "0.25") or plain integers; binary floats are
-rejected so no rounding can sneak in.
+rejected so no rounding can sneak in.  The solvers compute in ints over
+common denominators; shared_fractions turns such ints back into
+Fractions, and breakpoint_grid builds the candidate grid of their
+scalar-weight sweeps.
 """
 
 from __future__ import annotations
@@ -48,3 +51,31 @@ def format_rational(value: Fraction) -> str:
 def as_float_repr(value: Fraction) -> str:
     """Best-effort decimal rendering for display next to the exact form."""
     return f"{float(value):.12g}"
+
+
+def shared_fractions(den: int):
+    """v -> Fraction(v, den), each distinct int v made into a Fraction once."""
+    made: dict = {}
+
+    def over(v: int) -> Fraction:
+        value = made.get(v)
+        if value is None:
+            value = made[v] = Fraction(v, den)
+        return value
+
+    return over
+
+
+def breakpoint_grid(points) -> tuple:
+    """0, the sorted positive breakpoints, their midpoints, one past the last.
+
+    A piecewise-constant choice that changes only at the given points
+    takes every one of its values on this grid, in increasing order.
+    """
+    grid = [Fraction(0)] + sorted(points)
+    out = [grid[0]]
+    for prev, cur in zip(grid, grid[1:]):
+        out.append((prev + cur) / 2)
+        out.append(cur)
+    out.append(grid[-1] + 1)
+    return tuple(out)

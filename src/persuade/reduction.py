@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import lp, model, multi
@@ -36,11 +37,18 @@ from .errors import (
 )
 from .model import MultiAgentInstance, MultiAgentScheme
 from .multi import _marginal
+from .rationals import shared_fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SetFunctionOracle = Callable[[int, Sequence[Fraction]], tuple]
+
+
+def _over_common(values) -> tuple:
+    """values as ints over their least common denominator, and that denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -57,16 +65,15 @@ def check_positive_externalities(instance: MultiAgentInstance) -> tuple:
     """
     model.ensure_valid(instance)
     n = instance.receivers
-    for t, state in enumerate(instance.states):
+    for t, gains in enumerate(multi._coding(instance).gain):
         for subset in range(1 << n):
-            for i in range(n):
+            for i, g in enumerate(gains):
                 if not (subset >> i) & 1:
                     continue
-                here = _marginal(state, i, subset)
                 for j in range(n):
                     if j == i or not (subset >> j) & 1:
                         continue
-                    if here < _marginal(state, i, subset & ~(1 << j)):
+                    if g[subset] < g[subset & ~(1 << j)]:
                         return False, (t, subset, i, j)
     return True, None
 
@@ -169,8 +176,10 @@ def solve_dropped(instance: MultiAgentInstance) -> DroppedLpResult:
     solution = lp.certified_solve(problem)
     nsub = instance.num_subsets
     distribution = tuple(
-        tuple(solution.primal[dmap.phi(t, subset)] for subset in range(nsub))
-        for t in range(instance.num_states)
+        [
+            tuple([solution.primal[dmap.phi(t, subset)] for subset in range(nsub)])
+            for t in range(instance.num_states)
+        ]
     )
     zeros = (ZERO,) * instance.receivers
     scheme = MultiAgentScheme(distribution=distribution, q_one=zeros, q_zero=zeros)
@@ -295,18 +304,23 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
             f"{nsub} subsets exceed the configured limit {limit}"
         )
 
+    code = multi._coding(instance)
+
     def query(theta: int, alpha: Sequence[Fraction]) -> tuple:
         if len(alpha) != instance.receivers:
             raise ValueError("one weight per receiver required")
         if any(a < 0 for a in alpha):
             raise ValueError("weights must be non-negative")
-        best_subset = 0
-        best = oracle_objective(instance, theta, alpha, 0)
-        for subset in range(1, nsub):
-            value = oracle_objective(instance, theta, alpha, subset)
-            if value > best:
-                best, best_subset = value, subset
-        return best_subset, best
+        # The objective over a_den * D, in ints.
+        weights, a_den = _over_common(alpha)
+        values = [a_den * f for f in code.sender[theta]]
+        for i, (w, g) in enumerate(zip(weights, code.gain[theta])):
+            if w:
+                for subset in range(nsub):
+                    if (subset >> i) & 1:
+                        values[subset] += w * g[subset]
+        best = max(values)
+        return values.index(best), Fraction(best, a_den * code.payoff_den)
 
     return query
 
@@ -334,24 +348,23 @@ class CuttingPlaneResult:
     rounds: int
 
 
-def _restricted_dual(instance: MultiAgentInstance, rows) -> lp.LpProblem:
-    n, m = instance.receivers, instance.num_states
+def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
+    n, m = code.receivers, len(code.mass)
+    over_unit = shared_fractions(code.unit)
     objective = [ZERO] * n + [ONE] * m
     bounds = [(ZERO, None)] * n + [(None, None)] * m
     constraints = []
     for t, subset in rows:
-        state = instance.states[t]
+        mass = code.mass[t]
         coeffs = [(n + t, ONE)]
-        for i in range(n):
-            if (subset >> i) & 1:
-                g = state.prob * _marginal(state, i, subset)
-                if g:
-                    coeffs.append((i, -g))
+        for i, g in enumerate(code.gain[t]):
+            if (subset >> i) & 1 and mass * g[subset]:
+                coeffs.append((i, over_unit(-mass * g[subset])))
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple(coeffs),
                 rel=lp.GE,
-                rhs=state.prob * state.sender[subset],
+                rhs=over_unit(mass * code.sender[t][subset]),
                 name=f"cut[{t},{subset}]",
             )
         )
@@ -363,30 +376,25 @@ def _restricted_dual(instance: MultiAgentInstance, rows) -> lp.LpProblem:
     )
 
 
-def _restricted_primal(instance: MultiAgentInstance, rows) -> lp.LpProblem:
-    n, m = instance.receivers, instance.num_states
-    objective = []
-    for t, subset in rows:
-        state = instance.states[t]
-        objective.append(state.prob * state.sender[subset])
+def _restricted_primal(code: multi._Coding, rows) -> lp.LpProblem:
+    n, m = code.receivers, len(code.mass)
+    over_unit = shared_fractions(code.unit)
+    objective = [over_unit(code.mass[t] * code.sender[t][subset]) for t, subset in rows]
     constraints = []
     for i in range(n):
         coeffs = []
         for k, (t, subset) in enumerate(rows):
             if (subset >> i) & 1:
-                state = instance.states[t]
-                g = state.prob * _marginal(state, i, subset)
+                g = code.mass[t] * code.gain[t][i][subset]
                 if g:
-                    coeffs.append((k, g))
+                    coeffs.append((k, over_unit(g)))
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple(coeffs), rel=lp.GE, rhs=ZERO, name=f"follow1[{i}]"
             )
         )
     for t in range(m):
-        coeffs = tuple(
-            (k, ONE) for k, (tk, _) in enumerate(rows) if tk == t
-        )
+        coeffs = tuple([(k, ONE) for k, (tk, _) in enumerate(rows) if tk == t])
         constraints.append(
             lp.LinearConstraint(coeffs=coeffs, rel=lp.EQ, rhs=ONE, name=f"dist[{t}]")
         )
@@ -421,6 +429,7 @@ def cutting_plane_solve(
     n, m = instance.receivers, instance.num_states
     nsub = instance.num_subsets
     full_mask = nsub - 1
+    code = multi._coding(instance)
 
     rows = []
     for t in range(m):
@@ -439,7 +448,7 @@ def cutting_plane_solve(
             raise IterationLimit(
                 f"constraint generation still running after {max_rounds} rounds"
             )
-        solution = lp.certified_solve(_restricted_dual(instance, rows))
+        solution = lp.certified_solve(_restricted_dual(code, rows))
         alpha = tuple(solution.primal[i] for i in range(n))
         y = tuple(solution.primal[n + t] for t in range(m))
         added = False
@@ -463,20 +472,24 @@ def cutting_plane_solve(
             break
     objective = solution.objective
 
-    for t in range(m):
-        state = instance.states[t]
+    # Every row in ints, times the multipliers' common denominator and
+    # code.unit.
+    multipliers, den = _over_common(alpha + y)
+    weights = multipliers[:n]
+    for t, (mass, sender, gains) in enumerate(zip(code.mass, code.sender, code.gain)):
+        value = multipliers[n + t] * code.unit
         for subset in range(nsub):
-            lhs = y[t]
-            for i in range(n):
+            lhs = value
+            for i, (w, g) in enumerate(zip(weights, gains)):
                 if (subset >> i) & 1:
-                    lhs -= alpha[i] * state.prob * _marginal(state, i, subset)
-            if lhs < state.prob * state.sender[subset]:
+                    lhs -= w * mass * g[subset]
+            if lhs < mass * sender[subset] * den:
                 raise OracleUnsound(
                     f"final multipliers violate the row for set {subset:#b} "
                     f"in state {t}; the oracle never reported it"
                 )
 
-    primal_solution = lp.certified_solve(_restricted_primal(instance, rows))
+    primal_solution = lp.certified_solve(_restricted_primal(code, rows))
     if primal_solution.objective != objective:
         raise CertificateFailed("restricted primal and dual optima differ")
     dist = [[ZERO] * nsub for _ in range(m)]

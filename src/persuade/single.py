@@ -49,6 +49,7 @@ from .model import (
     SignalingScheme,
     TypedInstance,
 )
+from .rationals import breakpoint_grid, shared_fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -156,13 +157,7 @@ def build_lp(
     # Every coefficient is a mass times a payoff (difference), an int
     # over code.unit; equal ints share one Fraction.
     code = _coding(instance)
-    fractions: dict = {}
-
-    def over_unit(v: int) -> Fraction:
-        value = fractions.get(v)
-        if value is None:
-            value = fractions[v] = Fraction(v, code.unit)
-        return value
+    over_unit = shared_fractions(code.unit)
 
     # Columns phi(t, i) = t * n + i, then the payments.
     objective = [
@@ -502,13 +497,7 @@ def _candidates(code: _Coding) -> tuple:
                 # The crossing ds / (n * dr) lies above 0.
                 if ds and dr and (ds > 0) == (dr > 0):
                     crossings.add((abs(ds), abs(dr)))
-    grid = [ZERO] + sorted({Fraction(ds, n * dr) for ds, dr in crossings})
-    out = [grid[0]]
-    for prev, cur in zip(grid, grid[1:]):
-        out.append((prev + cur) / 2)
-        out.append(cur)
-    out.append(grid[-1] + 1)
-    return tuple(out)
+    return breakpoint_grid({Fraction(ds, n * dr) for ds, dr in crossings})
 
 
 def lambda_candidates(instance: PersuasionInstance) -> tuple:

@@ -1,12 +1,18 @@
 """JSON round-trips, exact parsing, and document validation."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from persuade import examples, jsonio, model
-from persuade.errors import MalformedRational, ValidationFailed
+from persuade import cli, examples, jsonio, model
+from persuade.errors import MalformedRational, PersuadeError, ValidationFailed
 from persuade.model import MultiAgentScheme, SignalingScheme
 
 
@@ -124,3 +130,112 @@ def test_file_helpers_roundtrip(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValidationFailed):
         jsonio.load_instance(str(bad))
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: a typed error, never a traceback
+
+
+def _base_documents():
+    return [
+        jsonio.instance_to_json(examples.zero_sum_two_state_instance()),
+        jsonio.instance_to_json(examples.two_action_type_instance()),
+        jsonio.instance_to_json(
+            model.random_instance(5, actions=2, symmetric=True, types=2, joint=True)
+        ),
+        jsonio.instance_to_json(examples.zero_sum_single_receiver_multi()),
+        jsonio.instance_to_json(model.random_multi_instance(3, receivers=2, states=2)),
+    ]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+# Wrong types, floats, numbers a Fraction parses and strings it does not.
+_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),
+    st.floats(-2, 2),
+    st.sampled_from(["", "x", "1/0", "-1", "1/2", "0.5", "nan", "2"]),
+    st.just([]),
+    st.just({}),
+    st.lists(st.sampled_from(["1", "0", 1, 0.5]), max_size=3),
+)
+
+
+@st.composite
+def _malformed_document(draw):
+    """A valid instance document with one to three edits.
+
+    An edit replaces a value with junk, deletes a key or an entry (a
+    missing field, a ragged vector), duplicates an entry, or negates a
+    rational (a negative mass).
+    """
+    doc = json.loads(json.dumps(draw(st.sampled_from(_base_documents()))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(_junk)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key, value = path[-1], parent[path[-1]]
+        edit = draw(st.sampled_from(["replace", "delete", "duplicate", "negate"]))
+        if edit == "delete":
+            del parent[key]
+        elif edit == "duplicate" and isinstance(parent, list):
+            parent.append(value)
+        elif edit == "negate" and isinstance(value, str):
+            parent[key] = "-" + value
+        else:
+            parent[key] = draw(_junk)
+        if not isinstance(doc, (dict, list)):
+            break
+    return doc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_malformed_document())
+def test_malformed_documents_raise_typed_errors(doc):
+    try:
+        instance = jsonio.instance_from_json(doc)
+    except PersuadeError:
+        return
+    assert model.validate(instance) == ()
+
+
+def test_cli_solve_maps_malformed_documents_to_exit_codes():
+    exit_codes = {
+        cli.EXIT_OK,
+        cli.EXIT_INVALID_INPUT,
+        cli.EXIT_PRECONDITION,
+        cli.EXIT_MISMATCH,
+        cli.EXIT_SIZE_LIMIT,
+        cli.EXIT_ITERATION_LIMIT,
+        cli.EXIT_CERTIFICATE,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        out = os.path.join(tmp, "report.json")
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(_malformed_document())
+        def check(doc):
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                code = cli.main(["solve", path, "--out", out])
+            assert code in exit_codes
+
+        check()

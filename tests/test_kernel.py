@@ -275,6 +275,7 @@ def oracle_solve(problem, degenerate_run, cases=None):
                 continue
             oracle_pivot(tab, pos, enter, pivots)
             basis[pos] = enter
+            total += 1
             pos += 1
 
     tab.append(objective_row(struct_cost + [F(0)] * (ncols - ncols_struct)))
@@ -680,3 +681,57 @@ def test_row_whose_duplicates_cancel_is_all_zero():
     )
     assert _initial_rows(problem)[0] == [0, 0, 1, 0, 0, 0]
     assert assert_matches_oracle(problem).status == lp.OPTIMAL
+
+
+def test_drive_out_pivots_count_as_iterations():
+    # The two rows 2*x0 == 2 are dependent.  2*x0 - 2*x1 <= 1 has a
+    # smaller ratio on x0 than they do, which blocks their crash, so
+    # phase 1 runs.  It ends with an artificial basic at 0 whose row
+    # has a nonzero entry outside the artificial columns, so it is driven
+    # out by a pivot; the other row reduces to 0 == 0 and is dropped.
+    x = (F(0), None)
+    problem = lp.LpProblem(
+        sense="max",
+        objective=(F(2), F(0)),
+        bounds=(x, x),
+        constraints=(
+            lp.LinearConstraint(((0, F(1)),), lp.LE, F(1)),
+            lp.LinearConstraint(((0, F(2)),), lp.EQ, F(2)),
+            lp.LinearConstraint(((0, F(2)),), lp.EQ, F(2)),
+            lp.LinearConstraint(((0, F(2)), (1, F(-2))), lp.LE, F(1)),
+        ),
+    )
+    events = []
+    real_run, real_pivot = _pivot_py.run_simplex, _pivot_py.Tableau.pivot
+    real_delete = _pivot_py.Tableau.delete
+
+    def run_spy(tab, basis, enterable, max_iter):
+        events.append("run")
+        status, iters = real_run(tab, basis, enterable, max_iter)
+        events.append(("end", iters))
+        return status, iters
+
+    def pivot_spy(tab, row, col):
+        events.append("pivot")
+        return real_pivot(tab, row, col)
+
+    def delete_spy(tab, row):
+        events.append("delete")
+        return real_delete(tab, row)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "pivot", pivot_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "delete", delete_spy)
+        solution = lp.solve(problem)
+
+    phase1_end = next(k for k, e in enumerate(events) if isinstance(e, tuple))
+    phase2 = events.index("run", phase1_end)
+    # After phase 1: its objective row, then a drive-out pivot and a
+    # dropped dependent row.
+    assert events[phase1_end + 1 : phase2] == ["delete", "pivot", "delete"]
+    simplex_pivots = sum(e[1] for e in events if isinstance(e, tuple))
+    assert solution.iterations == events.count("pivot") == simplex_pivots + 1
+    assert solution.objective == 2
+    assert not lp.certify_report(problem, solution)
+    assert assert_matches_oracle(problem).iterations == solution.iterations
