@@ -6,10 +6,15 @@ solve() runs a dense tableau simplex from a crash basis: a >= row whose
 right-hand side is 0 is stated as a <= row, so its slack starts basic;
 the artificial of every other >= or == row is pivoted out at once where
 a feasible pivot exists, and phase 1 runs only over the artificials
-left, if any.  The simplex enters by Dantzig's rule and falls back to
-Bland's after a run of degenerate pivots, so results are deterministic
-and free of rounding.  The tableau is kept in integers (fraction-free
-pivoting, see _pivot_py); only the final values become Fractions.
+left, if any.  A convexity row (an == row summing disjoint columns to a
+positive constant, such as a state's distribution row) is not held in
+the tableau at all: its crash pivot makes one of its columns the row's
+key, basic without a row (generalized upper bounding), so the tableau
+of a persuasion LP holds only its incentive, budget and bound rows.
+The simplex enters by Dantzig's rule and falls back to Bland's after a
+run of degenerate pivots, so results are deterministic and free of
+rounding.  The tableau is kept in integers (fraction-free pivoting, see
+_pivot_py); only the final values become Fractions.
 
 Dual values are extracted from the final tableau and reported per
 constraint, in the stated sense's convention: for a maximization,
@@ -30,6 +35,7 @@ import contextvars
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Optional
 
 from . import _pivot_py
@@ -133,6 +139,17 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     the artificials still basic and is skipped when there are none.
     Crash pivots, and the pivots that drive an artificial left basic at
     0 out after phase 1, count in the solution's iterations.
+
+    A user == row whose nonzero coefficients, scaled to coprime ints,
+    are all one c > 0, whose right-hand side is beta * c with beta > 0
+    and whose columns lie in no earlier such row is a convexity row.
+    Before any other crash pivot, each is keyed in row order on the
+    column its crash pivot would take, and then left out of the tableau
+    (see _pivot_py); keying counts as one iteration.  A convexity row
+    with no feasible key stays in the tableau, with its artificial, for
+    phase 1.  The pivots are those of the full tableau, except where an
+    artificial row before a convexity row would have been crash-pivoted
+    first; there another optimal vertex can come out.
     """
     n = problem.num_vars
     sense_max = problem.sense == "max"
@@ -235,7 +252,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             surplus_of[i] = next_col
             next_col += 1
     id_base = next_col
-    ncols = id_base + m  # identity block, one column per row
+    budget = max_iter if max_iter is not None else 20000 + 200 * (id_base + 2 * m)
 
     # Integer tableau.  Row i is the stated row times scale[i] > 0, the
     # least factor that makes it integral (its ints over den, divided by
@@ -245,10 +262,10 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     # the same substituted columns.  The identity columns' reduced costs
     # come out divided by scale[i], which steers Dantzig's rule and which
     # the dual read-out undoes.
+    ncols = id_base + m  # identity block, one column per row
     rows_int = []
     scale = []
-    artificial_rows = []
-    enterable = [True] * ncols
+    gs = []
     for i, (acc, rel, rhs, den, _sign) in enumerate(rows):
         surplus = -den if rel == GE else 0
         g = gcd(rhs, surplus, *acc.values()) or 1  # 0 for an all-zero row
@@ -259,20 +276,105 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             row[surplus_of[i]] = surplus // g
         row[id_base + i] = 1
         row[-1] = rhs // g
-        if rel != LE:
-            artificial_rows.append(i)
-            enterable[id_base + i] = False
         rows_int.append(row)
         scale.append(Fraction(den, g))
-    tab = _pivot_py.Tableau(rows_int)
-    basis = [id_base + i for i in range(m)]
+        gs.append(g)
 
-    budget = max_iter if max_iter is not None else 20000 + 200 * (m + ncols)
-    total_iters = 0
+    # Convexity rows: a user == row whose nonzero ints are all one c > 0,
+    # with right-hand side r > 0 (so sum over its columns == r / c), on
+    # columns no earlier convexity row has.
+    convex = []
+    claimed: set = set()
+    for i in range(num_user):
+        acc, rel, _, _, _ = rows[i]
+        row = rows_int[i]
+        r = row[-1]
+        if rel != EQ or r <= 0:
+            continue
+        members = [col for col, v in acc.items() if v]
+        c = row[members[0]] if members else 0
+        if c > 0 and all(row[j] == c for j in members) and claimed.isdisjoint(members):
+            claimed.update(members)
+            convex.append((i, members, r, c))
+
+    # Key each convexity row, in row order, on the column the crash would
+    # pivot its artificial out on: largest phase-2 cost, lowest index on
+    # ties, among those keeping every other right-hand side >= 0.  That
+    # is the Bareiss pivot of the full tableau on the row, which is then
+    # left out with its identity column; a row with no such column stays.
+    # Keying counts as an iteration, as the crash pivot it stands for.
+    det = 1
+    dens = [1] * m
+    sets = []
+    keyed_rows = []
+    col_rows: dict = {}  # claimed column -> the other rows that have it
+    if convex:
+        convex_rows = {i for i, _, _, _ in convex}
+        for i, (acc, _, _, _, _) in enumerate(rows):
+            if i not in convex_rows:
+                for col, v in acc.items():
+                    if v and col in claimed:
+                        col_rows.setdefault(col, []).append(i)
+    for i, members, r, c in convex:
+        key = -1
+        for j in sorted(members, key=lambda j: (-struct_cost[j], j)):
+            if all(
+                rows_int[t][j] <= 0 or rows_int[t][-1] * c >= r * rows_int[t][j]
+                for t in col_rows.get(j, ())
+            ):
+                key = j
+                break
+        if key < 0:
+            continue
+        keyed_rows.append(i)
+        sets.append((key, members, r, c))
+        for t in col_rows.get(key, ()):
+            row = rows_int[t]
+            f = row[key]
+            if c != 1:
+                # The row brought to det, times c, minus f * (c*1_S, r).
+                cur = det // dens[t]
+                f *= cur
+                row[:] = [v * cur * c for v in row]
+                f_c, dens[t] = f * c, c * det
+            else:
+                f_c = f
+            for j in members:
+                row[j] -= f_c
+            row[-1] -= f * r
+        det *= c
+
+    keyed = set(keyed_rows)
+    explicit = list(range(m))
+    if keyed:
+        explicit = [i for i in explicit if i not in keyed]
+        ncols = id_base + len(explicit)
+        kept = itemgetter(*range(id_base), *[id_base + i for i in explicit], -1)
+        rows_int = [list(kept(rows_int[i])) for i in explicit]
+    artificial_rows = []
+    enterable = [True] * ncols
+    for e, i in enumerate(explicit):
+        if rows[i][1] != LE:
+            artificial_rows.append(e)
+            enterable[id_base + e] = False
+    tab = _pivot_py.Tableau(rows_int, det, [dens[i] for i in explicit], sets)
+    where = {i: e for e, i in enumerate(explicit)}
+    basis = [id_base + e for e in range(len(explicit))]
+    total_iters = len(sets)
 
     def append_objective(costs):
         # Reduced-cost row z - c for the current basis and integer costs.
-        obj = [-tab.det * c for c in costs] + [0]
+        # A set's member costs its own cost minus its key's, and each key
+        # adds beta times its cost to the value.
+        det = tab.det
+        value = 0
+        for key, members, (r, c) in zip(tab.keys, tab.members, tab.betas):
+            ck = costs[key]
+            if ck:
+                for j in members:
+                    costs[j] -= ck
+                value += r * det // c * ck
+        obj = [-det * c for c in costs] + [value]
         for i, b in enumerate(basis):
             cb = costs[b]
             if cb:
@@ -281,15 +383,20 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
     # Crash (see the docstring).  A pivot keeps every right-hand side >= 0
     # on any nonzero entry of a row whose right-hand side is 0, and on a
-    # positive entry of another row when no row has a smaller ratio (a
-    # row's denominator cancels in its ratio).
+    # positive entry of another row when no row, explicit or key, has a
+    # smaller ratio (a row's denominator cancels in its ratio).
     tab_rows = tab.rows
     by_cost = sorted(
         range(id_base),
         key=lambda j: (-struct_cost[j] if j < ncols_struct else 0, j),
     )
+    # A convexity row left explicit failed the same test at its turn.
+    unkeyed = {where[i] for i, _, _, _ in convex if i not in keyed}
     still_basic = []  # artificial rows the crash could not pivot out
     for r in artificial_rows:
+        if r in unkeyed:
+            still_basic.append(r)
+            continue
         prow = tab_rows[r]
         rhs = prow[-1]
         enter = -1
@@ -300,6 +407,10 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             if rhs and (
                 a < 0
                 or any(row[j] > 0 and row[-1] * a < rhs * row[j] for row in tab_rows)
+                or any(
+                    num * a < rhs * den
+                    for _, num, den in _pivot_py.key_rows(tab, basis, j)
+                )
             ):
                 continue
             enter = j
@@ -315,10 +426,11 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         # Maximize minus the sum of the artificials still basic: cost
         # -1/scale[i] in the substituted columns, brought to coprime ints
         # by one positive factor.
-        den = lcm(*[scale[i].numerator for i in still_basic])
+        ks = [scale[explicit[e]] for e in still_basic]
+        den = lcm(*[k.numerator for k in ks])
         costs = {
-            id_base + i: -(den // scale[i].numerator) * scale[i].denominator
-            for i in still_basic
+            id_base + e: -(den // k.numerator) * k.denominator
+            for e, k in zip(still_basic, ks)
         }
         g = gcd(*costs.values())
         phase1 = [0] * ncols
@@ -335,7 +447,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
 
         # Drive surviving artificials out of the basis, or drop rows that
         # reduced to 0 == 0 (dependent equality rows).
-        artificial_cols = {id_base + i for i in artificial_rows}
+        artificial_cols = {id_base + e for e in artificial_rows}
         pos = 0
         while pos < len(basis):
             if basis[pos] not in artificial_cols:
@@ -368,9 +480,17 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         return LpSolution(UNBOUNDED, None, None, None, total_iters)
 
     # Only the right-hand sides and the objective row become Fractions.
+    # A key's value is beta minus its set's basic members.
     internal_x = [ZERO] * ncols
+    det = tab.det
+    taken = [0] * len(sets)
     for i, b in enumerate(basis):
         internal_x[b] = tab.fraction(i, -1)
+        k = tab.set_of.get(b)
+        if k is not None:
+            taken[k] += tab.rows[i][-1] * det // tab.dens[i]
+    for key, (r, c), total in zip(tab.keys, tab.betas, taken):
+        internal_x[key] = Fraction(r * det - c * total, c * det)
 
     primal = []
     for j in range(n):
@@ -384,15 +504,28 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             primal.append(internal_x[kind[1]] - internal_x[kind[2]])
 
     # Row i's dual is its identity column's reduced cost times scale[i]
-    # / k2, with the row's sign and the sense's.
+    # / k2, with the row's sign and the sense's.  A convexity row's,
+    # over its c, makes its key's reduced cost 0: the key's cost minus
+    # the other rows' duals times their entries in the key's column.
     obj, obj_den = tab.rows[-1], tab.dens[-1]
+    set_of_row = {i: k for k, i in enumerate(keyed_rows)}
     dual = []
     for i in range(num_user):
         k = scale[i]
+        e = where.get(i)
+        if e is not None:
+            w, c = obj[id_base + e], 1
+        else:
+            k_set = set_of_row[i]
+            key, c = tab.keys[k_set], tab.betas[k_set][1]
+            w = struct_cost[key] * obj_den - sum(
+                obj[id_base + where[t]] * (rows[t][0][key] // gs[t])
+                for t in col_rows.get(key, ())
+            )
         dual.append(
             Fraction(
-                direction * rows[i][4] * obj[id_base + i] * k.numerator * k2.denominator,
-                obj_den * k.denominator * k2.numerator,
+                direction * rows[i][4] * w * k.numerator * k2.denominator,
+                obj_den * c * k.denominator * k2.numerator,
             )
         )
 

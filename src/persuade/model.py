@@ -446,15 +446,28 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
     one orbit, of n! / prod(m!) keys, m running over the multiplicities
     of the pairs.
     Typed instances with an iid marginal are symmetric by construction.
+    The map is keyed by int payoffs and holds int masses, each over one
+    common denominator.
     """
     if isinstance(instance, TypedInstance):
         if instance.iid_marginal is not None:
             return True
         instance = instance.expanded
+    states = instance.states
+    e = math.lcm(*{state.prob.denominator for state in states})
+    d = math.lcm(
+        *{v.denominator for state in states for v in state.sender + state.receiver}
+    )
     base: dict = {}
-    for state in instance.states:
-        key = tuple(zip(state.sender, state.receiver))
-        base[key] = base.get(key, ZERO) + state.prob
+    for state in states:
+        key = tuple(
+            [
+                (s.numerator * (d // s.denominator), r.numerator * (d // r.denominator))
+                for s, r in zip(state.sender, state.receiver)
+            ]
+        )
+        prob = state.prob
+        base[key] = base.get(key, 0) + prob.numerator * (e // prob.denominator)
     orbits: dict = {}
     for key, prob in base.items():
         if prob:

@@ -633,9 +633,10 @@ def gamma_candidates(instance: MultiAgentInstance) -> tuple:
 
 
 def _support_in_argmax(code: _Coding, distribution, gamma: Fraction) -> bool:
-    for values, row in zip(_virtual_values(code, gamma), distribution):
+    # A zero-mass state's row is arbitrary in the LP and weighs nothing.
+    for mass, values, row in zip(code.mass, _virtual_values(code, gamma), distribution):
         best = max(values)
-        if any(p and v != best for p, v in zip(row, values)):
+        if mass and any(p and v != best for p, v in zip(row, values)):
             return False
     return True
 

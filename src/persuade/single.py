@@ -149,6 +149,12 @@ def build_lp(
     instance: PersuasionInstance, payment_model: PaymentModel
 ) -> tuple:
     """LP over scheme probabilities and (unless zero) expected payments."""
+    return _build_lp(instance, payment_model, _coding(instance))
+
+
+def _build_lp(
+    instance: PersuasionInstance, payment_model: PaymentModel, code: _Coding
+) -> tuple:
     n = instance.actions
     m = instance.num_states
     vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
@@ -156,7 +162,6 @@ def build_lp(
 
     # Every coefficient is a mass times a payoff (difference), an int
     # over code.unit; equal ints share one Fraction.
-    code = _coding(instance)
     over_unit = shared_fractions(code.unit)
 
     # Columns phi(t, i) = t * n + i, then the payments.
@@ -198,7 +203,7 @@ def build_lp(
     for t in range(m):
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple((vmap.phi(t, i), ONE) for i in range(n)),
+                coeffs=tuple([(vmap.phi(t, i), ONE) for i in range(n)]),
                 rel=lp.EQ,
                 rhs=ONE,
                 name=f"simplex[{t}]",
@@ -207,7 +212,7 @@ def build_lp(
     if payment_model is PaymentModel.BUDGET_BALANCED:
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple((vmap.payment(i), ONE) for i in range(n)),
+                coeffs=tuple([(vmap.payment(i), ONE) for i in range(n)]),
                 rel=lp.EQ,
                 rhs=ZERO,
                 name="budget",
@@ -229,23 +234,30 @@ def solve_optimal(
 ) -> SingleResult:
     """Solve the LP to exact optimality and attach the certified dual."""
     inst = _as_instance(instance)
+    return _solve_optimal(inst, payment_model, _coding(inst))
+
+
+def _solve_optimal(
+    inst: PersuasionInstance, payment_model: PaymentModel, code: _Coding
+) -> SingleResult:
     if inst.actions == 1 and payment_model is PaymentModel.ARBITRARY:
         # With no alternative action there is no obedience constraint to
         # price, so an unrestricted charge makes the LP unbounded.
         raise WrongActionCount(
             "free payments are unbounded with a single action"
         )
-    problem, vmap = build_lp(inst, payment_model)
+    problem, vmap = _build_lp(inst, payment_model, code)
     solution = lp.certified_solve(problem)
 
     n, m = inst.actions, inst.num_states
+    primal = solution.primal
     distribution = tuple(
-        tuple(solution.primal[vmap.phi(t, i)] for i in range(n)) for t in range(m)
+        [tuple([primal[vmap.phi(t, i)] for i in range(n)]) for t in range(m)]
     )
     if payment_model is PaymentModel.ZERO:
         payments = (ZERO,) * n
     else:
-        payments = tuple(solution.primal[vmap.payment(i)] for i in range(n))
+        payments = tuple([primal[vmap.payment(i)] for i in range(n)])
     scheme = SignalingScheme(distribution=distribution, payments=payments)
 
     lam = [[ZERO] * n for _ in range(n)]
@@ -255,7 +267,7 @@ def solve_optimal(
                 # Follow rows are >=-rows; in max convention their duals
                 # are <= 0 and the multipliers are their negatives.
                 lam[i][j] = -solution.dual[vmap.follow_row(i, j)]
-    dual = SingleDual(lam=tuple(tuple(row) for row in lam))
+    dual = SingleDual(lam=tuple([tuple(row) for row in lam]))
 
     result = SingleResult(
         instance=inst,
@@ -266,7 +278,7 @@ def solve_optimal(
         problem=problem,
         solution=solution,
     )
-    if not verify_support_optimality(inst, scheme, dual):
+    if not _verify_support_optimality(code, scheme, dual):
         raise CertificateFailed(
             "optimal scheme leaves the dual-adjusted argmax support"
         )
@@ -333,7 +345,12 @@ def verify_support_optimality(
     follow constraint.  Computed in ints on the instance's coding, with
     the multipliers and the distribution each over one common denominator.
     """
-    code = _coding(instance)
+    return _verify_support_optimality(_coding(instance), scheme, dual)
+
+
+def _verify_support_optimality(
+    code: _Coding, scheme: SignalingScheme, dual: SingleDual
+) -> bool:
     n = code.actions
     lam_den = lcm(*[v.denominator for row in dual.lam for v in row])
     # Per action i, its nonzero multipliers (j, lam[i][j] * lam_den).
@@ -518,7 +535,35 @@ def _require_symmetric(instance, inst: PersuasionInstance, what: str) -> None:
         raise NotSymmetric(f"{what} requires a symmetric instance")
 
 
-def _sweep(inst: PersuasionInstance, code: _Coding) -> LambdaStarResult:
+def _is_persuasive(code: _Coding, scheme: SignalingScheme) -> bool:
+    """model.is_persuasive in ints on the instance's coding.
+
+    X[i][j] - X[i][i] <= P[i] for every j != i, the cross utilities X
+    over code.unit times the distribution's common denominator.
+    """
+    n = code.actions
+    dist = scheme.distribution
+    d_den = lcm(*[v.denominator for row in dist for v in row])
+    cross = [[0] * n for _ in range(n)]
+    for mass, receiver, row in zip(code.mass, code.receiver, dist):
+        if mass:
+            for i, p in enumerate(row):
+                if p:
+                    w = mass * p.numerator * (d_den // p.denominator)
+                    xi = cross[i]
+                    for j in range(n):
+                        xi[j] += w * receiver[j]
+    scale = code.unit * d_den
+    for i, (xi, pay) in enumerate(zip(cross, scheme.payments)):
+        own, limit = xi[i], pay.numerator * scale
+        if any(
+            (x - own) * pay.denominator > limit for j, x in enumerate(xi) if j != i
+        ):
+            return False
+    return True
+
+
+def _sweep(code: _Coding) -> LambdaStarResult:
     """The scalar-lambda sweep on a symmetric instance's integer coding."""
     n = code.actions
     mass, senders, receivers = code.mass, code.sender, code.receiver
@@ -598,7 +643,7 @@ def _sweep(inst: PersuasionInstance, code: _Coding) -> LambdaStarResult:
             rows, utility = _uniform_rows(sets, n), uniform_utility
 
     scheme = SignalingScheme(distribution=rows, payments=(ZERO,) * n)
-    if not model.is_persuasive(inst, scheme):
+    if not _is_persuasive(code, scheme):
         raise CharacterizationMismatch(
             "the scheme at the critical lambda is not persuasive"
         )
@@ -633,15 +678,16 @@ def find_lambda_star(
     mixes the tied extremes so the follow payoff is as small as
     persuasiveness allows.  The uniform scheme is returned whenever it
     is persuasive and no such mixture beats it.  The sweep runs in ints
-    over one common denominator; the returned scheme is checked with
-    model.is_persuasive.  With cross_check the utility is compared
+    over one common denominator; the returned scheme is checked for
+    persuasiveness there too.  With cross_check the utility is compared
     against the LP optimum.
     """
     inst = _as_instance(instance)
     _require_symmetric(instance, inst, "scalar-lambda sweep")
-    sweep = _sweep(inst, _coding(inst))
+    code = _coding(inst)
+    sweep = _sweep(code)
     if cross_check:
-        reference = solve_optimal(inst, PaymentModel.ZERO)
+        reference = _solve_optimal(inst, PaymentModel.ZERO, code)
         if reference.utility != sweep.utility:
             raise CharacterizationMismatch(
                 f"lambda sweep utility {sweep.utility} != LP optimum "
@@ -674,8 +720,8 @@ def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
     return _uniform_rows(sets, n), thresholds, gross, code.unit * scale
 
 
-def _threshold_scheme(inst: PersuasionInstance, weight: Fraction) -> tuple:
-    rows, thresholds, gross, unit = _threshold_parts(_coding(inst), weight)
+def _threshold_scheme(code: _Coding, weight: Fraction) -> tuple:
+    rows, thresholds, gross, unit = _threshold_parts(code, weight)
     scheme = SignalingScheme(
         distribution=rows,
         payments=tuple(Fraction(t, unit) for t in thresholds),
@@ -698,7 +744,8 @@ def canonical_two_action_scheme(
         raise WrongActionCount(
             f"two-action fast path got {inst.actions} actions"
         )
-    scheme, utility = _threshold_scheme(inst, Fraction(2))
+    code = _coding(inst)
+    scheme, utility = _threshold_scheme(code, Fraction(2))
     result = SingleResult(
         instance=inst,
         payment_model=PaymentModel.ARBITRARY,
@@ -707,7 +754,7 @@ def canonical_two_action_scheme(
         dual=_constant_dual(2, ONE),
     )
     if verify:
-        reference = solve_optimal(inst, PaymentModel.ARBITRARY)
+        reference = _solve_optimal(inst, PaymentModel.ARBITRARY, code)
         if reference.utility != utility:
             raise CharacterizationMismatch(
                 f"two-action scheme utility {utility} != LP optimum "
@@ -733,7 +780,8 @@ def canonical_symmetric_scheme(
     if n < 2:
         raise WrongActionCount("symmetric fast path needs at least two actions")
     _require_symmetric(instance, inst, "symmetric fast path")
-    scheme, utility = _threshold_scheme(inst, Fraction(n, n - 1))
+    code = _coding(inst)
+    scheme, utility = _threshold_scheme(code, Fraction(n, n - 1))
     result = SingleResult(
         instance=inst,
         payment_model=PaymentModel.ARBITRARY,
@@ -742,7 +790,7 @@ def canonical_symmetric_scheme(
         dual=_constant_dual(n, Fraction(1, n - 1)),
     )
     if verify:
-        reference = solve_optimal(inst, PaymentModel.ARBITRARY)
+        reference = _solve_optimal(inst, PaymentModel.ARBITRARY, code)
         if reference.utility != utility:
             raise CharacterizationMismatch(
                 f"symmetric scheme utility {utility} != LP optimum "
@@ -769,7 +817,7 @@ def nonnegative_dichotomy(
         raise WrongActionCount("dichotomy needs at least two actions")
     _require_symmetric(instance, inst, "scalar-lambda sweep")
     code = _coding(inst)
-    sweep = _sweep(inst, code)
+    sweep = _sweep(code)
 
     rows, thresholds, gross, unit = _threshold_parts(code, Fraction(n, n - 1))
     clipped = [max(0, t) for t in thresholds]
@@ -786,7 +834,7 @@ def nonnegative_dichotomy(
         scheme, utility = paid_scheme, paid_utility
 
     if verify:
-        reference = solve_optimal(inst, PaymentModel.NONNEGATIVE)
+        reference = _solve_optimal(inst, PaymentModel.NONNEGATIVE, code)
         if reference.utility != utility:
             raise CharacterizationMismatch(
                 f"dichotomy winner utility {utility} != LP optimum "

@@ -434,7 +434,7 @@ def test_certified_solve_raises_on_a_non_optimal_status():
 
 def test_solve_optimal_raises_when_the_support_check_fails(monkeypatch):
     inst = model.random_instance(4, actions=3, states=2)
-    monkeypatch.setattr(single, "verify_support_optimality", lambda *a: False)
+    monkeypatch.setattr(single, "_verify_support_optimality", lambda *a: False)
     with pytest.raises(CertificateFailed, match="argmax support"):
         single.solve_optimal(inst, PaymentModel.ZERO)
 

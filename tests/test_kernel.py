@@ -7,16 +7,22 @@ slack or artificial column divided by that factor so it keeps its 1.
 That scaling changes which reduced cost is most negative, so Dantzig's
 rule needs it; Bland's rule and the ratio test read only signs and
 ratios, which it leaves alone.  A ``>=`` row whose shifted right-hand
-side is 0 is stated as the negated ``<=`` row; each artificial is then
-pivoted out, in row order, on the column of largest phase-2 cost whose
-pivot keeps the basis feasible, and phase 1 runs only over the
-artificials left.
+side is 0 is stated as the negated ``<=`` row.  Each convexity row (an
+``==`` row whose scaled entries are one c > 0 on columns no earlier such
+row has, with right-hand side > 0) is then pivoted, in row order, on
+its key: the column of largest phase-2 cost whose pivot keeps the basis
+feasible.  Each other artificial is pivoted out, in row order, by the
+same rule, and phase 1 runs only over the artificials left.  The oracle
+keeps every row in its tableau; the kernel keeps the keyed rows
+implicit, so the two are compared basis change for basis change
+(entering column, leaving variable), not row for row.
 The oracle enters by Dantzig's rule until ``degenerate_run`` degenerate
 pivots come in a row and by Bland's rule after that, as the kernel does;
 ``degenerate_run=0`` makes it the Bland oracle the integer kernel first
-replaced.  The integer kernel must take the same pivots, end in the same
-basis and report the same solution under both rules.  The campaign on
-random LPs is what guards the kernel's unchecked exact divisions.
+replaced.  The integer kernel must make the same basis changes, end in
+the same basis and report the same solution under both rules.  The
+campaigns on random LPs are what guard the kernel's unchecked exact
+divisions.
 """
 
 from fractions import Fraction as F
@@ -36,11 +42,14 @@ ORACLE_OPTIMAL, ORACLE_UNBOUNDED, ORACLE_ITERATION_LIMIT = 0, 1, 2
 BLAND = 0  # degenerate_run that makes the oracle (and the kernel) Bland's
 
 
-def oracle_run_simplex(tab, basis, enterable, max_iter, degenerate_run, pivots):
+def oracle_run_simplex(
+    tab, basis, enterable, max_iter, degenerate_run, pivots, cases=None
+):
     """Dantzig's rule with the Bland fallback on a Fraction tableau.
 
-    Appends each (row, column) pivot to pivots; returns (status,
-    iterations).
+    Appends each basis change (entering column, leaving variable) to
+    pivots, and "bland_fallback" to cases when Dantzig's rule hands over
+    to Bland's; returns (status, iterations).
     """
     m = len(basis)
     obj = tab[m]
@@ -84,12 +93,14 @@ def oracle_run_simplex(tab, basis, enterable, max_iter, degenerate_run, pivots):
             return ORACLE_UNBOUNDED, iters
         if run < degenerate_run:
             run = run + 1 if best_ratio == 0 else 0
-        oracle_pivot(tab, leave, enter, pivots)
-        basis[leave] = enter
+            if run == degenerate_run and cases is not None:
+                cases.add("bland_fallback")
+        oracle_pivot(tab, basis, leave, enter, pivots)
 
 
-def oracle_pivot(tab, row, col, pivots):
-    pivots.append((row, col))
+def oracle_pivot(tab, basis, row, col, pivots):
+    pivots.append((col, basis[row]))
+    basis[row] = col
     prow = tab[row]
     pivot = prow[col]
     if pivot != 1:
@@ -108,13 +119,20 @@ def _row_scale(values):
 
 
 def oracle_solve(problem, degenerate_run, cases=None):
-    """(solution, final basis, pivots) of the Fraction two-phase simplex.
+    """The Fraction two-phase simplex.
 
+    Returns (solution, sorted final basis, basis changes, layout), the
+    layout holding id_base, the keyed rows in order and the rows left
+    explicit after keying, as the tableau then reads ("keyed_tableau").
     When cases is a set, the crash adds to it what it met:
     "blocked_by_zero_rhs_le" (a candidate column turned away by a <= row
     at right-hand side 0), "crash_on_zero_rhs_eq" (an artificial of an
-    == row at right-hand side 0 pivoted out) and "phase1_after_crash"
-    (phase 1 runs after at least one crash pivot).
+    == row at right-hand side 0 pivoted out), "phase1_after_crash"
+    (phase 1 runs after at least one crash pivot), "unkeyed" (a
+    convexity row without a feasible key), "one_member", "c_not_1" and
+    "bounded_member" (a keyed row of one column, with c != 1, or with a
+    member shifted or bounded above), and "bland_fallback" (a phase
+    hands over to Bland's rule).
     """
     if cases is None:
         cases = set()
@@ -123,7 +141,7 @@ def oracle_solve(problem, degenerate_run, cases=None):
     cost = [c if sense_max else -c for c in problem.objective]
     for lo, up in problem.bounds:
         if lo is not None and up is not None and lo > up:
-            return (lp.INFEASIBLE, None, None, None, 0), None, []
+            return (lp.INFEASIBLE, None, None, None, 0), None, [], None
 
     trans, upper, ncols_struct = [], [], 0
     for lo, up in problem.bounds:
@@ -213,11 +231,12 @@ def oracle_solve(problem, degenerate_run, cases=None):
                 obj = [o + costs[b] * v for o, v in zip(obj, row)]
         return obj
 
-    # Crash: each artificial row in order, the feasible entering column
-    # of largest phase-2 cost (the lowest index on ties).
+    # Crash: the feasible entering column of largest phase-2 cost (the
+    # lowest index on ties), first as each convexity row's key, then for
+    # each other artificial row in order.
     crash_cost = struct_cost + [F(0)] * (id_base - ncols_struct)
-    still_basic = []
-    for r in artificial_rows:
+
+    def crash_column(r):
         rhs = tab[r][-1]
         feasible = []
         for j in range(id_base):
@@ -235,13 +254,61 @@ def oracle_solve(problem, degenerate_run, cases=None):
                     continue
             feasible.append(j)
         if not feasible:
+            return -1
+        return max(feasible, key=lambda j: (crash_cost[j], -j))
+
+    convex, claimed = [], set()
+    for i in range(len(problem.constraints)):
+        members = [j for j in range(ncols_struct) if tab[i][j]]
+        c = tab[i][members[0]] if members else 0
+        if (
+            rows[i][1] == lp.EQ
+            and tab[i][-1] > 0
+            and c > 0
+            and all(tab[i][j] == c for j in members)
+            and claimed.isdisjoint(members)
+        ):
+            claimed.update(members)
+            convex.append(i)
+    still_basic, keyed = [], []
+    for r in convex:
+        enter = crash_column(r)
+        if enter < 0:
+            cases.add("unkeyed")
             still_basic.append(r)
             continue
-        if rows[r][1] == lp.EQ and rhs == 0:
+        members = [j for j in range(ncols_struct) if tab[r][j]]
+        if len(members) == 1:
+            cases.add("one_member")
+        if tab[r][enter] != 1:
+            cases.add("c_not_1")
+        if any(
+            trans[v][0] == "shift" and (trans[v][2] or problem.bounds[v][1] is not None)
+            for v in range(n)
+            if trans[v][1] in members
+        ):
+            cases.add("bounded_member")
+        oracle_pivot(tab, basis, r, enter, pivots)
+        keyed.append(r)
+        total += 1
+    explicit = [i for i in range(m) if i not in keyed]
+    kept = list(range(id_base)) + [id_base + i for i in explicit] + [ncols]
+    layout = {
+        "id_base": id_base,
+        "keyed": keyed,
+        "keyed_tableau": [[tab[i][j] for j in kept] for i in explicit],
+    }
+
+    for r in artificial_rows:
+        if r in convex:
+            continue
+        enter = crash_column(r)
+        if enter < 0:
+            still_basic.append(r)
+            continue
+        if rows[r][1] == lp.EQ and tab[r][-1] == 0:
             cases.add("crash_on_zero_rhs_eq")
-        enter = max(feasible, key=lambda j: (crash_cost[j], -j))
-        oracle_pivot(tab, r, enter, pivots)
-        basis[r] = enter
+        oracle_pivot(tab, basis, r, enter, pivots)
         total += 1
 
     if still_basic:
@@ -252,12 +319,12 @@ def oracle_solve(problem, degenerate_run, cases=None):
             phase1[id_base + i] = -1 / scale[i]
         tab.append(objective_row(phase1))
         status, iters = oracle_run_simplex(
-            tab, basis, enterable, budget, degenerate_run, pivots
+            tab, basis, enterable, budget, degenerate_run, pivots, cases
         )
         total += iters
         assert status != ORACLE_ITERATION_LIMIT
         if status != ORACLE_OPTIMAL or tab[-1][-1] < 0:
-            return (lp.INFEASIBLE, None, None, None, total), basis, pivots
+            return (lp.INFEASIBLE, None, None, None, total), sorted(basis), pivots, layout
         tab.pop()
         artificial_cols = {id_base + i for i in artificial_rows}
         pos = 0
@@ -273,19 +340,18 @@ def oracle_solve(problem, degenerate_run, cases=None):
                 del tab[pos]
                 del basis[pos]
                 continue
-            oracle_pivot(tab, pos, enter, pivots)
-            basis[pos] = enter
+            oracle_pivot(tab, basis, pos, enter, pivots)
             total += 1
             pos += 1
 
     tab.append(objective_row(struct_cost + [F(0)] * (ncols - ncols_struct)))
     status, iters = oracle_run_simplex(
-        tab, basis, enterable, budget, degenerate_run, pivots
+        tab, basis, enterable, budget, degenerate_run, pivots, cases
     )
     total += iters
     assert status != ORACLE_ITERATION_LIMIT
     if status == ORACLE_UNBOUNDED:
-        return (lp.UNBOUNDED, None, None, None, total), basis, pivots
+        return (lp.UNBOUNDED, None, None, None, total), sorted(basis), pivots, layout
 
     obj = tab[-1]
     x = [F(0)] * ncols
@@ -305,32 +371,92 @@ def oracle_solve(problem, degenerate_run, cases=None):
         dual.append(y if sense_max else -y)
     value = obj[-1] + shift_const
     value = (value if sense_max else -value) + problem.constant
-    return (lp.OPTIMAL, value, tuple(primal), tuple(dual), total), basis, pivots
+    return (
+        (lp.OPTIMAL, value, tuple(primal), tuple(dual), total),
+        sorted(basis),
+        pivots,
+        layout,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 
 
-def integer_solve(problem, degenerate_run):
-    """lp.solve under the given fallback constant: solution, final basis, pivots."""
-    seen, pivots = [], []
-    real_run, real_pivot = _pivot_py.run_simplex, _pivot_py.Tableau.pivot
+def integer_solve(problem, degenerate_run, layout=None, events=None):
+    """lp.solve under the given fallback constant, with its basis changes.
 
-    def run_spy(tab, basis, enterable, max_iter):
-        seen.append(basis)
-        return real_run(tab, basis, enterable, max_iter)
+    Returns the solution, the sorted final basis (explicit rows' and
+    keys) and the basis changes (entering column, leaving variable),
+    replayed from the kernel's pivots and key steps.  The kernel's
+    tableau leaves the keyed rows and their identity columns out, so its
+    identity columns are renamed to the oracle's through the oracle's
+    layout, and keying row i on column j reads as j replacing row i's
+    artificial.  events, when a list, receives "swap" and "shift" for
+    each key step the kernel took.
+    """
+    if events is None:
+        events = []
+    id_base = layout["id_base"] if layout else 0
+    keyed = layout["keyed"] if layout else []
+    m = len(problem.constraints) + sum(
+        lo is not None and up is not None for lo, up in problem.bounds
+    )
+    explicit = [i for i in range(m) if i not in keyed]
+
+    def rename(col):
+        return col if col < id_base else id_base + explicit[col - id_base]
+
+    changes = []
+    state = {}  # "basis" and "keys", replayed
+    real_init, real_pivot = _pivot_py.Tableau.__init__, _pivot_py.Tableau.pivot
+    real_swap, real_shift = _pivot_py.Tableau.swap_key, _pivot_py.Tableau.shift_key
+    real_delete = _pivot_py.Tableau.delete
+
+    def init_spy(tab, rows, *args):
+        real_init(tab, rows, *args)
+        state["basis"] = [rename(id_base + e) for e in range(len(rows))]
+        state["keys"] = list(tab.keys)
+        changes.extend((key, id_base + i) for key, i in zip(tab.keys, keyed))
+        if len(tab.keys) != len(keyed):
+            changes.append(("keys", len(tab.keys)))
 
     def pivot_spy(tab, row, col):
-        pivots.append((row, col))
+        basis = state["basis"]
+        changes.append((rename(col), basis[row]))
+        basis[row] = rename(col)
         return real_pivot(tab, row, col)
+
+    def swap_spy(tab, k, basis):
+        old = tab.keys[k]
+        i = real_swap(tab, k, basis)
+        if i >= 0:
+            events.append("swap")
+            replay = state["basis"]
+            state["keys"][k], replay[i] = replay[i], old
+        return i
+
+    def shift_spy(tab, k, s):
+        events.append("shift")
+        changes.append((s, state["keys"][k]))
+        state["keys"][k] = s
+        return real_shift(tab, k, s)
+
+    def delete_spy(tab, i):
+        if i < len(state["basis"]):
+            del state["basis"][i]
+        return real_delete(tab, i)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(_pivot_py, "DEGENERATE_RUN", degenerate_run)
-        monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "__init__", init_spy)
         monkeypatch.setattr(_pivot_py.Tableau, "pivot", pivot_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "swap_key", swap_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "shift_key", shift_spy)
+        monkeypatch.setattr(_pivot_py.Tableau, "delete", delete_spy)
         solution = lp.solve(problem)
-    return solution, (seen[-1] if seen else None), pivots
+    basis = sorted(state["basis"] + state["keys"]) if state else None
+    return solution, basis, changes
 
 
 # Bland's rule from the first pivot; a hand-over after five degenerate
@@ -340,21 +466,23 @@ def integer_solve(problem, degenerate_run):
 RULES = (BLAND, 5, _pivot_py.DEGENERATE_RUN)
 
 
-def assert_matches_oracle(problem, rules=RULES):
+def assert_matches_oracle(problem, rules=RULES, events=None):
     """Compare the kernel with the oracle under each rule; return the last solution."""
     for degenerate_run in rules:
-        solution, basis, pivots = integer_solve(problem, degenerate_run)
-        expected, expected_basis, expected_pivots = oracle_solve(
+        expected, expected_basis, expected_changes, layout = oracle_solve(
             problem, degenerate_run
+        )
+        solution, basis, changes = integer_solve(
+            problem, degenerate_run, layout, events
         )
         assert solution.status == expected[0]
         assert solution.objective == expected[1]
         assert solution.primal == expected[2]
         assert solution.dual == expected[3]
-        # Same pivot rule on the same exact tableau: the walk must match
-        # step for step and end in the same basis.
+        # Same rule on the same exact tableau: the walk must match basis
+        # change for basis change and end in the same basis.
         assert solution.iterations == expected[4]
-        assert pivots == expected_pivots
+        assert changes == expected_changes
         assert basis == expected_basis
     return solution
 
@@ -496,9 +624,10 @@ def _single_receiver_instances():
 @pytest.mark.parametrize("payment_model", list(PaymentModel), ids=lambda pm: pm.value)
 def test_single_receiver_lps_start_feasible(payment_model):
     # Full information (each state's receiver-best action, no payments)
-    # is persuasive, so the crash pivots every simplex row's artificial
-    # out (and the budget row's, which has right-hand side 0): phase 2 is
-    # the only simplex run.
+    # is persuasive, so every simplex row is keyed and stays out of the
+    # tableau, and the crash pivots the budget row's artificial out (its
+    # right-hand side is 0): phase 2 is the only simplex run, on the
+    # follow rows and the budget row alone.
     runs = []
     real_run = _pivot_py.run_simplex
 
@@ -512,7 +641,7 @@ def test_single_receiver_lps_start_feasible(payment_model):
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
             solution = lp.solve(problem)
-        assert runs == [len(problem.constraints)]
+        assert runs == [len(problem.constraints) - instance.num_states]
         assert not lp.certify_report(problem, solution)
 
 
@@ -636,19 +765,103 @@ def test_crash_cases_match_fraction_oracle(strategy, expected):
     check()
 
 
-def _initial_rows(problem):
-    """The int rows lp.solve hands the kernel, as built."""
+_bound = st.one_of(
+    st.just((F(0), None)),
+    st.builds(lambda lo: (lo, None), _rational),
+    st.builds(lambda up: (F(0), up), _positive),
+)
+
+
+@st.composite
+def _convexity_problem(draw):
+    """Convexity rows over disjoint groups of columns, among general rows.
+
+    A group's row has one coefficient c on each of its columns (negated
+    with its right-hand side at times, which sign normalization undoes)
+    and a positive right-hand side; members may be shifted or bounded
+    above.  General rows over any columns, in any order with the
+    convexity rows, can block a key, meet keyed columns and leave
+    artificials before or after a convexity row.
+    """
+    n = draw(st.integers(1, 6))
+    cols = draw(st.permutations(range(n)))
+    groups, start = [], 0
+    while start < n and len(groups) < 3:
+        size = draw(st.integers(1, min(3, n - start)))
+        groups.append(cols[start : start + size])
+        start += size
+    rows = []
+    for group in groups:
+        c, rhs = draw(_positive), draw(_positive)
+        if draw(st.booleans()):
+            c, rhs = -c, -rhs
+        rows.append(lp.LinearConstraint(tuple((j, c) for j in group), lp.EQ, rhs))
+    for _ in range(draw(st.integers(0, 3))):
+        picked = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        rows.append(
+            lp.LinearConstraint(
+                tuple((j, draw(_rational)) for j in picked),
+                draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
+                draw(_rhs),
+            )
+        )
+    return lp.LpProblem(
+        sense=draw(st.sampled_from(["max", "min"])),
+        objective=tuple(draw(_rational) for _ in range(n)),
+        bounds=tuple(draw(_bound) for _ in range(n)),
+        constraints=tuple(draw(st.permutations(rows))),
+    )
+
+
+def test_convexity_rows_match_fraction_oracle():
+    # Keyed rows stay out of the kernel's tableau; the walk must still be
+    # the full tableau's, through every kind of key step.
+    seen = set()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_convexity_problem())
+    def check(problem):
+        oracle_solve(problem, 1, seen)
+        bland = []
+        assert_matches_oracle(problem, rules=(BLAND,), events=bland)
+        seen.update(f"{event}_under_bland" for event in bland)
+        other = []
+        solution = assert_matches_oracle(
+            problem, rules=(1, _pivot_py.DEGENERATE_RUN), events=other
+        )
+        seen.update(other)
+        if solution.status == lp.OPTIMAL:
+            assert not lp.certify_report(problem, solution)
+
+    check()
+    assert {
+        "unkeyed",
+        "one_member",
+        "c_not_1",
+        "bounded_member",
+        "bland_fallback",
+        "swap",
+        "shift",
+        "swap_under_bland",
+        "shift_under_bland",
+    } <= seen
+
+
+def _initial_tableau(problem):
+    """The Tableau lp.solve hands the kernel, as built, or None."""
     captured = []
     real_init = _pivot_py.Tableau.__init__
 
-    def init_spy(tab, rows):
-        captured.append([row[:] for row in rows])
-        real_init(tab, rows)
+    def init_spy(tab, rows, *args):
+        real_init(tab, rows, *args)
+        captured.append(
+            ([row[:] for row in rows], list(tab.dens), list(tab.keys))
+        )
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(_pivot_py.Tableau, "__init__", init_spy)
         lp.solve(problem)
-    return captured[0] if captured else []
+    return captured[0] if captured else None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -657,17 +870,29 @@ def test_tableau_rows_are_coprime_ints(problem):
     # Each row, its identity column left out, is the stated row times the
     # least positive factor that makes it integral: its ints are coprime.
     # A common factor left in a row would rescale its identity column's
-    # reduced cost and so could change Dantzig's choice.
-    rows = _initial_rows(problem)
-    m = len(rows)
-    for i, row in enumerate(rows):
-        rest = row[: len(row) - 1 - m + i] + row[len(row) - m + i :]
-        assert gcd(*rest) in (0, 1)
+    # reduced cost and so could change Dantzig's choice.  Keying a
+    # convexity row rewrites the rows that meet its key, so the rows are
+    # checked, exactly, against the oracle's tableau after keying.
+    built = _initial_tableau(problem)
+    if built is None:
+        return
+    rows, dens, keys = built
+    layout = oracle_solve(problem, _pivot_py.DEGENERATE_RUN)[3]
+    assert len(keys) == len(layout["keyed"])
+    assert [
+        [F(v, den) for v in row] for row, den in zip(rows, dens)
+    ] == layout["keyed_tableau"]
+    if not keys:
+        m = len(rows)
+        for i, row in enumerate(rows):
+            rest = row[: len(row) - 1 - m + i] + row[len(row) - m + i :]
+            assert gcd(*rest) in (0, 1)
 
 
 def test_row_whose_duplicates_cancel_is_all_zero():
     # x0/2 - x0/2 == 0 sums to an all-zero row (over the denominator 2),
-    # a dependent equality row that phase 1 drops.
+    # a dependent equality row that phase 1 drops.  (2/3 + 1/3) x1 == 1
+    # is a convexity row of one column, keyed on x1.
     x = (F(0), None)
     problem = lp.LpProblem(
         sense="max",
@@ -679,7 +904,9 @@ def test_row_whose_duplicates_cancel_is_all_zero():
             lp.LinearConstraint(((1, F(2, 3)), (1, F(1, 3))), lp.EQ, F(1)),
         ),
     )
-    assert _initial_rows(problem)[0] == [0, 0, 1, 0, 0, 0]
+    rows, _, keys = _initial_tableau(problem)
+    assert keys == [1]
+    assert rows[0] == [0, 0, 1, 0, 0]
     assert assert_matches_oracle(problem).status == lp.OPTIMAL
 
 

@@ -1,7 +1,9 @@
 """Domain model tests: parsing, validation, scheme arithmetic, generators."""
 
+import collections
 import dataclasses
 import itertools
+import math
 import operator
 import random
 from dataclasses import FrozenInstanceError
@@ -203,6 +205,25 @@ def _symmetric_by_permutations(inst):
     return True
 
 
+def _symmetric_by_fraction_orbits(inst):
+    """The orbit check on a map keyed by Fraction payoffs with Fraction masses."""
+    base = {}
+    for state in inst.states:
+        key = tuple(zip(state.sender, state.receiver))
+        base[key] = base.get(key, 0) + state.prob
+    orbits = {}
+    for key, prob in base.items():
+        if prob:
+            orbits.setdefault(tuple(sorted(key)), []).append(prob)
+    for pairs, masses in orbits.items():
+        size = math.factorial(len(pairs))
+        for count in collections.Counter(pairs).values():
+            size //= math.factorial(count)
+        if len(masses) != size or any(p != masses[0] for p in masses):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("actions,types", [(2, 3), (3, 3), (4, 3), (5, 2), (6, 2)])
 def test_symmetry_orbit_check_matches_permutation_definition(actions, types):
     rng = random.Random(actions)
@@ -234,6 +255,9 @@ def test_symmetry_orbit_check_matches_permutation_definition(actions, types):
             for case in cases:
                 verdict = model.is_symmetric(case)
                 assert verdict == _symmetric_by_permutations(
+                    model.expand_typed(case)
+                )
+                assert verdict == _symmetric_by_fraction_orbits(
                     model.expand_typed(case)
                 )
                 assert verdict == model.is_symmetric(model.expand_typed(case))

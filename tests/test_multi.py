@@ -60,6 +60,28 @@ def test_zero_sum_budget_balanced_needs_randomized_allocation():
     assert multi.is_persuasive(ZS_MULTI, result.scheme)
 
 
+def test_budget_balanced_ignores_a_zero_mass_state():
+    # One receiver, four states, the third of mass 0.  No deterministic
+    # allocation attains the optimum, so the LP scheme is used; the LP
+    # leaves the third state's row at (1, 0), outside that state's
+    # virtual-payoff argmax, which must not refuse the scheme.
+    third = F(1, 3)
+    states = (
+        MultiState(prob=third, sender=(F(0), F(1, 2)), receivers=((F(-1), F(-1)),)),
+        MultiState(prob=third, sender=(F(1, 2), F(1)), receivers=((F(2), F(-1)),)),
+        MultiState(prob=F(0), sender=(F(1, 2), F(1)), receivers=((F(1, 2), F(2)),)),
+        MultiState(prob=third, sender=(F(0), F(2)), receivers=((F(1), F(1)),)),
+    )
+    inst = MultiAgentInstance(receivers=1, states=states)
+    reference = multi.solve_lp(inst, PaymentModel.BUDGET_BALANCED)
+    assert reference.scheme.distribution[2] == (F(1), F(0))
+    result = multi.solve_budget_balanced(inst)
+    assert result.via == "lp_support"
+    assert result.utility == reference.utility
+    assert multi.total_payments(result.scheme) == 0
+    assert multi.is_persuasive(inst, result.scheme)
+
+
 def test_zero_sum_arbitrary_charges_on_the_zero_branch():
     result = multi.solve_arbitrary(ZS_MULTI)
     assert result.utility == F(3, 2)

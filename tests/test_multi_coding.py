@@ -243,6 +243,8 @@ def oracle_solve_budget_balanced(inst):
             return scheme, "gamma_sweep", gamma
     distribution = ref.scheme.distribution
     for theta, row in enumerate(distribution):
+        if not inst.states[theta].prob:
+            continue  # the LP leaves a zero-mass state's row arbitrary
         values = [
             oracle_virtual_payoff(inst, theta, subset, gamma_star)
             for subset in range(inst.num_subsets)

@@ -296,3 +296,48 @@ def test_two_action_scheme_matches_the_fraction_oracle_on_any_prior(inst):
     result = single.canonical_two_action_scheme(inst, verify=False)
     assert (result.scheme, result.utility) == oracle_threshold_scheme(inst, F(2))
     assert _all_fractions(result.scheme)
+
+
+_share = st.sampled_from([ZERO, ZERO, F(1, 3), F(1, 2), ONE])
+
+
+@st.composite
+def _scheme_on_instance(draw):
+    """Any instance with a scheme whose payments tie, pass or miss its thresholds."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+    if not any(weights):
+        weights[0] = 1
+    total = sum(weights)
+    inst = PersuasionInstance(
+        actions=n,
+        states=tuple(
+            State(
+                F(w, total),
+                tuple(draw(_payoff) for _ in range(n)),
+                tuple(draw(_payoff) for _ in range(n)),
+            )
+            for w in weights
+        ),
+    )
+    rows = []
+    for _ in range(m):
+        shares = draw(st.lists(_share, min_size=n, max_size=n))
+        if not any(shares):
+            shares[draw(st.integers(0, n - 1))] = ONE
+        rows.append(tuple(v / sum(shares) for v in shares))
+    thresholds = model.payment_thresholds(inst, rows)
+    offsets = st.sampled_from([ZERO, ZERO, F(1, 4), F(-1, 4), F(-3)])
+    payments = tuple(t + draw(offsets) for t in thresholds)
+    return inst, SignalingScheme(distribution=tuple(rows), payments=payments)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_scheme_on_instance())
+def test_int_persuasiveness_matches_the_model(case):
+    # The sweep's own check against model.is_persuasive, the Fraction
+    # oracle, on payments at (tied with), above and below the thresholds.
+    inst, scheme = case
+    expected = model.is_persuasive(inst, scheme)
+    assert single._is_persuasive(single._coding(inst), scheme) == expected
