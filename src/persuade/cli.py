@@ -11,11 +11,13 @@ returned scheme, never taken from solver-internal booleans, and every
 flag is a check that reads "yes" on a correct answer.  Under the
 nonnegative and arbitrary models budget balance is no check (payments
 need not sum to zero there), so it is printed on a "properties:" line
-instead.  Exit codes: 0 success, 2 unreadable or invalid input
-(including a PERSUADE_SIZE_LIMIT that is not a positive integer), 3
-method or model precondition unmet, 4 a characterization failed its
-cross-check, 5 instance above the size cap, 6 a solver exceeded its
-iteration limit; "verify" exits 1 when any property fails.
+instead.  A fast solve's dual_certified reads yes once lp.check_fast_path
+accepts its answer and dual.  Exit codes: 0 success, 2 unreadable or
+invalid input (including a PERSUADE_SIZE_LIMIT that is not a positive
+integer), 3 method or model precondition unmet, 4 a characterization
+failed its check, 5 instance above the size cap, 6 a solver exceeded its
+iteration limit, 7 an answer failed its optimality certificate;
+"verify" exits 1 when any property fails.
 
 The multi-receiver, cutting-plane and verify modules are imported only
 by the commands that use them, so a single-receiver solve starts
@@ -31,7 +33,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import jsonio, model, single
+from . import jsonio, lp, model, single
 from .errors import (
     CertificateFailed,
     CharacterizationMismatch,
@@ -87,40 +89,37 @@ def _emit(lines) -> None:
 # solve
 
 
-def _single_fast(instance, payment_model: PaymentModel):
-    """Fast-path dispatch for single-receiver instances.
+def _lambda_section(dual) -> dict:
+    section = {"lambda": [[format_rational(v) for v in row] for row in dual.lam]}
+    value = dual.symmetric_value
+    if value is not None:
+        section["symmetric_lambda"] = format_rational(value)
+    return section
 
-    Returns (scheme, utility, dual section, extra report lines).
-    """
-    inst = instance.expanded if isinstance(instance, TypedInstance) else instance
+
+def _single_fast(instance, inst, payment_model: PaymentModel):
+    """Fast-path dispatch: (result, dual section, extra report lines)."""
     if payment_model is PaymentModel.ZERO:
         sweep = single.find_lambda_star(instance, cross_check=False)
         dual = {"symmetric_lambda": format_rational(sweep.lambda_star)}
-        extra = [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
-        return sweep.scheme, sweep.utility, dual, extra
+        return sweep, dual, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
     if payment_model is PaymentModel.ARBITRARY:
         if inst.actions == 2:
             result = single.canonical_two_action_scheme(instance, verify=False)
         else:
             result = single.canonical_symmetric_scheme(instance, verify=False)
-        value = result.dual.symmetric_value
-        dual = {
-            "lambda": [
-                [format_rational(v) for v in row] for row in result.dual.lam
-            ]
-        }
-        if value is not None:
-            dual["symmetric_lambda"] = format_rational(value)
-        return result.scheme, result.utility, dual, []
+        return result, _lambda_section(result.dual), []
     if payment_model is PaymentModel.NONNEGATIVE:
         outcome = single.nonnegative_dichotomy(instance, verify=False)
-        dual = {"symmetric_lambda": format_rational(outcome.lambda_star)}
+        result = outcome.result
+        dual = {"symmetric_lambda": format_rational(result.dual.symmetric_value)}
         extra = [
             f"dichotomy branch: {outcome.branch} "
-            f"(payment-free {format_rational(outcome.no_payment_utility)}, "
+            f"(smallest persuasive weight {format_rational(outcome.lambda_star)}; "
+            f"payment-free {format_rational(outcome.no_payment_utility)}, "
             f"with payments {format_rational(outcome.canonical_utility)})"
         ]
-        return outcome.result.scheme, outcome.result.utility, dual, extra
+        return result, dual, extra
     raise UnsupportedMethod(
         "no closed-form fast path for budget-balanced single-receiver "
         "instances; use --method lp"
@@ -130,39 +129,30 @@ def _single_fast(instance, payment_model: PaymentModel):
 def _solve_single(instance, payment_model, method, no_verify):
     inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
-    matches: Optional[bool] = None
+    certified: Optional[bool] = None
     if method == "lp":
         result = single.solve_optimal(instance, payment_model)
-        scheme, utility = result.scheme, result.utility
-        dual = {
-            "lambda": [
-                [format_rational(v) for v in row] for row in result.dual.lam
-            ]
-        }
-        value = result.dual.symmetric_value
-        if value is not None:
-            dual["symmetric_lambda"] = format_rational(value)
+        dual = _lambda_section(result.dual)
     elif method == "fast":
-        scheme, utility, dual, extra = _single_fast(instance, payment_model)
+        result, dual, extra = _single_fast(instance, inst, payment_model)
         if not no_verify:
-            reference = single.solve_optimal(instance, payment_model)
-            matches = reference.utility == utility
-            if not matches:
-                raise CharacterizationMismatch(
-                    f"fast-path utility {utility} != LP optimum "
-                    f"{reference.utility}"
-                )
+            claim = single.lift(
+                inst, payment_model, result.scheme, result.utility, result.dual
+            )
+            lp.check_fast_path(*claim, "fast-path utility")
+            certified = True
     else:
         raise UnsupportedMethod(
             "cutting-plane applies to multi-receiver instances only"
         )
+    scheme, utility = result.scheme, result.utility
 
     flags = {
         "persuasive": model.is_persuasive(inst, scheme),
         "budget_balanced": sum(scheme.payments, Fraction(0)) == 0,
     }
-    if matches is not None:
-        flags["fast_path_matches_lp"] = matches
+    if certified is not None:
+        flags["dual_certified"] = certified
 
     lines = [f"objective: {_rat(utility)}"] + extra
     lines.append("scheme:")
@@ -194,9 +184,8 @@ def _multi_dual_section(dual, gamma: Optional[Fraction]) -> dict:
     section = {}
     if gamma is not None:
         section["gamma_star"] = format_rational(gamma)
-    if dual is not None:
-        section["alpha"] = [format_rational(v) for v in dual.alpha]
-        section["beta"] = [format_rational(v) for v in dual.beta]
+    section["alpha"] = [format_rational(v) for v in dual.alpha]
+    section["beta"] = [format_rational(v) for v in dual.beta]
     return section
 
 
@@ -209,8 +198,7 @@ def _solve_multi(instance, payment_model, method, no_verify):
     from . import multi, reduction
 
     extra: list = []
-    matches: Optional[bool] = None
-    dual_ok: Optional[bool] = None
+    certified: Optional[bool] = None
     if method == "lp":
         result = multi.solve_lp(instance, payment_model)
         scheme, utility = result.scheme, result.utility
@@ -218,26 +206,21 @@ def _solve_multi(instance, payment_model, method, no_verify):
     elif method == "fast":
         if payment_model is PaymentModel.BUDGET_BALANCED:
             outcome = multi.solve_budget_balanced(instance)
-            scheme, utility = outcome.scheme, outcome.utility
             dual = _multi_dual_section(outcome.dual, outcome.gamma_star)
             extra = [f"scheme reconstruction: {outcome.via}"]
         elif payment_model is PaymentModel.ARBITRARY:
             outcome = multi.solve_arbitrary(instance)
-            scheme, utility = outcome.scheme, outcome.utility
             dual = {"gamma_star": "1"}
         else:
             raise UnsupportedMethod(
                 f"no closed-form fast path for the {payment_model.value} "
                 "model with multiple receivers; use --method lp"
             )
+        scheme, utility = outcome.scheme, outcome.utility
         if not no_verify:
-            reference = multi.solve_lp(instance, payment_model)
-            matches = reference.utility == utility
-            if not matches:
-                raise CharacterizationMismatch(
-                    f"fast-path utility {utility} != LP optimum "
-                    f"{reference.utility}"
-                )
+            claim = multi.lift(instance, payment_model, scheme, utility, outcome.dual)
+            lp.check_fast_path(*claim, "fast-path utility")
+            certified = True
     else:
         if payment_model is not PaymentModel.ZERO:
             raise UnsupportedMethod(
@@ -254,16 +237,14 @@ def _solve_multi(instance, payment_model, method, no_verify):
             f"{instance.num_states * instance.num_subsets} possible in "
             f"{outcome.rounds} rounds"
         ]
-        dual_ok = _recheck_cutting_dual(instance, outcome)
+        certified = _recheck_cutting_dual(instance, outcome)
 
     flags = {
         "persuasive": multi.is_persuasive(instance, scheme),
         "budget_balanced": multi.total_payments(scheme) == 0,
     }
-    if matches is not None:
-        flags["fast_path_matches_lp"] = matches
-    if dual_ok is not None:
-        flags["dual_certified"] = dual_ok
+    if certified is not None:
+        flags["dual_certified"] = certified
 
     lines = [f"objective: {_rat(utility)}"] + extra
     lines.append("scheme:")
@@ -483,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the LP cross-check of fast-path results",
+        help="skip certifying fast-path results on the full LP",
     )
     solve.set_defaults(func=cmd_solve)
 

@@ -26,6 +26,8 @@ in ints, but reads only the problem and the claimed pair, never the
 tableau or solve()'s row scaling, so it trusts nothing the solver did.
 certified_solve() is the one boundary the package solves through: it
 returns an optimum whose certificate holds or raises CertificateFailed.
+check_fast_path() checks a closed-form answer with its own dual, lifted
+to the full problem, and solves only where that dual fails.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from operator import itemgetter
 from typing import Optional
 
 from . import _pivot_py
-from .errors import CertificateFailed, IterationLimit
+from .errors import CertificateFailed, CharacterizationMismatch, IterationLimit
+from .rationals import over_common
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -566,12 +569,11 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     # x[j] = xs[j] / x_den; in max convention, duals ys[k] / y_den and
     # costs cs[j] / c_den.
     direction = 1 if problem.sense == "max" else -1
-    x_den = lcm(*[v.denominator for v in x])
-    xs = [v.numerator * (x_den // v.denominator) for v in x]
-    y_den = lcm(*[v.denominator for v in duals])
-    ys = [direction * v.numerator * (y_den // v.denominator) for v in duals]
-    c_den = lcm(*[c.denominator for c in problem.objective])
-    cs = [direction * c.numerator * (c_den // c.denominator) for c in problem.objective]
+    xs, x_den = over_common(x)
+    ys, y_den = over_common(duals)
+    cs, c_den = over_common(problem.objective)
+    if direction < 0:
+        ys, cs = [-v for v in ys], [-c for c in cs]
 
     for j, (lo, up) in enumerate(problem.bounds):
         if lo is not None and xs[j] * lo.denominator < lo.numerator * x_den:
@@ -660,18 +662,36 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     return failures
 
 
+def require_certificate(problem: LpProblem, solution: LpSolution) -> None:
+    """Raise CertificateFailed unless certify_report finds no fault in the pair."""
+    report = certify_report(problem, solution)
+    if report:
+        raise CertificateFailed("optimality certificate failed: " + "; ".join(report))
+
+
 def certified_solve(problem: LpProblem) -> LpSolution:
     """Solve, and return the answer only if certify_report finds no fault.
 
     Otherwise, a non-optimal status included, raise CertificateFailed.
     """
     solution = solve(problem)
-    report = certify_report(problem, solution)
-    if report:
-        raise CertificateFailed(
-            "optimality certificate failed: " + "; ".join(report)
-        )
+    require_certificate(problem, solution)
     return solution
+
+
+def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> None:
+    """Accept a claimed optimal pair that certifies, without solving.
+
+    A closed-form dual can fail where the claimed value is still optimal
+    (dual degeneracy); then the problem is solved once, and
+    CharacterizationMismatch is raised only when the values differ.
+    """
+    if certify_report(problem, claim):
+        reference = certified_solve(problem)
+        if reference.objective != claim.objective:
+            raise CharacterizationMismatch(
+                f"{what} {claim.objective} != LP optimum {reference.objective}"
+            )
 
 
 def certify(problem: LpProblem, solution: LpSolution) -> bool:

@@ -14,7 +14,9 @@ an optimal scheme recommends sets maximizing the sender payoff plus
 gamma* times the net marginal pull of the set (members' marginal utility
 for playing 1 minus outsiders' gain from switching to 1).  With
 unrestricted payments the weight is 1 and the rule maximizes total
-payoff.  Both are verified against the exact LP on every call.
+payoff.  The budget-balanced path solves the exact LP once for gamma*;
+the unrestricted one solves none, as alpha = beta = gamma = 1 certifies
+its answer on the full LP (lift).
 
 The LP build, the virtual-payoff argmax, the gamma grid and the scheme
 evaluations compute in ints: each call codes the instance with its
@@ -148,6 +150,7 @@ class ArbitraryResult:
     instance: MultiAgentInstance
     scheme: MultiAgentScheme
     utility: Fraction
+    dual: MultiDual  # alpha = beta = gamma = 1, which certifies it (see lift)
 
 
 @dataclass(frozen=True)
@@ -523,6 +526,29 @@ def solve_lp(
     )
 
 
+def lift(
+    instance: MultiAgentInstance,
+    payment_model: PaymentModel,
+    scheme: MultiAgentScheme,
+    utility: Fraction,
+    dual: MultiDual,
+) -> tuple:
+    """build_lp_binary's LP, and a fast path's answer claimed as its optimum.
+
+    The rows carry -alpha, beta, y and, under budget balance, gamma - 1:
+    solve_lp's read-out undone.
+    """
+    problem, _ = build_lp_binary(instance, payment_model)
+    primal = [p for row in scheme.distribution for p in row]
+    if payment_model is not PaymentModel.ZERO:
+        primal += scheme.q_one + scheme.q_zero
+    duals = [-a for a in dual.alpha] + list(dual.beta) + list(dual.y)
+    if payment_model is PaymentModel.BUDGET_BALANCED:
+        duals.append(dual.gamma - ONE)
+    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
+    return problem, claim
+
+
 # ---------------------------------------------------------------------------
 # Characterized fast paths
 
@@ -717,8 +743,8 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     recommending it, counting members' marginals and outsiders'
     forgone switches.  The cheapest incentive-compatible payments for
     the resulting allocation are Q_i(1) = -follow_one_i and
-    Q_i(0) = switch_zero_i; the achieved value is asserted against the
-    LP, and any argmax tie-break yields the same value.
+    Q_i(0) = switch_zero_i, and any argmax tie-break yields the same
+    value, certified on the LP by alpha = beta = gamma = 1 (see lift).
     """
     model.ensure_valid(instance)
     code = _coding(instance)
@@ -730,12 +756,13 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
         q_zero=tuple([Fraction(v, den) for v in switch_zero]),
     )
     utility = Fraction(sender + sum(follow_one) - sum(switch_zero), den)
-    ref = solve_lp(instance, PaymentModel.ARBITRARY)
-    if utility != ref.utility:
-        raise CharacterizationMismatch(
-            f"total-payoff scheme value {utility} != LP optimum {ref.utility}"
-        )
-    return ArbitraryResult(instance=instance, scheme=scheme, utility=utility)
+    ones = (ONE,) * instance.receivers
+    values = _virtual_values(code, ONE)
+    y = tuple([Fraction(m * max(v), code.unit) for m, v in zip(code.mass, values)])
+    dual = MultiDual(alpha=ones, beta=ones, gamma=ONE, y=y)
+    claim = lift(instance, PaymentModel.ARBITRARY, scheme, utility, dual)
+    lp.check_fast_path(*claim, "total-payoff scheme value")
+    return ArbitraryResult(instance=instance, scheme=scheme, utility=utility, dual=dual)
 
 
 def recover_payments(

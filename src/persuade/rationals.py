@@ -4,14 +4,15 @@ Every value the package returns is a fractions.Fraction, which keeps
 values in lowest terms with a positive denominator.  JSON carries numbers
 as strings ("3/4", "-1/16", "0.25") or plain integers; binary floats are
 rejected so no rounding can sneak in.  The solvers compute in ints over
-common denominators; shared_fractions turns such ints back into
-Fractions, and breakpoint_grid builds the candidate grid of their
-scalar-weight sweeps.
+common denominators: over_common brings Fractions to such ints,
+shared_fractions turns such ints back into Fractions, and
+breakpoint_grid builds the candidate grid of their scalar-weight sweeps.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import MalformedRational
 
@@ -51,6 +52,12 @@ def format_rational(value: Fraction) -> str:
 def as_float_repr(value: Fraction) -> str:
     """Best-effort decimal rendering for display next to the exact form."""
     return f"{float(value):.12g}"
+
+
+def over_common(values) -> tuple:
+    """values as ints over their least common denominator, and that denominator."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def shared_fractions(den: int):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Optional, Sequence
 
 from . import lp, model, multi
@@ -37,18 +36,12 @@ from .errors import (
 )
 from .model import MultiAgentInstance, MultiAgentScheme
 from .multi import _marginal
-from .rationals import shared_fractions
+from .rationals import over_common, shared_fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SetFunctionOracle = Callable[[int, Sequence[Fraction]], tuple]
-
-
-def _over_common(values) -> tuple:
-    """values as ints over their least common denominator, and that denominator."""
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +305,7 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
         if any(a < 0 for a in alpha):
             raise ValueError("weights must be non-negative")
         # The objective over a_den * D, in ints.
-        weights, a_den = _over_common(alpha)
+        weights, a_den = over_common(alpha)
         values = [a_den * f for f in code.sender[theta]]
         for i, (w, g) in enumerate(zip(weights, code.gain[theta])):
             if w:
@@ -376,36 +369,6 @@ def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
     )
 
 
-def _restricted_primal(code: multi._Coding, rows) -> lp.LpProblem:
-    n, m = code.receivers, len(code.mass)
-    over_unit = shared_fractions(code.unit)
-    objective = [over_unit(code.mass[t] * code.sender[t][subset]) for t, subset in rows]
-    constraints = []
-    for i in range(n):
-        coeffs = []
-        for k, (t, subset) in enumerate(rows):
-            if (subset >> i) & 1:
-                g = code.mass[t] * code.gain[t][i][subset]
-                if g:
-                    coeffs.append((k, over_unit(g)))
-        constraints.append(
-            lp.LinearConstraint(
-                coeffs=tuple(coeffs), rel=lp.GE, rhs=ZERO, name=f"follow1[{i}]"
-            )
-        )
-    for t in range(m):
-        coeffs = tuple([(k, ONE) for k, (tk, _) in enumerate(rows) if tk == t])
-        constraints.append(
-            lp.LinearConstraint(coeffs=coeffs, rel=lp.EQ, rhs=ONE, name=f"dist[{t}]")
-        )
-    return lp.LpProblem(
-        sense="max",
-        objective=tuple(objective),
-        bounds=tuple([(ZERO, None)] * len(rows)),
-        constraints=tuple(constraints),
-    )
-
-
 def cutting_plane_solve(
     instance: MultiAgentInstance, oracle: Optional[SetFunctionOracle] = None
 ) -> CuttingPlaneResult:
@@ -417,10 +380,11 @@ def cutting_plane_solve(
     per state each round; a returned row is added only when it is
     exactly violated.  When no violations remain the restricted
     optimum is optimal for the reduced program; the recommendation
-    distribution is recovered by re-solving the restricted program
-    over the generated sets, then repaired into a solution of the full
-    program.  The final multipliers are checked against every subset
-    row exhaustively; any violation there, or an oracle value that
+    distribution is read from that solve's certified duals, one per
+    generated row (the restricted program over the generated sets is
+    its LP dual), then repaired into a solution of the full program.
+    The final multipliers are checked against every subset row
+    exhaustively; any violation there, or an oracle value that
     disagrees with direct evaluation, raises OracleUnsound.
     """
     _require_reducible(instance)
@@ -474,7 +438,7 @@ def cutting_plane_solve(
 
     # Every row in ints, times the multipliers' common denominator and
     # code.unit.
-    multipliers, den = _over_common(alpha + y)
+    multipliers, den = over_common(alpha + y)
     weights = multipliers[:n]
     for t, (mass, sender, gains) in enumerate(zip(code.mass, code.sender, code.gain)):
         value = multipliers[n + t] * code.unit
@@ -489,12 +453,11 @@ def cutting_plane_solve(
                     f"in state {t}; the oracle never reported it"
                 )
 
-    primal_solution = lp.certified_solve(_restricted_primal(code, rows))
-    if primal_solution.objective != objective:
-        raise CertificateFailed("restricted primal and dual optima differ")
+    # The restricted primal is the last restricted dual's LP dual, so that
+    # solve's certified duals, one per generated row, are its optimum.
     dist = [[ZERO] * nsub for _ in range(m)]
-    for k, (t, subset) in enumerate(rows):
-        dist[t][subset] += primal_solution.primal[k]
+    for (t, subset), x in zip(rows, solution.dual):
+        dist[t][subset] = x
     zeros = (ZERO,) * n
     scheme = MultiAgentScheme(
         distribution=tuple(tuple(row) for row in dist),

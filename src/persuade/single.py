@@ -19,8 +19,9 @@ For action-symmetric instances the dual collapses to a single scalar
 lambda and the optimizer of sender payoff + n*lambda*receiver payoff
 (ties uniform) is optimal: at the smallest persuasive lambda for the
 no-payment model, and at lambda = 1/(n-1) with threshold payments for
-free payments.  Those fast paths are implemented here and cross-checked
-against the LP.  Under that scalar dual a scheme that treats the actions
+free payments.  Those fast paths are implemented here, and that scalar,
+lifted to the full LP (lift), certifies their answers there.  Under
+that scalar dual a scheme that treats the actions
 alike is persuasive exactly when its follow payoff (the receiver's
 expected payoff from following) reaches the unconditional expected
 payoff of one action, so the lambda sweep tests each candidate with that
@@ -49,7 +50,7 @@ from .model import (
     SignalingScheme,
     TypedInstance,
 )
-from .rationals import breakpoint_grid, shared_fractions
+from .rationals import breakpoint_grid, over_common, shared_fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -76,15 +77,6 @@ class SingleVarMap:
         if i == j:
             raise ValueError("no follow row for i == j")
         return i * (self.actions - 1) + (j if j < i else j - 1)
-
-    def simplex_row(self, theta: int) -> int:
-        return self.actions * (self.actions - 1) + theta
-
-    @property
-    def budget_row(self) -> Optional[int]:
-        if self.payment_model is not PaymentModel.BUDGET_BALANCED:
-            return None
-        return self.actions * (self.actions - 1) + self.num_states
 
 
 @dataclass(frozen=True)
@@ -124,13 +116,18 @@ class LambdaStarResult:
     utility: Fraction
     candidates: tuple
 
+    @property
+    def dual(self) -> SingleDual:
+        """lambda_star on every follow row: the dual that certifies the scheme."""
+        return _constant_dual(len(self.scheme.payments), self.lambda_star)
+
 
 @dataclass(frozen=True)
 class DichotomyResult:
     """Winner of the two non-negative-payment candidates."""
 
     branch: str  # "no_payment" or "canonical_payment"
-    result: SingleResult
+    result: SingleResult  # its dual: lambda_star or 1/(n-1), by branch
     lambda_star: Fraction
     no_payment_utility: Fraction
     canonical_utility: Fraction
@@ -234,12 +231,7 @@ def solve_optimal(
 ) -> SingleResult:
     """Solve the LP to exact optimality and attach the certified dual."""
     inst = _as_instance(instance)
-    return _solve_optimal(inst, payment_model, _coding(inst))
-
-
-def _solve_optimal(
-    inst: PersuasionInstance, payment_model: PaymentModel, code: _Coding
-) -> SingleResult:
+    code = _coding(inst)
     if inst.actions == 1 and payment_model is PaymentModel.ARBITRARY:
         # With no alternative action there is no obedience constraint to
         # price, so an unrestricted charge makes the LP unbounded.
@@ -348,34 +340,40 @@ def verify_support_optimality(
     return _verify_support_optimality(_coding(instance), scheme, dual)
 
 
+def _adjusted(code: _Coding, dual: SingleDual) -> tuple:
+    """Sender plus dual-adjusted payoff of every action in every state.
+
+    Returns (values, lam, lam_den), values and multipliers as ints times
+    lam_den, the values also times the coding's D.
+    """
+    n = code.actions
+    flat, lam_den = over_common([v for row in dual.lam for v in row])
+    lam = [flat[i * n : i * n + n] for i in range(n)]
+    values = [
+        [
+            lam_den * s + sum(w * (r - r_j) for w, r_j in zip(row, receiver))
+            for s, r, row in zip(sender, receiver, lam)
+        ]
+        for sender, receiver in zip(code.sender, code.receiver)
+    ]
+    return values, lam, lam_den
+
+
 def _verify_support_optimality(
     code: _Coding, scheme: SignalingScheme, dual: SingleDual
 ) -> bool:
     n = code.actions
-    lam_den = lcm(*[v.denominator for row in dual.lam for v in row])
-    # Per action i, its nonzero multipliers (j, lam[i][j] * lam_den).
-    priced = [
-        [(j, v.numerator * (lam_den // v.denominator)) for j, v in enumerate(row) if v]
-        for row in dual.lam
-    ]
+    values, lam, _ = _adjusted(code, dual)
     dist = scheme.distribution
-    for mass, sender, receiver, row in zip(code.mass, code.sender, code.receiver, dist):
-        if mass:
-            # Sender plus dual-adjusted payoff, times code's D and lam_den;
-            # a diagonal multiplier adds 0.
-            values = [
-                lam_den * sender[i]
-                + sum(v * (receiver[i] - receiver[j]) for j, v in pairs)
-                for i, pairs in enumerate(priced)
-            ]
-            best = max(values)
-            if any(p and v != best for p, v in zip(row, values)):
-                return False
+    for mass, state_values, row in zip(code.mass, values, dist):
+        best = max(state_values)
+        if mass and any(p and v != best for p, v in zip(row, state_values)):
+            return False
 
     # Tight rows: X[i][i] + P[i] == X[i][j], X over code.unit * d_den.
     d_den = lcm(*[v.denominator for row in dist for v in row])
-    for i, pairs in enumerate(priced):
-        if not pairs:
+    for i, multipliers in enumerate(lam):
+        if not any(multipliers):
             continue
         cross = [0] * n
         for mass, receiver, row in zip(code.mass, code.receiver, dist):
@@ -384,8 +382,8 @@ def _verify_support_optimality(
                 cross[j] += w * receiver[j]
         pay = scheme.payments[i]
         pay_int = pay.numerator * code.unit * d_den
-        for j, _ in pairs:
-            if j != i and (cross[i] - cross[j]) * pay.denominator + pay_int:
+        for j, w in enumerate(multipliers):
+            if w and j != i and (cross[i] - cross[j]) * pay.denominator + pay_int:
                 return False
     return True
 
@@ -679,20 +677,15 @@ def find_lambda_star(
     persuasiveness allows.  The uniform scheme is returned whenever it
     is persuasive and no such mixture beats it.  The sweep runs in ints
     over one common denominator; the returned scheme is checked for
-    persuasiveness there too.  With cross_check the utility is compared
-    against the LP optimum.
+    persuasiveness there too.  With cross_check the answer is certified
+    on the zero-payment LP by lambda_star on every follow row (see lift).
     """
     inst = _as_instance(instance)
     _require_symmetric(instance, inst, "scalar-lambda sweep")
-    code = _coding(inst)
-    sweep = _sweep(code)
+    sweep = _sweep(_coding(inst))
     if cross_check:
-        reference = _solve_optimal(inst, PaymentModel.ZERO, code)
-        if reference.utility != sweep.utility:
-            raise CharacterizationMismatch(
-                f"lambda sweep utility {sweep.utility} != LP optimum "
-                f"{reference.utility}"
-            )
+        claim = lift(inst, PaymentModel.ZERO, sweep.scheme, sweep.utility, sweep.dual)
+        lp.check_fast_path(*claim, "lambda sweep utility")
     return sweep
 
 
@@ -701,6 +694,30 @@ def _constant_dual(n: int, value: Fraction) -> SingleDual:
         tuple(value if i != j else ZERO for j in range(n)) for i in range(n)
     )
     return SingleDual(lam=lam)
+
+
+def lift(
+    inst: PersuasionInstance,
+    payment_model: PaymentModel,
+    scheme: SignalingScheme,
+    utility: Fraction,
+    dual: SingleDual,
+) -> tuple:
+    """build_lp's LP (no budget row), and a fast path's answer claimed as its optimum.
+
+    Follow row (i, j) carries -lam[i][j] and state t's simplex row
+    mass_t * max_i (s_i + sum_j lam[i][j] (r_i - r_j)), computed in ints.
+    """
+    code = _coding(inst)
+    problem, _ = _build_lp(inst, payment_model, code)
+    values, _, lam_den = _adjusted(code, dual)
+    y = [Fraction(m * max(v), code.unit * lam_den) for m, v in zip(code.mass, values)]
+    follow = [-v for i, row in enumerate(dual.lam) for j, v in enumerate(row) if i != j]
+    primal = [p for row in scheme.distribution for p in row]
+    if payment_model is not PaymentModel.ZERO:
+        primal += scheme.payments
+    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(follow + y), 0)
+    return problem, claim
 
 
 def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
@@ -720,13 +737,26 @@ def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
     return _uniform_rows(sets, n), thresholds, gross, code.unit * scale
 
 
-def _threshold_scheme(code: _Coding, weight: Fraction) -> tuple:
-    rows, thresholds, gross, unit = _threshold_parts(code, weight)
+def _canonical(inst: PersuasionInstance, verify: bool, what: str) -> SingleResult:
+    """Argmax of s + (n/(n-1)) r with threshold payments, and its dual 1/(n-1)."""
+    n = inst.actions
+    rows, thresholds, gross, unit = _threshold_parts(_coding(inst), Fraction(n, n - 1))
     scheme = SignalingScheme(
         distribution=rows,
         payments=tuple(Fraction(t, unit) for t in thresholds),
     )
-    return scheme, Fraction(gross - sum(thresholds), unit)
+    utility = Fraction(gross - sum(thresholds), unit)
+    dual = _constant_dual(n, Fraction(1, n - 1))
+    if verify:
+        claim = lift(inst, PaymentModel.ARBITRARY, scheme, utility, dual)
+        lp.check_fast_path(*claim, what)
+    return SingleResult(
+        instance=inst,
+        payment_model=PaymentModel.ARBITRARY,
+        scheme=scheme,
+        utility=utility,
+        dual=dual,
+    )
 
 
 def canonical_two_action_scheme(
@@ -737,30 +767,16 @@ def canonical_two_action_scheme(
     """Free-payment optimum for two actions, any prior.
 
     Recommends argmax of s + 2r (ties uniform) and charges threshold
-    payments.  With verify the utility is compared against the LP.
+    payments: the symmetric fast path at n = 2, where no symmetry is
+    needed.  With verify the answer is certified on the LP by the dual 1
+    on both follow rows (see lift).
     """
     inst = _as_instance(instance)
     if inst.actions != 2:
         raise WrongActionCount(
             f"two-action fast path got {inst.actions} actions"
         )
-    code = _coding(inst)
-    scheme, utility = _threshold_scheme(code, Fraction(2))
-    result = SingleResult(
-        instance=inst,
-        payment_model=PaymentModel.ARBITRARY,
-        scheme=scheme,
-        utility=utility,
-        dual=_constant_dual(2, ONE),
-    )
-    if verify:
-        reference = _solve_optimal(inst, PaymentModel.ARBITRARY, code)
-        if reference.utility != utility:
-            raise CharacterizationMismatch(
-                f"two-action scheme utility {utility} != LP optimum "
-                f"{reference.utility}"
-            )
-    return result
+    return _canonical(inst, verify, "two-action scheme utility")
 
 
 def canonical_symmetric_scheme(
@@ -773,30 +789,14 @@ def canonical_symmetric_scheme(
     Recommends argmax of s + (n/(n-1)) r (the scalar dual is 1/(n-1))
     with threshold payments.  Action symmetry makes every follow row
     tight under those payments, which is what lets the single scalar
-    certify optimality.
+    certify optimality; with verify it does, on the LP (see lift).
     """
     inst = _as_instance(instance)
     n = inst.actions
     if n < 2:
         raise WrongActionCount("symmetric fast path needs at least two actions")
     _require_symmetric(instance, inst, "symmetric fast path")
-    code = _coding(inst)
-    scheme, utility = _threshold_scheme(code, Fraction(n, n - 1))
-    result = SingleResult(
-        instance=inst,
-        payment_model=PaymentModel.ARBITRARY,
-        scheme=scheme,
-        utility=utility,
-        dual=_constant_dual(n, Fraction(1, n - 1)),
-    )
-    if verify:
-        reference = _solve_optimal(inst, PaymentModel.ARBITRARY, code)
-        if reference.utility != utility:
-            raise CharacterizationMismatch(
-                f"symmetric scheme utility {utility} != LP optimum "
-                f"{reference.utility}"
-            )
-    return result
+    return _canonical(inst, verify, "symmetric scheme utility")
 
 
 def nonnegative_dichotomy(
@@ -809,7 +809,7 @@ def nonnegative_dichotomy(
     Either the zero-payment optimum (payments identically 0) or the
     canonical symmetric scheme with its thresholds clipped at zero wins;
     ties go to the payment-free branch.  With verify the winner is
-    compared against the LP optimum.
+    certified on the LP by its branch's scalar dual (see lift).
     """
     inst = _as_instance(instance)
     n = inst.actions
@@ -828,24 +828,21 @@ def nonnegative_dichotomy(
 
     if sweep.utility >= paid_utility:
         branch = "no_payment"
-        scheme, utility = sweep.scheme, sweep.utility
+        scheme, utility, dual = sweep.scheme, sweep.utility, sweep.dual
     else:
         branch = "canonical_payment"
         scheme, utility = paid_scheme, paid_utility
+        dual = _constant_dual(n, Fraction(1, n - 1))
 
     if verify:
-        reference = _solve_optimal(inst, PaymentModel.NONNEGATIVE, code)
-        if reference.utility != utility:
-            raise CharacterizationMismatch(
-                f"dichotomy winner utility {utility} != LP optimum "
-                f"{reference.utility}"
-            )
+        claim = lift(inst, PaymentModel.NONNEGATIVE, scheme, utility, dual)
+        lp.check_fast_path(*claim, "dichotomy winner utility")
     result = SingleResult(
         instance=inst,
         payment_model=PaymentModel.NONNEGATIVE,
         scheme=scheme,
         utility=utility,
-        dual=None,
+        dual=dual,
     )
     return DichotomyResult(
         branch=branch,

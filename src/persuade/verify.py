@@ -1,7 +1,7 @@
 """Seeded verification campaigns over the solver characterizations.
 
 Each property draws deterministic random instances, runs the fast
-construction under test with its internal cross-check disabled, and
+construction under test with its own certificate check disabled, and
 compares against the exact LP independently, so the reported outcome is
 re-derived rather than trusted.  Campaigns return structured reports
 with any failing seeds and their instances attached; the command line

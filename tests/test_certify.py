@@ -6,7 +6,8 @@ reduced cost, objective value and dual-adjusted payoff a Fraction.  The
 package makes the same checks in ints over common denominators.  On
 every pair, honest or tampered, both must return the same verdict and
 the identical list of failure messages.  The solve boundary
-lp.certified_solve raises CertificateFailed, and no statement in the
+lp.certified_solve raises CertificateFailed, as does a fast path whose
+lifted dual fails and whose fallback solve does, and no statement in the
 package is an assert that python -O would strip.
 """
 
@@ -464,11 +465,21 @@ _UNDER_O = textwrap.dedent(
         return replace(solution, objective=solution.objective + 1)
 
     lp.solve = nudged
+    # A lifted dual that fails sends the fast path to the nudged solve.
+    lift = single.lift
+
+    def failing_lift(*args):
+        problem, claim = lift(*args)
+        return problem, replace(claim, dual=None)
+
+    single.lift = failing_lift
     single_inst = model.random_instance(2, actions=3, states=3)
     multi_inst = model.random_multi_instance(2, receivers=2, states=3)
+    typed = model.random_instance(2, actions=3, symmetric=True, types=2)
     for name, call in (
         ("single", lambda: single.solve_optimal(single_inst, PaymentModel.ZERO)),
         ("multi", lambda: multi.solve_lp(multi_inst, PaymentModel.ZERO)),
+        ("fast", lambda: single.canonical_symmetric_scheme(typed)),
     ):
         try:
             call()
@@ -491,9 +502,10 @@ def test_certificate_survives_python_O():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == [
+    assert done.stdout.split("\n")[:3] == [
         "single raised CertificateFailed",
         "multi raised CertificateFailed",
+        "fast raised CertificateFailed",
     ]
 
 

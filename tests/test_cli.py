@@ -54,7 +54,7 @@ def test_solve_fast_arbitrary_reports_canonical_value(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "objective: 9/8" in out
-    assert "fast_path_matches_lp=yes" in out
+    assert "dual_certified=yes" in out
     assert "persuasive=yes" in out
 
 
@@ -204,7 +204,7 @@ def test_fast_solve_expands_a_typed_instance_once(
     monkeypatch.setattr(model, "expand_typed", counting)
     code = cli.main(["solve", path, "--model", payment_model, "--method", "fast"])
     assert code == 0
-    assert "fast_path_matches_lp=yes" in capsys.readouterr().out
+    assert "dual_certified=yes" in capsys.readouterr().out
     assert len(calls) == 1
 
 
@@ -359,7 +359,7 @@ def test_no_verify_skips_the_cross_check(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "fast_path_matches_lp" not in out
+    assert "dual_certified" not in out
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):
