@@ -6,18 +6,22 @@ human-readable report, and writes the scheme JSON; "examples" writes
 the built-in instances to disk; "verify" runs the seeded property
 campaigns and reports a pass/fail table.
 
-Every verification flag in the solve report is recomputed from the
-returned scheme, never taken from solver-internal booleans, and every
-flag is a check that reads "yes" on a correct answer.  Under the
-nonnegative and arbitrary models budget balance is no check (payments
-need not sum to zero there), so it is printed on a "properties:" line
-instead.  A fast solve's dual_certified reads yes once lp.check_fast_path
-accepts its answer and dual.  Exit codes: 0 success, 2 unreadable or
-invalid input (including a PERSUADE_SIZE_LIMIT that is not a positive
-integer), 3 method or model precondition unmet, 4 a characterization
-failed its check, 5 instance above the size cap, 6 a solver exceeded its
-iteration limit, 7 an answer failed its optimality certificate;
-"verify" exits 1 when any property fails.
+Every flag in the solve report is a check that reads "yes" on a correct
+answer.  persuasive and budget_balanced are recomputed from the returned
+scheme.  Under the nonnegative and arbitrary models budget balance is no
+check (payments need not sum to zero there), so it is printed on a
+"properties:" line instead.  Each fast-path answer is certified once, by
+the function that makes it, with its dual on the full LP, and the CLI
+does not check it again: a fast solve's dual_certified reads yes when
+the fast path returned with verification on.  --no-verify turns the
+single-receiver fast paths' certificate off (the multi-receiver ones
+always certify) and drops the flag.  A cutting-plane solve's
+dual_certified is re-derived from its returned dual.  Exit codes: 0
+success, 2 unreadable or invalid input (including a PERSUADE_SIZE_LIMIT
+that is not a positive integer), 3 method or model precondition unmet,
+4 a characterization failed its check, 5 instance above the size cap, 6
+a solver exceeded its iteration limit, 7 an answer failed its optimality
+certificate; "verify" exits 1 when any property fails.
 
 The multi-receiver, cutting-plane and verify modules are imported only
 by the commands that use them, so a single-receiver solve starts
@@ -33,7 +37,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import jsonio, lp, model, single
+from . import jsonio, model, single
 from .errors import (
     CertificateFailed,
     CharacterizationMismatch,
@@ -97,20 +101,20 @@ def _lambda_section(dual) -> dict:
     return section
 
 
-def _single_fast(instance, inst, payment_model: PaymentModel):
+def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
     """Fast-path dispatch: (result, dual section, extra report lines)."""
     if payment_model is PaymentModel.ZERO:
-        sweep = single.find_lambda_star(instance, cross_check=False)
+        sweep = single.find_lambda_star(instance, cross_check=verify)
         dual = {"symmetric_lambda": format_rational(sweep.lambda_star)}
         return sweep, dual, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
     if payment_model is PaymentModel.ARBITRARY:
         if inst.actions == 2:
-            result = single.canonical_two_action_scheme(instance, verify=False)
+            result = single.canonical_two_action_scheme(instance, verify=verify)
         else:
-            result = single.canonical_symmetric_scheme(instance, verify=False)
+            result = single.canonical_symmetric_scheme(instance, verify=verify)
         return result, _lambda_section(result.dual), []
     if payment_model is PaymentModel.NONNEGATIVE:
-        outcome = single.nonnegative_dichotomy(instance, verify=False)
+        outcome = single.nonnegative_dichotomy(instance, verify=verify)
         result = outcome.result
         dual = {"symmetric_lambda": format_rational(result.dual.symmetric_value)}
         extra = [
@@ -134,12 +138,10 @@ def _solve_single(instance, payment_model, method, no_verify):
         result = single.solve_optimal(instance, payment_model)
         dual = _lambda_section(result.dual)
     elif method == "fast":
-        result, dual, extra = _single_fast(instance, inst, payment_model)
+        result, dual, extra = _single_fast(
+            instance, inst, payment_model, verify=not no_verify
+        )
         if not no_verify:
-            claim = single.lift(
-                inst, payment_model, result.scheme, result.utility, result.dual
-            )
-            lp.check_fast_path(*claim, "fast-path utility")
             certified = True
     else:
         raise UnsupportedMethod(
@@ -180,10 +182,10 @@ def _solve_single(instance, payment_model, method, no_verify):
     return doc, lines, flags
 
 
-def _multi_dual_section(dual, gamma: Optional[Fraction]) -> dict:
+def _multi_dual_section(dual) -> dict:
     section = {}
-    if gamma is not None:
-        section["gamma_star"] = format_rational(gamma)
+    if dual.gamma is not None:
+        section["gamma_star"] = format_rational(dual.gamma)
     section["alpha"] = [format_rational(v) for v in dual.alpha]
     section["beta"] = [format_rational(v) for v in dual.beta]
     return section
@@ -202,12 +204,15 @@ def _solve_multi(instance, payment_model, method, no_verify):
     if method == "lp":
         result = multi.solve_lp(instance, payment_model)
         scheme, utility = result.scheme, result.utility
-        dual = _multi_dual_section(result.dual, result.dual.gamma)
+        dual = _multi_dual_section(result.dual)
     elif method == "fast":
         if payment_model is PaymentModel.BUDGET_BALANCED:
             outcome = multi.solve_budget_balanced(instance)
-            dual = _multi_dual_section(outcome.dual, outcome.gamma_star)
-            extra = [f"scheme reconstruction: {outcome.via}"]
+            dual = _multi_dual_section(outcome.dual)
+            via = outcome.via
+            if via == "gamma_sweep":
+                via += f" at gamma {format_rational(outcome.gamma_star)}"
+            extra = [f"scheme reconstruction: {via}"]
         elif payment_model is PaymentModel.ARBITRARY:
             outcome = multi.solve_arbitrary(instance)
             dual = {"gamma_star": "1"}
@@ -218,8 +223,6 @@ def _solve_multi(instance, payment_model, method, no_verify):
             )
         scheme, utility = outcome.scheme, outcome.utility
         if not no_verify:
-            claim = multi.lift(instance, payment_model, scheme, utility, outcome.dual)
-            lp.check_fast_path(*claim, "fast-path utility")
             certified = True
     else:
         if payment_model is not PaymentModel.ZERO:
@@ -464,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip certifying fast-path results on the full LP",
+        help=(
+            "skip certifying single-receiver fast-path results on the full "
+            "LP and omit dual_certified"
+        ),
     )
     solve.set_defaults(func=cmd_solve)
 

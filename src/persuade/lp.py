@@ -27,14 +27,15 @@ tableau or solve()'s row scaling, so it trusts nothing the solver did.
 certified_solve() is the one boundary the package solves through: it
 returns an optimum whose certificate holds or raises CertificateFailed.
 check_fast_path() checks a closed-form answer with its own dual, lifted
-to the full problem, and solves only where that dual fails.
+to the full problem, and solves only where that dual fails;
+require_claim() checks an answer against a dual already in hand.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -679,12 +680,27 @@ def certified_solve(problem: LpProblem) -> LpSolution:
     return solution
 
 
+def require_claim(problem: LpProblem, claim: LpSolution, what: str) -> None:
+    """Raise CharacterizationMismatch unless certify_report accepts the claim.
+
+    For an answer a fast path derived, where a failed certificate means
+    the derivation, not the solver, is wrong.
+    """
+    report = certify_report(problem, claim)
+    if report:
+        raise CharacterizationMismatch(
+            f"{what} fails its certificate: " + "; ".join(report)
+        )
+
+
 def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> None:
     """Accept a claimed optimal pair that certifies, without solving.
 
-    A closed-form dual can fail where the claimed value is still optimal
-    (dual degeneracy); then the problem is solved once, and
-    CharacterizationMismatch is raised only when the values differ.
+    A closed-form dual can fail where the claimed primal is still optimal
+    (dual degeneracy); then the problem is solved once.  The claimed
+    value must equal the optimum, and the claimed primal must certify
+    with the solved dual, as every optimal primal does; otherwise
+    CharacterizationMismatch is raised.
     """
     if certify_report(problem, claim):
         reference = certified_solve(problem)
@@ -692,6 +708,7 @@ def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> None:
             raise CharacterizationMismatch(
                 f"{what} {claim.objective} != LP optimum {reference.objective}"
             )
+        require_claim(problem, replace(claim, dual=reference.dual), what)
 
 
 def certify(problem: LpProblem, solution: LpSolution) -> bool:

@@ -14,9 +14,10 @@ an optimal scheme recommends sets maximizing the sender payoff plus
 gamma* times the net marginal pull of the set (members' marginal utility
 for playing 1 minus outsiders' gain from switching to 1).  With
 unrestricted payments the weight is 1 and the rule maximizes total
-payoff.  The budget-balanced path solves the exact LP once for gamma*;
-the unrestricted one solves none, as alpha = beta = gamma = 1 certifies
-its answer on the full LP (lift).
+payoff.  The budget-balanced path solves the exact LP once for gamma*,
+and that LP's dual certifies the reconstructed scheme; the unrestricted
+one solves none, as alpha = beta = gamma = 1 certifies its answer on the
+full LP (lift).
 
 The LP build, the virtual-payoff argmax, the gamma grid and the scheme
 evaluations compute in ints: each call codes the instance with its
@@ -27,14 +28,13 @@ become Fractions.  The gamma sweep tries each distinct allocation once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from . import lp, model
 from .errors import (
-    CharacterizationMismatch,
     InconsistentPayments,
     SizeLimitExceeded,
 )
@@ -131,8 +131,10 @@ class BudgetBalancedResult:
     via records how the scheme was reconstructed: "argmax" for the
     deterministic argmax allocation at the dual's gamma*, "gamma_sweep"
     for a deterministic allocation found at a swept candidate gamma, and
-    "lp_support" for the LP scheme verified to randomize only among
-    virtual-payoff-maximal sets.
+    "lp_support" for the LP scheme itself.  gamma_star is the weight the
+    allocation was found at: the swept gamma on "gamma_sweep", the LP's
+    gamma* (dual.gamma) otherwise.  dual, the LP's, certifies the scheme
+    on every route.
     """
 
     instance: MultiAgentInstance
@@ -342,8 +344,9 @@ def incentive_totals(instance: MultiAgentInstance, distribution) -> tuple:
     )
 
 
-def _is_persuasive(code: _Coding, scheme: MultiAgentScheme) -> bool:
-    _, follow_one, switch_zero, den = _evaluate(code, scheme.distribution)
+def is_persuasive(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> bool:
+    """Whether both incentive families hold given the expected payments."""
+    _, follow_one, switch_zero, den = _evaluate(_coding(instance), scheme.distribution)
     return all(
         f * q1.denominator + q1.numerator * den >= 0
         and s * q0.denominator - q0.numerator * den <= 0
@@ -353,19 +356,10 @@ def _is_persuasive(code: _Coding, scheme: MultiAgentScheme) -> bool:
     )
 
 
-def is_persuasive(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> bool:
-    """Whether both incentive families hold given the expected payments."""
-    return _is_persuasive(_coding(instance), scheme)
-
-
-def _sender_value(code: _Coding, scheme: MultiAgentScheme) -> Fraction:
-    sender, _, _, den = _evaluate(code, scheme.distribution)
-    return Fraction(sender, den) - total_payments(scheme)
-
-
 def sender_value(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> Fraction:
     """Expected sender payoff net of expected payments."""
-    return _sender_value(_coding(instance), scheme)
+    sender, _, _, den = _evaluate(_coding(instance), scheme.distribution)
+    return Fraction(sender, den) - total_payments(scheme)
 
 
 def total_payments(scheme: MultiAgentScheme) -> Fraction:
@@ -658,15 +652,6 @@ def gamma_candidates(instance: MultiAgentInstance) -> tuple:
     return _gamma_grid(_coding(instance))
 
 
-def _support_in_argmax(code: _Coding, distribution, gamma: Fraction) -> bool:
-    # A zero-mass state's row is arbitrary in the LP and weighs nothing.
-    for mass, values, row in zip(code.mass, _virtual_values(code, gamma), distribution):
-        best = max(values)
-        if mass and any(p and v != best for p, v in zip(row, values)):
-            return False
-    return True
-
-
 def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
     """Budget-balanced optimum in virtual-payoff form.
 
@@ -675,10 +660,14 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
     the deterministic argmax allocation at gamma*; then, against dual
     degeneracy, deterministic allocations at swept candidate gammas,
     each distinct allocation tried once; finally the LP scheme itself,
-    accepted only after verifying it randomizes among
-    virtual-payoff-maximal sets at gamma* - the optimum may genuinely
-    need such a mixture.  Every path re-checks persuasiveness, exact
-    budget balance, and the objective.
+    as the optimum may genuinely need a mixture.  The scheme, whichever
+    route made it, is then certified once, with the dual the LP solve
+    returned: the free payment columns force alpha = beta = gamma* in
+    any optimal dual, so that dual certifies every optimal scheme.  Its
+    certificate is the support condition (complementary slackness),
+    persuasiveness and exact budget balance (the rows) and the value
+    (the objective field); CharacterizationMismatch is raised when it
+    fails.
     """
     ref = solve_lp(instance, PaymentModel.BUDGET_BALANCED)
     code = _coding(instance)
@@ -703,9 +692,7 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
                 via = "gamma_sweep"
                 gamma_used = gamma
                 break
-    if scheme is None and _support_in_argmax(
-        code, ref.scheme.distribution, gamma_star
-    ):
+    if scheme is None:
         q_one, q_zero = _normalize_dead_branches(
             instance, ref.scheme.distribution, ref.scheme.q_one, ref.scheme.q_zero
         )
@@ -713,19 +700,11 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
             distribution=ref.scheme.distribution, q_one=q_one, q_zero=q_zero
         )
         via = "lp_support"
-        gamma_used = gamma_star
-    if scheme is None:
-        raise CharacterizationMismatch(
-            "no virtual-payoff-supported scheme attains the budget-balanced "
-            f"optimum {target} at any candidate gamma"
-        )
 
-    if not _is_persuasive(code, scheme):
-        raise CharacterizationMismatch("reconstructed scheme not persuasive")
-    if total_payments(scheme) != 0:
-        raise CharacterizationMismatch("payments do not balance")
-    if _sender_value(code, scheme) != target:
-        raise CharacterizationMismatch("objective drifted")
+    primal = [p for row in scheme.distribution for p in row]
+    primal += scheme.q_one + scheme.q_zero
+    claim = replace(ref.solution, primal=tuple(primal))
+    lp.require_claim(ref.problem, claim, f"budget-balanced scheme via {via}")
     return BudgetBalancedResult(
         instance=instance,
         scheme=scheme,

@@ -10,10 +10,14 @@ free.
 The follow rows' dual multipliers reweight the receiver's payoff into a
 dual-adjusted payoff; at an optimal dual the optimal scheme recommends,
 in every state, only actions maximizing sender payoff plus dual-adjusted
-payoff.  That support condition plus complementary slackness is what
-verify_support_optimality checks, in ints on the instance's coding;
-solve_optimal solves through lp.certified_solve and raises
-CertificateFailed when either check fails.
+payoff.  solve_optimal solves through lp.certified_solve, and that
+certificate already implies the condition: the follow rows' duals are
+-lambda, so a column's reduced cost is its state's mass times the
+action's sender plus dual-adjusted payoff, less the state's simplex
+dual; the certificate makes it at most 0 everywhere and 0 wherever the
+scheme recommends, and makes every priced follow row tight.
+verify_support_optimality checks the same condition for any scheme and
+dual matrix, in ints on the instance's coding.
 
 For action-symmetric instances the dual collapses to a single scalar
 lambda and the optimizer of sender payoff + n*lambda*receiver payoff
@@ -39,7 +43,6 @@ from typing import Optional, Union
 
 from . import lp, model
 from .errors import (
-    CertificateFailed,
     CharacterizationMismatch,
     NotSymmetric,
     WrongActionCount,
@@ -261,7 +264,7 @@ def solve_optimal(
                 lam[i][j] = -solution.dual[vmap.follow_row(i, j)]
     dual = SingleDual(lam=tuple([tuple(row) for row in lam]))
 
-    result = SingleResult(
+    return SingleResult(
         instance=inst,
         payment_model=payment_model,
         scheme=scheme,
@@ -270,11 +273,6 @@ def solve_optimal(
         problem=problem,
         solution=solution,
     )
-    if not _verify_support_optimality(code, scheme, dual):
-        raise CertificateFailed(
-            "optimal scheme leaves the dual-adjusted argmax support"
-        )
-    return result
 
 
 def dual_adjusted_payoff(
@@ -337,31 +335,7 @@ def verify_support_optimality(
     follow constraint.  Computed in ints on the instance's coding, with
     the multipliers and the distribution each over one common denominator.
     """
-    return _verify_support_optimality(_coding(instance), scheme, dual)
-
-
-def _adjusted(code: _Coding, dual: SingleDual) -> tuple:
-    """Sender plus dual-adjusted payoff of every action in every state.
-
-    Returns (values, lam, lam_den), values and multipliers as ints times
-    lam_den, the values also times the coding's D.
-    """
-    n = code.actions
-    flat, lam_den = over_common([v for row in dual.lam for v in row])
-    lam = [flat[i * n : i * n + n] for i in range(n)]
-    values = [
-        [
-            lam_den * s + sum(w * (r - r_j) for w, r_j in zip(row, receiver))
-            for s, r, row in zip(sender, receiver, lam)
-        ]
-        for sender, receiver in zip(code.sender, code.receiver)
-    ]
-    return values, lam, lam_den
-
-
-def _verify_support_optimality(
-    code: _Coding, scheme: SignalingScheme, dual: SingleDual
-) -> bool:
+    code = _coding(instance)
     n = code.actions
     values, lam, _ = _adjusted(code, dual)
     dist = scheme.distribution
@@ -386,6 +360,25 @@ def _verify_support_optimality(
             if w and j != i and (cross[i] - cross[j]) * pay.denominator + pay_int:
                 return False
     return True
+
+
+def _adjusted(code: _Coding, dual: SingleDual) -> tuple:
+    """Sender plus dual-adjusted payoff of every action in every state.
+
+    Returns (values, lam, lam_den), values and multipliers as ints times
+    lam_den, the values also times the coding's D.
+    """
+    n = code.actions
+    flat, lam_den = over_common([v for row in dual.lam for v in row])
+    lam = [flat[i * n : i * n + n] for i in range(n)]
+    values = [
+        [
+            lam_den * s + sum(w * (r - r_j) for w, r_j in zip(row, receiver))
+            for s, r, row in zip(sender, receiver, lam)
+        ]
+        for sender, receiver in zip(code.sender, code.receiver)
+    ]
+    return values, lam, lam_den
 
 
 @dataclass(frozen=True)

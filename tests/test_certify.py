@@ -7,8 +7,9 @@ package makes the same checks in ints over common denominators.  On
 every pair, honest or tampered, both must return the same verdict and
 the identical list of failure messages.  The solve boundary
 lp.certified_solve raises CertificateFailed, as does a fast path whose
-lifted dual fails and whose fallback solve does, and no statement in the
-package is an assert that python -O would strip.
+lifted dual fails and whose fallback solve does; a budget-balanced
+reconstruction its LP dual refuses raises CharacterizationMismatch; and
+no statement in the package is an assert that python -O would strip.
 """
 
 import ast
@@ -336,20 +337,19 @@ def _check_support(inst, scheme, dual):
     return got
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    st.integers(0, 10**6),
-    st.integers(2, 4),
-    st.integers(1, 4),
-    st.sampled_from(_MODELS),
-    st.sampled_from(("payment", "lam_sign", "lam_scale", "support")),
-)
-def test_support_check_matches_oracle(seed, actions, states, pm, kind):
+_TAMPERINGS = ("payment", "lam_sign", "lam_scale", "support")
+
+
+def _tampered(seed, actions, states, pm, kind):
+    """(instance, LP optimum, tampered (scheme, dual) pair).
+
+    The pair is None where the tampering does not apply (no priced
+    follow row to move or flip).
+    """
     rng = random.Random(seed)
     inst = model.random_instance(seed, actions=actions, states=states)
     result = single.solve_optimal(inst, pm)
     scheme, dual = result.scheme, result.dual
-    assert _check_support(inst, scheme, dual)
     n = inst.actions
     lam = [list(row) for row in dual.lam]
     priced = [(i, j) for i in range(n) for j in range(n) if lam[i][j]]
@@ -358,18 +358,18 @@ def test_support_check_matches_oracle(seed, actions, states, pm, kind):
     if kind == "payment":
         # A payment off the tight row of a priced follow constraint.
         if not priced:
-            return
+            return inst, result, None
         i, _ = rng.choice(priced)
         payments[i] += F(rng.choice((1, -1)), rng.choice((1, 2, 5)))
     elif kind == "lam_sign":
         if not priced:
-            return
+            return inst, result, None
         i, j = rng.choice(priced)
         lam[i][j] = -lam[i][j]
     elif kind == "lam_scale":
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
-            return
+            return inst, result, None
         lam[i][j] = lam[i][j] * 2 + F(1, 3)
     else:
         # Move one state's recommendation mass onto another action.
@@ -379,7 +379,54 @@ def test_support_check_matches_oracle(seed, actions, states, pm, kind):
     tampered = SignalingScheme(
         distribution=tuple(tuple(row) for row in dist), payments=tuple(payments)
     )
-    _check_support(inst, tampered, SingleDual(lam=tuple(tuple(r) for r in lam)))
+    return inst, result, (tampered, SingleDual(lam=tuple(tuple(r) for r in lam)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 4),
+    st.integers(1, 4),
+    st.sampled_from(_MODELS),
+    st.sampled_from(_TAMPERINGS),
+)
+def test_support_check_matches_oracle(seed, actions, states, pm, kind):
+    inst, result, pair = _tampered(seed, actions, states, pm, kind)
+    assert _check_support(inst, result.scheme, result.dual)
+    if pair is not None:
+        _check_support(inst, *pair)
+
+
+def test_support_failures_fail_the_lp_certificate():
+    # solve_optimal runs no support check of its own: its LP certificate
+    # implies it.  Every tampered pair the support check refuses, written
+    # on the LP with the tampered multipliers on the follow rows and the
+    # solve's other duals, fails certify_report.
+    refused = 0
+    for seed in range(40):
+        for pm in _MODELS:
+            for kind in _TAMPERINGS:
+                if pm is PaymentModel.ZERO and kind == "payment":
+                    continue  # the zero-payment LP has no payment column
+                inst, result, pair = _tampered(
+                    seed, 2 + seed % 3, 1 + seed % 4, pm, kind
+                )
+                if pair is None or single.verify_support_optimality(inst, *pair):
+                    continue
+                scheme, dual = pair
+                refused += 1
+                n = inst.actions
+                follow = [-dual.lam[i][j] for i in range(n) for j in range(n) if i != j]
+                primal = [p for row in scheme.distribution for p in row]
+                if pm is not PaymentModel.ZERO:
+                    primal += scheme.payments
+                claim = replace(
+                    result.solution,
+                    primal=tuple(primal),
+                    dual=tuple(follow) + result.solution.dual[len(follow) :],
+                )
+                assert lp.certify_report(result.problem, claim), (seed, pm, kind)
+    assert refused > 100
 
 
 def test_support_check_on_a_typed_instance():
@@ -433,13 +480,6 @@ def test_certified_solve_raises_on_a_non_optimal_status():
         lp.certified_solve(problem)
 
 
-def test_solve_optimal_raises_when_the_support_check_fails(monkeypatch):
-    inst = model.random_instance(4, actions=3, states=2)
-    monkeypatch.setattr(single, "_verify_support_optimality", lambda *a: False)
-    with pytest.raises(CertificateFailed, match="argmax support"):
-        single.solve_optimal(inst, PaymentModel.ZERO)
-
-
 def test_campaign_records_a_failed_certificate(monkeypatch):
     monkeypatch.setattr(lp, "certify_report", lambda problem, solution: ["forged"])
     report = verify.two_action_arbitrary_campaign(3)
@@ -454,7 +494,7 @@ _UNDER_O = textwrap.dedent(
     """
     from dataclasses import replace
     from persuade import lp, model, multi, single
-    from persuade.errors import CertificateFailed
+    from persuade.errors import PersuadeError
     from persuade.model import PaymentModel
 
     assert False, "asserts are stripped under -O"
@@ -473,6 +513,19 @@ _UNDER_O = textwrap.dedent(
         return problem, replace(claim, dual=None)
 
     single.lift = failing_lift
+    # A budget-balanced reconstruction moved off receiver 0's follow row,
+    # checked against the honest LP's dual.
+    normalize = multi._normalize_dead_branches
+
+    def off_the_rows(*args):
+        q_one, q_zero = normalize(*args)
+        return (q_one[0] - 1000,) + q_one[1:], (q_zero[0] + 1000,) + q_zero[1:]
+
+    def budget(inst):
+        lp.solve = honest
+        multi._normalize_dead_branches = off_the_rows
+        return multi.solve_budget_balanced(inst)
+
     single_inst = model.random_instance(2, actions=3, states=3)
     multi_inst = model.random_multi_instance(2, receivers=2, states=3)
     typed = model.random_instance(2, actions=3, symmetric=True, types=2)
@@ -480,10 +533,11 @@ _UNDER_O = textwrap.dedent(
         ("single", lambda: single.solve_optimal(single_inst, PaymentModel.ZERO)),
         ("multi", lambda: multi.solve_lp(multi_inst, PaymentModel.ZERO)),
         ("fast", lambda: single.canonical_symmetric_scheme(typed)),
+        ("budget", lambda: budget(multi_inst)),
     ):
         try:
             call()
-        except CertificateFailed as exc:
+        except PersuadeError as exc:
             print(name, "raised", type(exc).__name__)
         else:
             print(name, "returned a tampered answer")
@@ -502,10 +556,11 @@ def test_certificate_survives_python_O():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:3] == [
+    assert done.stdout.split("\n")[:4] == [
         "single raised CertificateFailed",
         "multi raised CertificateFailed",
         "fast raised CertificateFailed",
+        "budget raised CharacterizationMismatch",
     ]
 
 

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
@@ -171,18 +170,19 @@ def test_budget_balanced_has_no_single_receiver_fast_path(tmp_path, capsys):
 
 
 def test_characterization_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+    # The fast path's own check raises; the CLI does not check again.
     instance = examples.zero_sum_two_state_instance()
     path = write_instance(tmp_path, instance)
-    real = single.canonical_two_action_scheme(instance, verify=False)
-    fake = SimpleNamespace(
-        scheme=real.scheme, utility=real.utility + 1, dual=real.dual
-    )
-    monkeypatch.setattr(
-        cli.single, "canonical_two_action_scheme", lambda *a, **k: fake
-    )
+    parts = single._threshold_parts
+
+    def nudged(code, weight):
+        rows, thresholds, gross, unit = parts(code, weight)
+        return rows, thresholds, gross + 1, unit
+
+    monkeypatch.setattr(single, "_threshold_parts", nudged)
     code = cli.main(["solve", path, "--model", "arbitrary", "--method", "fast"])
     assert code == 4
-    assert "fast-path utility" in capsys.readouterr().err
+    assert "two-action scheme utility" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("joint", [False, True])

@@ -20,6 +20,8 @@ from persuade.model import PaymentModel
 from persuade.multi import MultiDual
 from persuade.single import SingleDual
 
+from test_multi import ZERO_MASS_MULTI, ZS_MULTI
+
 ZERO = F(0)
 ONE = F(1)
 
@@ -102,7 +104,8 @@ def _multi_corpus(seeds):
 
 
 def test_multi_receiver_duals_certify():
-    for inst in _multi_corpus(range(1, 31)):
+    routes = set()
+    for inst in (*_multi_corpus(range(1, 31)), ZS_MULTI, ZERO_MASS_MULTI):
         free = multi.solve_arbitrary(inst)
         assert free.dual.alpha == free.dual.beta == (ONE,) * inst.receivers
         assert free.dual.gamma == ONE
@@ -118,6 +121,8 @@ def test_multi_receiver_duals_certify():
             balanced.utility,
             balanced.dual,
         ) == []
+        routes.add(balanced.via)
+    assert routes == {"argmax", "gamma_sweep", "lp_support"}
 
 
 def test_cutting_plane_dual_certifies_on_the_full_zero_payment_lp():
@@ -170,15 +175,26 @@ def test_written_fast_duals_certify(tmp_path, capsys, payment_model):
         assert branches == {"no_payment", "canonical_payment"}
 
 
-def test_written_multi_arbitrary_dual_certifies(tmp_path, capsys):
-    for inst in _multi_corpus((1, 2, 3)):
+# (seed, receivers, states) whose budget-balanced scheme comes from the
+# gamma sweep, where the swept gamma is not the LP's gamma*.
+_GAMMA_SWEEP = ((1, 2, 2), (1, 2, 4), (3, 2, 2), (3, 3, 3))
+
+
+def _written_multi_duals_certify(tmp_path, capsys, payment_model, corpus):
+    """Solve each instance with --method fast and check that its JSON dual,
+    alpha = beta = gamma_star, certifies; return (report, JSON) pairs."""
+    pm = PaymentModel.from_name(payment_model)
+    written = []
+    for inst in corpus:
         path = tmp_path / "inst.json"
         out = tmp_path / "scheme.json"
         jsonio.save_instance(str(path), inst)
-        argv = ["solve", str(path), "--model", "arbitrary", "--method", "fast"]
+        argv = ["solve", str(path), "--model", payment_model, "--method", "fast"]
         assert cli.main(argv + ["--out", str(out)]) == 0
-        assert "dual_certified=yes" in capsys.readouterr().out
+        report = capsys.readouterr().out
+        assert "dual_certified=yes" in report
         doc = json.loads(out.read_text(encoding="utf-8"))
+        written.append((report, doc))
         gamma = F(doc["dual"]["gamma_star"])
         weights = (gamma,) * inst.receivers
         # Each state's dual: its mass times its largest virtual payoff.
@@ -193,9 +209,36 @@ def test_written_multi_arbitrary_dual_certifies(tmp_path, capsys):
         dual = MultiDual(alpha=weights, beta=weights, gamma=gamma, y=y)
         scheme = jsonio.scheme_from_json(doc)
         utility = F(doc["sender_utility"])
-        assert _multi_certifies(
-            inst, PaymentModel.ARBITRARY, scheme, utility, dual
-        ) == []
+        assert _multi_certifies(inst, pm, scheme, utility, dual) == []
+    return written
+
+
+def test_written_multi_arbitrary_dual_certifies(tmp_path, capsys):
+    _written_multi_duals_certify(
+        tmp_path, capsys, "arbitrary", list(_multi_corpus((1, 2, 3)))
+    )
+
+
+# (seed, receivers, states) whose budget-balanced scheme comes from the
+# gamma sweep, where the swept gamma is not the LP's gamma*.
+_GAMMA_SWEEP = ((1, 2, 2), (1, 2, 4), (3, 2, 2), (3, 3, 3))
+
+
+def test_written_budget_balanced_dual_certifies(tmp_path, capsys):
+    corpus = [
+        model.random_multi_instance(seed, receivers=receivers, states=states)
+        for seed, receivers, states in _GAMMA_SWEEP
+    ]
+    written = _written_multi_duals_certify(
+        tmp_path, capsys, "budget_balanced", corpus
+    )
+    for inst, (report, doc) in zip(corpus, written):
+        swept = multi.solve_budget_balanced(inst)
+        assert swept.via == "gamma_sweep" and swept.gamma_star != swept.dual.gamma
+        line = f"scheme reconstruction: gamma_sweep at gamma {swept.gamma_star}"
+        assert line in report.splitlines()
+        gamma = [doc["dual"]["gamma_star"]] * inst.receivers
+        assert doc["dual"]["alpha"] == doc["dual"]["beta"] == gamma
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +279,29 @@ def test_verified_fast_paths_solve_no_lp(solves):
         ("multi", "budget_balanced", 1),
     ],
 )
-def test_fast_cli_solve_counts(tmp_path, capsys, solves, kind, payment_model, expected):
+def test_fast_cli_solve_counts(
+    tmp_path, capsys, monkeypatch, solves, kind, payment_model, expected
+):
     if kind == "multi":
         instance = model.random_multi_instance(2, receivers=2, states=3)
     else:
         instance = _symmetric(4, actions=2 if kind == "two_action" else 3)
+    builds = []
+    build = multi.build_lp_binary
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(multi, "build_lp_binary", counting)
     path = tmp_path / "inst.json"
     jsonio.save_instance(str(path), instance)
     argv = ["solve", str(path), "--model", payment_model, "--method", "fast"]
     assert cli.main(argv) == 0
     assert "dual_certified=yes" in capsys.readouterr().out
     assert len(solves) == expected
+    # One LP built per answer: the one its certificate is checked on.
+    assert len(builds) == (1 if kind == "multi" else 0)
 
 
 def test_cutting_plane_solves_one_lp_per_round(solves):
@@ -330,12 +385,66 @@ def test_failed_lift_falls_back_to_one_solve(
     solves.clear()
     assert cli.main(argv) == 0
     assert "dual_certified=yes" in capsys.readouterr().out
-    # solve_arbitrary checks its answer itself, and the CLI checks the
-    # answer it is handed; the single-receiver CLI calls verify=False.
-    assert len(solves) == (2 if kind == "multi" else 1)
+    # The fast path checks its answer itself; the CLI does not check again.
+    assert len(solves) == 1
 
     _nudge_utility(monkeypatch)
     with pytest.raises(CharacterizationMismatch, match="!= LP optimum"):
         call()
     assert cli.main(argv) == cli.EXIT_MISMATCH == 4
     assert "!= LP optimum" in capsys.readouterr().err
+
+
+def test_fallback_certifies_the_claimed_primal(solves):
+    # The canonical scheme with its payments zeroed is not persuasive, yet
+    # it claims the optimal value; with its dual zeroed too, the lifted
+    # dual fails, and the one fallback solve's dual refuses the scheme.
+    inst = _symmetric(4).expanded
+    result = single.canonical_symmetric_scheme(inst, verify=False)
+    free = replace(result.scheme, payments=(ZERO,) * inst.actions)
+    assert not model.is_persuasive(inst, free)
+    zero = single._constant_dual(inst.actions, ZERO)
+    claim = single.lift(inst, PaymentModel.ARBITRARY, free, result.utility, zero)
+    with pytest.raises(CharacterizationMismatch, match="fails its certificate"):
+        lp.check_fast_path(*claim, "zeroed scheme")
+    assert len(solves) == 1
+
+
+# ---------------------------------------------------------------------------
+# Budget balance is certified with the dual of its one LP solve
+
+
+def _off_the_follow_rows(monkeypatch):
+    """Move 1000 of receiver 0's payment from its 1- to its 0-branch on
+    every budget-balanced reconstruction: balanced still, not persuasive."""
+    normalize = multi._normalize_dead_branches
+
+    def moved(*args):
+        q_one, q_zero = normalize(*args)
+        return (q_one[0] - 1000,) + q_one[1:], (q_zero[0] + 1000,) + q_zero[1:]
+
+    monkeypatch.setattr(multi, "_normalize_dead_branches", moved)
+
+
+def test_nudged_budget_balanced_scheme_raises_without_a_second_solve(
+    tmp_path, capsys, monkeypatch, solves
+):
+    corpus = {
+        "argmax": model.random_multi_instance(2, receivers=2, states=2),
+        "gamma_sweep": model.random_multi_instance(1, receivers=2, states=2),
+        "lp_support": ZERO_MASS_MULTI,
+    }
+    for via, inst in corpus.items():
+        assert multi.solve_budget_balanced(inst).via == via
+    _off_the_follow_rows(monkeypatch)
+    for via, inst in corpus.items():
+        solves.clear()
+        with pytest.raises(CharacterizationMismatch, match=f"via {via} fails"):
+            multi.solve_budget_balanced(inst)
+        assert len(solves) == 1
+
+    path = tmp_path / "inst.json"
+    jsonio.save_instance(str(path), corpus["argmax"])
+    argv = ["solve", str(path), "--model", "budget_balanced", "--method", "fast"]
+    assert cli.main(argv) == cli.EXIT_MISMATCH == 4
+    assert "follow1[0]" in capsys.readouterr().err

@@ -16,6 +16,20 @@ from persuade.model import (
 
 ZS_MULTI = examples.zero_sum_single_receiver_multi()
 
+# One receiver, four states, the third of mass 0.  No deterministic
+# allocation attains the budget-balanced optimum, and the LP leaves the
+# third state's row at (1, 0), outside that state's virtual-payoff argmax.
+_THIRD = F(1, 3)
+ZERO_MASS_MULTI = MultiAgentInstance(
+    receivers=1,
+    states=(
+        MultiState(prob=_THIRD, sender=(F(0), F(1, 2)), receivers=((F(-1), F(-1)),)),
+        MultiState(prob=_THIRD, sender=(F(1, 2), F(1)), receivers=((F(2), F(-1)),)),
+        MultiState(prob=F(0), sender=(F(1, 2), F(1)), receivers=((F(1, 2), F(2)),)),
+        MultiState(prob=_THIRD, sender=(F(0), F(2)), receivers=((F(1), F(1)),)),
+    ),
+)
+
 ALL_MODELS = (
     PaymentModel.ZERO,
     PaymentModel.NONNEGATIVE,
@@ -51,7 +65,7 @@ def test_zero_sum_fixture_all_models():
 def test_zero_sum_budget_balanced_needs_randomized_allocation():
     # The optimum recommends 1 with probability 1/2 in the second state;
     # no deterministic allocation reaches value 1, so the solver must
-    # fall back to the LP scheme and verify its argmax support.
+    # fall back to the LP scheme.
     result = multi.solve_budget_balanced(ZS_MULTI)
     assert result.utility == F(1)
     assert result.via == "lp_support"
@@ -61,18 +75,9 @@ def test_zero_sum_budget_balanced_needs_randomized_allocation():
 
 
 def test_budget_balanced_ignores_a_zero_mass_state():
-    # One receiver, four states, the third of mass 0.  No deterministic
-    # allocation attains the optimum, so the LP scheme is used; the LP
-    # leaves the third state's row at (1, 0), outside that state's
-    # virtual-payoff argmax, which must not refuse the scheme.
-    third = F(1, 3)
-    states = (
-        MultiState(prob=third, sender=(F(0), F(1, 2)), receivers=((F(-1), F(-1)),)),
-        MultiState(prob=third, sender=(F(1, 2), F(1)), receivers=((F(2), F(-1)),)),
-        MultiState(prob=F(0), sender=(F(1, 2), F(1)), receivers=((F(1, 2), F(2)),)),
-        MultiState(prob=third, sender=(F(0), F(2)), receivers=((F(1), F(1)),)),
-    )
-    inst = MultiAgentInstance(receivers=1, states=states)
+    # The LP scheme is used, and its arbitrary row for the zero-mass
+    # state must not refuse it.
+    inst = ZERO_MASS_MULTI
     reference = multi.solve_lp(inst, PaymentModel.BUDGET_BALANCED)
     assert reference.scheme.distribution[2] == (F(1), F(0))
     result = multi.solve_budget_balanced(inst)
