@@ -10,18 +10,18 @@ Every flag in the solve report is a check that reads "yes" on a correct
 answer.  persuasive and budget_balanced are recomputed from the returned
 scheme.  Under the nonnegative and arbitrary models budget balance is no
 check (payments need not sum to zero there), so it is printed on a
-"properties:" line instead.  Each fast-path answer is certified once, by
-the function that makes it, with its dual on the full LP, and the CLI
-does not check it again: a fast solve's dual_certified reads yes when
-the fast path returned with verification on.  --no-verify turns the
-single-receiver fast paths' certificate off (the multi-receiver ones
-always certify) and drops the flag.  A cutting-plane solve's
-dual_certified is re-derived from its returned dual.  Exit codes: 0
-success, 2 unreadable or invalid input (including a PERSUADE_SIZE_LIMIT
-that is not a positive integer), 3 method or model precondition unmet,
-4 a characterization failed its check, 5 instance above the size cap, 6
-a solver exceeded its iteration limit, 7 an answer failed its optimality
-certificate; "verify" exits 1 when any property fails.
+"properties:" line instead.  Each fast-path and cutting-plane answer is
+certified once, by the function that makes it, and the CLI does not
+check it again: dual_certified reads yes when that function returned
+with its certificate on.  --no-verify turns the single-receiver fast
+paths' certificate off, and drops their flag; the multi-receiver fast
+paths and the cutting plane always certify, so it changes nothing
+there.  Exit codes: 0 success, 2 unreadable or invalid input (including
+a PERSUADE_SIZE_LIMIT that is not a positive integer), 3 method or model
+precondition unmet, 4 a characterization failed its check, 5 instance
+above the size cap, 6 a solver exceeded its iteration limit, 7 an answer
+failed its optimality certificate; "verify" exits 1 when any property
+fails.
 
 The multi-receiver, cutting-plane and verify modules are imported only
 by the commands that use them, so a single-receiver solve starts
@@ -196,11 +196,10 @@ def _subset_label(subset: int, receivers: int) -> str:
     return "{" + ",".join(members) + "}"
 
 
-def _solve_multi(instance, payment_model, method, no_verify):
+def _solve_multi(instance, payment_model, method):
     from . import multi, reduction
 
     extra: list = []
-    certified: Optional[bool] = None
     if method == "lp":
         result = multi.solve_lp(instance, payment_model)
         scheme, utility = result.scheme, result.utility
@@ -222,8 +221,6 @@ def _solve_multi(instance, payment_model, method, no_verify):
                 "model with multiple receivers; use --method lp"
             )
         scheme, utility = outcome.scheme, outcome.utility
-        if not no_verify:
-            certified = True
     else:
         if payment_model is not PaymentModel.ZERO:
             raise UnsupportedMethod(
@@ -240,14 +237,14 @@ def _solve_multi(instance, payment_model, method, no_verify):
             f"{instance.num_states * instance.num_subsets} possible in "
             f"{outcome.rounds} rounds"
         ]
-        certified = _recheck_cutting_dual(instance, outcome)
 
     flags = {
         "persuasive": multi.is_persuasive(instance, scheme),
         "budget_balanced": multi.total_payments(scheme) == 0,
     }
-    if certified is not None:
-        flags["dual_certified"] = certified
+    if method != "lp":
+        # Both paths certify every answer they return.
+        flags["dual_certified"] = True
 
     lines = [f"objective: {_rat(utility)}"] + extra
     lines.append("scheme:")
@@ -292,27 +289,6 @@ def _solve_multi(instance, payment_model, method, no_verify):
     return doc, lines, flags
 
 
-def _recheck_cutting_dual(instance, outcome) -> bool:
-    """Re-derive the exhaustive dual-feasibility flag from the artifacts."""
-    from . import multi
-
-    if any(a < 0 for a in outcome.alpha):
-        return False
-    if sum(outcome.y, Fraction(0)) != outcome.objective:
-        return False
-    for t, state in enumerate(instance.states):
-        for subset in range(instance.num_subsets):
-            lhs = outcome.y[t]
-            for i in range(instance.receivers):
-                if subset >> i & 1:
-                    lhs -= outcome.alpha[i] * state.prob * multi.marginal(
-                        instance, t, i, subset
-                    )
-            if lhs < state.prob * state.sender[subset]:
-                return False
-    return multi.sender_value(instance, outcome.scheme) == outcome.objective
-
-
 def _describe(instance, path: str) -> str:
     if isinstance(instance, MultiAgentInstance):
         shape = (
@@ -338,9 +314,7 @@ def cmd_solve(args) -> int:
         else instance.default_model
     )
     if isinstance(instance, MultiAgentInstance):
-        doc, lines, flags = _solve_multi(
-            instance, payment_model, args.method, args.no_verify
-        )
+        doc, lines, flags = _solve_multi(instance, payment_model, args.method)
     else:
         doc, lines, flags = _solve_single(
             instance, payment_model, args.method, args.no_verify
@@ -469,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "skip certifying single-receiver fast-path results on the full "
-            "LP and omit dual_certified"
+            "LP and omit their dual_certified (multi-receiver fast paths "
+            "always certify)"
         ),
     )
     solve.set_defaults(func=cmd_solve)

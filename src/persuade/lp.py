@@ -2,6 +2,10 @@
 
 Problems are stated over variables with optional rational bounds, sparse
 constraint rows (<=, >=, ==), and a linear objective in either sense.
+The objective, coefficients and right-hand sides are ints or Fractions
+read over one positive int denominator, the statement's den: a builder
+that holds its instance as ints over a common unit writes those ints
+with den = unit, and a statement written in Fractions has den = 1.
 solve() runs a dense tableau simplex from a crash basis: a >= row whose
 right-hand side is 0 is stated as a <= row, so its slack starts basic;
 the artificial of every other >= or == row is pivoted out at once where
@@ -62,7 +66,8 @@ class LinearConstraint:
     """A sparse constraint row: sum of coeff * var  rel  rhs.
 
     coeffs holds (variable index, coefficient) pairs; duplicate indices
-    are summed.  rel is one of "<=", ">=", "==".
+    are summed.  rel is one of "<=", ">=", "==".  Each coefficient and
+    rhs is an int or a Fraction, read divided by the problem's den.
     """
 
     coeffs: tuple
@@ -77,10 +82,15 @@ class LpProblem:
 
     Attributes:
         sense: "max" or "min".
-        objective: dense coefficient tuple, one Fraction per variable.
+        objective: dense coefficient tuple, one int or Fraction per
+            variable.
         bounds: per-variable (lower, upper) with None for unbounded sides.
         constraints: tuple of LinearConstraint.
         constant: added to the objective value after solving.
+        den: a positive int that the objective entries and every row's
+            coefficients and rhs are divided by; bounds and constant are
+            read as they stand.  The same LP written times k over den = k
+            solves to the same LpSolution.
     """
 
     sense: str
@@ -88,6 +98,11 @@ class LpProblem:
     bounds: tuple
     constraints: tuple
     constant: Fraction = ZERO
+    den: int = 1
+
+    def __post_init__(self):
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"den must be a positive int, got {self.den!r}")
 
     @property
     def num_vars(self) -> int:
@@ -196,8 +211,8 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     ]
 
     # Phase-2 costs (maximized) in ints over the objective's common
-    # denominator, divided by their gcd: the objective row comes out
-    # times k2 > 0.
+    # denominator (times den), divided by their gcd: the objective row
+    # comes out times k2 > 0.
     direction = 1 if sense_max else -1
     cost_den = lcm(*[c.denominator for c in problem.objective])
     struct_cost = [0] * ncols_struct
@@ -209,17 +224,19 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
         kind = trans[j]
         if kind[0] != "free" and kind[2] and c:
             shift_const += direction * c * kind[2]
+    shift_const /= problem.den
+    cost_den *= problem.den
     g = gcd(*struct_cost)
     k2 = Fraction(cost_den, g) if g else ONE
     if g:
         struct_cost = [v // g for v in struct_cost]
 
     # Rows: user constraints in order, then internal upper-bound rows.
-    # Each is (sparse ints over its common denominator den, rel, rhs
-    # times den, den, sign), negated (sign -1) where that makes the
-    # right-hand side >= 0, and a >= row whose right-hand side is 0 is
-    # stated as the negated <= row, so its slack starts basic at 0 and
-    # the row needs no artificial.
+    # Each is (sparse ints over its common denominator den, the
+    # statement's den included, rel, rhs times den, den, sign), negated
+    # (sign -1) where that makes the right-hand side >= 0, and a >= row
+    # whose right-hand side is 0 is stated as the negated <= row, so its
+    # slack starts basic at 0 and the row needs no artificial.
     rows = []
     num_user = len(problem.constraints)
     for constraint in problem.constraints:
@@ -244,7 +261,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             for col, s in columns[j]:
                 acc[col] = acc.get(col, 0) + s * v
         rhs_int = sign * rhs.numerator * (den // rhs.denominator)
-        rows.append((acc, rel, rhs_int, den, sign))
+        rows.append((acc, rel, rhs_int, den * problem.den, sign))
     for col, cap in extra_upper_rows:
         rows.append(({col: cap.denominator}, LE, cap.numerator, cap.denominator, 1))
 
@@ -556,7 +573,8 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     conventions, finiteness side conditions on reduced costs,
     complementary slackness, an exactly zero duality gap and the
     objective field.  Computed in ints over common denominators, one per
-    row; Fractions are built only for the failure messages.
+    row and the statement's den included; Fractions are built only for
+    the failure messages.
     """
     if solution.status != OPTIMAL:
         return [f"status is {solution.status}, nothing to certify"]
@@ -573,6 +591,7 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     xs, x_den = over_common(x)
     ys, y_den = over_common(duals)
     cs, c_den = over_common(problem.objective)
+    c_den *= problem.den
     if direction < 0:
         ys, cs = [-v for v in ys], [-c for c in cs]
 
@@ -588,12 +607,14 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
         den = lcm(rhs.denominator, *[a.denominator for _, a in constraint.coeffs])
         ints = [(j, a.numerator * (den // a.denominator)) for j, a in constraint.coeffs]
         b = rhs.numerator * (den // rhs.denominator)
+        den *= problem.den
         # Activity minus right-hand side, over den * x_den.
         slack = sum(v * xs[j] for j, v in ints) - b * x_den
         if (slack > 0) if rel == LE else (slack < 0) if rel == GE else slack != 0:
             failures.append(
                 f"constraint {k} {constraint.name!r} violated: "
-                f"{Fraction(slack + b * x_den, den * x_den)} {rel} {rhs} fails"
+                f"{Fraction(slack + b * x_den, den * x_den)} {rel} "
+                f"{Fraction(b, den)} fails"
             )
         y = ys[k]
         if (rel == LE and y < 0) or (rel == GE and y > 0):

@@ -44,7 +44,7 @@ from .model import (
     MultiState,
     PaymentModel,
 )
-from .rationals import breakpoint_grid, shared_fractions
+from .rationals import breakpoint_grid
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -397,18 +397,16 @@ def build_lp_binary(
     with_pay = payment_model is not PaymentModel.ZERO
     vmap = MultiVarMap(receivers=n, num_states=m, payment_model=payment_model)
 
-    # Every coefficient is a mass times a payoff (difference), an int
-    # over code.unit; equal ints share one Fraction.
+    # Stated in ints over code.unit: masses times payoffs (or payoff
+    # differences), and +-unit where the LP has +-1.
     code = _coding(instance)
-    over_unit = shared_fractions(code.unit)
+    unit = code.unit
     objective = [
-        over_unit(mass * f)
-        for mass, sender in zip(code.mass, code.sender)
-        for f in sender
+        mass * f for mass, sender in zip(code.mass, code.sender) for f in sender
     ]
     bounds = [(ZERO, None)] * cols
     if with_pay:
-        objective += [-ONE] * (2 * n)
+        objective += [-unit] * (2 * n)
         pay_bound = (
             (ZERO, None)
             if payment_model is PaymentModel.NONNEGATIVE
@@ -427,19 +425,19 @@ def build_lp_binary(
             base = vmap.phi(t, 0)
             for subset, g in enumerate(gains[i]):
                 if g:
-                    coeff = (base + subset, over_unit(mass * g))
+                    coeff = (base + subset, mass * g)
                     (one if subset & bit else zero).append(coeff)
         if with_pay:
-            one.append((vmap.q_one(i), ONE))
-            zero.append((vmap.q_zero(i), -ONE))
+            one.append((vmap.q_one(i), unit))
+            zero.append((vmap.q_zero(i), -unit))
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple(one), rel=lp.GE, rhs=ZERO, name=f"follow1[{i}]"
+                coeffs=tuple(one), rel=lp.GE, rhs=0, name=f"follow1[{i}]"
             )
         )
         follow_zero.append(
             lp.LinearConstraint(
-                coeffs=tuple(zero), rel=lp.LE, rhs=ZERO, name=f"follow0[{i}]"
+                coeffs=tuple(zero), rel=lp.LE, rhs=0, name=f"follow0[{i}]"
             )
         )
     constraints += follow_zero
@@ -447,18 +445,18 @@ def build_lp_binary(
         base = vmap.phi(t, 0)
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple([(base + subset, ONE) for subset in range(nsub)]),
+                coeffs=tuple([(base + subset, unit) for subset in range(nsub)]),
                 rel=lp.EQ,
-                rhs=ONE,
+                rhs=unit,
                 name=f"dist[{t}]",
             )
         )
     if payment_model is PaymentModel.BUDGET_BALANCED:
-        coeffs = [(vmap.q_one(i), ONE) for i in range(n)]
-        coeffs += [(vmap.q_zero(i), ONE) for i in range(n)]
+        coeffs = [(vmap.q_one(i), unit) for i in range(n)]
+        coeffs += [(vmap.q_zero(i), unit) for i in range(n)]
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple(coeffs), rel=lp.EQ, rhs=ZERO, name="budget"
+                coeffs=tuple(coeffs), rel=lp.EQ, rhs=0, name="budget"
             )
         )
 
@@ -467,6 +465,7 @@ def build_lp_binary(
         objective=tuple(objective),
         bounds=tuple(bounds),
         constraints=tuple(constraints),
+        den=unit,
     )
     return problem, vmap
 

@@ -4,9 +4,9 @@ Every value the package returns is a fractions.Fraction, which keeps
 values in lowest terms with a positive denominator.  JSON carries numbers
 as strings ("3/4", "-1/16", "0.25") or plain integers; binary floats are
 rejected so no rounding can sneak in.  The solvers compute in ints over
-common denominators: over_common brings Fractions to such ints,
-shared_fractions turns such ints back into Fractions, and
-breakpoint_grid builds the candidate grid of their scalar-weight sweeps.
+common denominators, and state their LPs in them: over_common brings
+Fractions to such ints, and breakpoint_grid builds the candidate grid of
+their scalar-weight sweeps.
 """
 
 from __future__ import annotations
@@ -58,19 +58,6 @@ def over_common(values) -> tuple:
     """values as ints over their least common denominator, and that denominator."""
     den = lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def shared_fractions(den: int):
-    """v -> Fraction(v, den), each distinct int v made into a Fraction once."""
-    made: dict = {}
-
-    def over(v: int) -> Fraction:
-        value = made.get(v)
-        if value is None:
-            value = made[v] = Fraction(v, den)
-        return value
-
-    return over
 
 
 def breakpoint_grid(points) -> tuple:

@@ -36,10 +36,9 @@ from .errors import (
 )
 from .model import MultiAgentInstance, MultiAgentScheme
 from .multi import _marginal
-from .rationals import over_common, shared_fractions
+from .rationals import over_common
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 SetFunctionOracle = Callable[[int, Sequence[Fraction]], tuple]
 
@@ -158,6 +157,7 @@ def build_lp_dropped(instance: MultiAgentInstance) -> tuple:
         objective=full.objective,
         bounds=full.bounds,
         constraints=kept,
+        den=full.den,
     )
     dmap = DroppedMap(receivers=instance.receivers, num_states=instance.num_states)
     return problem, dmap
@@ -343,21 +343,21 @@ class CuttingPlaneResult:
 
 def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
     n, m = code.receivers, len(code.mass)
-    over_unit = shared_fractions(code.unit)
-    objective = [ZERO] * n + [ONE] * m
+    unit = code.unit
+    objective = [0] * n + [unit] * m
     bounds = [(ZERO, None)] * n + [(None, None)] * m
     constraints = []
     for t, subset in rows:
         mass = code.mass[t]
-        coeffs = [(n + t, ONE)]
+        coeffs = [(n + t, unit)]
         for i, g in enumerate(code.gain[t]):
             if (subset >> i) & 1 and mass * g[subset]:
-                coeffs.append((i, over_unit(-mass * g[subset])))
+                coeffs.append((i, -mass * g[subset]))
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple(coeffs),
                 rel=lp.GE,
-                rhs=over_unit(mass * code.sender[t][subset]),
+                rhs=mass * code.sender[t][subset],
                 name=f"cut[{t},{subset}]",
             )
         )
@@ -366,6 +366,7 @@ def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
         objective=tuple(objective),
         bounds=tuple(bounds),
         constraints=tuple(constraints),
+        den=unit,
     )
 
 

@@ -53,7 +53,7 @@ from .model import (
     SignalingScheme,
     TypedInstance,
 )
-from .rationals import breakpoint_grid, over_common, shared_fractions
+from .rationals import breakpoint_grid, over_common
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -160,18 +160,16 @@ def _build_lp(
     vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
     with_pay = payment_model is not PaymentModel.ZERO
 
-    # Every coefficient is a mass times a payoff (difference), an int
-    # over code.unit; equal ints share one Fraction.
-    over_unit = shared_fractions(code.unit)
+    # Stated in ints over code.unit: masses times payoffs (or payoff
+    # differences), and +-unit where the LP has +-1.
+    unit = code.unit
 
     # Columns phi(t, i) = t * n + i, then the payments.
     objective = [
-        over_unit(mass * s)
-        for mass, sender in zip(code.mass, code.sender)
-        for s in sender
+        mass * s for mass, sender in zip(code.mass, code.sender) for s in sender
     ]
     if with_pay:
-        objective += [-ONE] * n
+        objective += [-unit] * n
 
     bounds = [(ZERO, None)] * (m * n)
     if with_pay:
@@ -189,32 +187,32 @@ def _build_lp(
             for t, (mass, receiver) in enumerate(zip(code.mass, code.receiver)):
                 diff = mass * (receiver[i] - receiver[j])
                 if diff:
-                    coeffs.append((vmap.phi(t, i), over_unit(diff)))
+                    coeffs.append((vmap.phi(t, i), diff))
             if with_pay:
-                coeffs.append((vmap.payment(i), ONE))
+                coeffs.append((vmap.payment(i), unit))
             constraints.append(
                 lp.LinearConstraint(
                     coeffs=tuple(coeffs),
                     rel=lp.GE,
-                    rhs=ZERO,
+                    rhs=0,
                     name=f"follow[{i}->{j}]",
                 )
             )
     for t in range(m):
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple([(vmap.phi(t, i), ONE) for i in range(n)]),
+                coeffs=tuple([(vmap.phi(t, i), unit) for i in range(n)]),
                 rel=lp.EQ,
-                rhs=ONE,
+                rhs=unit,
                 name=f"simplex[{t}]",
             )
         )
     if payment_model is PaymentModel.BUDGET_BALANCED:
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple([(vmap.payment(i), ONE) for i in range(n)]),
+                coeffs=tuple([(vmap.payment(i), unit) for i in range(n)]),
                 rel=lp.EQ,
-                rhs=ZERO,
+                rhs=0,
                 name="budget",
             )
         )
@@ -224,6 +222,7 @@ def _build_lp(
         objective=tuple(objective),
         bounds=tuple(bounds),
         constraints=tuple(constraints),
+        den=unit,
     )
     return problem, vmap
 

@@ -25,12 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from persuade import lp, model, single, verify
+from persuade import lp, model, multi, reduction, single, verify
 from persuade.errors import CertificateFailed
 from persuade.model import PaymentModel, SignalingScheme
 from persuade.single import SingleDual
 
-from test_lp import _random_problem
+from test_lp import _random_problem, fraction_view
 
 ZERO = F(0)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -245,7 +245,7 @@ TAMPERINGS = ("primal", "dual_sign", "dual_to_slack", "objective")
 
 def _same_report(problem, solution):
     got = lp.certify_report(problem, solution)
-    assert got == oracle_certify_report(problem, solution)
+    assert got == oracle_certify_report(fraction_view(problem), solution)
     return got
 
 
@@ -323,8 +323,86 @@ def test_build_lp_matches_oracle(seed, actions, states, typed):
         inst = model.random_instance(seed, actions=actions, states=states)
     for pm in _MODELS:
         problem, _ = single.build_lp(inst, pm)
-        assert problem == oracle_build_lp(inst, pm)
-        assert all(type(c) is F for c in problem.objective)
+        assert fraction_view(problem) == oracle_build_lp(inst, pm)
+        # The builder writes the ints of its coding, over code.unit.
+        assert problem.den == single._coding(inst).unit
+        assert all(type(c) is int for c in problem.objective)
+        assert all(
+            type(a) is int and type(c.rhs) is int
+            for c in problem.constraints
+            for _, a in c.coeffs
+        )
+
+
+def _times(problem, k):
+    """The same LP written times k over den * k; integral entries as ints."""
+
+    def scaled(v):
+        v = F(v) * k
+        return v.numerator if v.denominator == 1 else v
+
+    return replace(
+        problem,
+        objective=tuple(scaled(c) for c in problem.objective),
+        constraints=tuple(
+            replace(
+                c,
+                coeffs=tuple((j, scaled(a)) for j, a in c.coeffs),
+                rhs=scaled(c.rhs),
+            )
+            for c in problem.constraints
+        ),
+        den=problem.den * k,
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32), st.integers(2, 12), st.sampled_from(TAMPERINGS))
+def test_any_den_states_the_same_lp(seed, k, kind):
+    # Shifted, flipped, bounded and free columns, and a constant, which
+    # den does not divide.
+    rng = random.Random(seed)
+    problem = replace(
+        _random_problem(rng), constant=F(rng.randint(-3, 3), rng.choice((1, 2)))
+    )
+    stated = _times(problem, k)
+    solution = lp.solve(problem)
+    assert lp.solve(stated) == solution
+    assert lp.certify_report(stated, solution) == lp.certify_report(problem, solution)
+    if solution.status == lp.OPTIMAL:
+        bad = tamper(problem, solution, kind, rng)
+        if bad is not None:
+            assert lp.certify_report(stated, bad) == lp.certify_report(problem, bad)
+
+
+def _built_problems(seed):
+    inst = model.random_instance(seed, actions=3, states=4)
+    typed = model.expand_typed(
+        model.random_instance(seed, actions=3, symmetric=True, joint=seed % 2)
+    )
+    minst = model.random_multi_instance(seed, receivers=2, states=3)
+    for pm in _MODELS:
+        yield single.build_lp(inst, pm)[0]
+        yield single.build_lp(typed, pm)[0]
+        yield multi.build_lp_binary(minst, pm)[0]
+    rinst = model.random_multi_instance(
+        seed, receivers=2, states=3, positive_externalities=True, monotone_sender=True
+    )
+    yield reduction.build_lp_dropped(rinst)[0]
+    rows = [(t, subset) for t in range(3) for subset in range(4)]
+    yield reduction._restricted_dual(multi._coding(rinst), rows)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_built_statements_solve_as_their_fraction_view(seed):
+    dens = []
+    for problem in _built_problems(seed):
+        solution = lp.solve(problem)
+        assert solution == lp.solve(fraction_view(problem))
+        assert solution.status == lp.OPTIMAL
+        assert lp.certify_report(problem, solution) == []
+        dens.append(problem.den)
+    assert max(dens) > 1
 
 
 # ---------------------------------------------------------------------------

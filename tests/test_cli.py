@@ -362,6 +362,26 @@ def test_no_verify_skips_the_cross_check(tmp_path, capsys):
     assert "dual_certified" not in out
 
 
+@pytest.mark.parametrize(
+    "model_name, method",
+    [("arbitrary", "fast"), ("budget_balanced", "fast"), ("zero", "cutting-plane")],
+)
+def test_no_verify_keeps_the_flag_of_paths_that_always_certify(
+    tmp_path, capsys, model_name, method
+):
+    instance = model.random_multi_instance(
+        3, receivers=2, states=3, positive_externalities=True, monotone_sender=True
+    )
+    path = write_instance(tmp_path, instance)
+    args = ["solve", path, "--model", model_name, "--method", method]
+    assert cli.main(args) == 0
+    checked = capsys.readouterr().out
+    assert cli.main(args + ["--no-verify"]) == 0
+    unchecked = capsys.readouterr().out
+    assert report_line(checked, "flags")["dual_certified"] == "yes"
+    assert report_line(unchecked, "flags") == report_line(checked, "flags")
+
+
 def test_unreadable_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")

@@ -35,6 +35,8 @@ from hypothesis import strategies as st
 from persuade import _pivot_py, lp, model, multi, single
 from persuade.model import PaymentModel
 
+from test_lp import fraction_view
+
 # ---------------------------------------------------------------------------
 # Fraction oracle
 
@@ -470,7 +472,7 @@ def assert_matches_oracle(problem, rules=RULES, events=None):
     """Compare the kernel with the oracle under each rule; return the last solution."""
     for degenerate_run in rules:
         expected, expected_basis, expected_changes, layout = oracle_solve(
-            problem, degenerate_run
+            fraction_view(problem), degenerate_run
         )
         solution, basis, changes = integer_solve(
             problem, degenerate_run, layout, events

@@ -2,6 +2,7 @@
 
 import random
 import threading
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,24 @@ def row(coeffs, rel, rhs, name=""):
         rel=rel,
         rhs=F(rhs),
         name=name,
+    )
+
+
+def fraction_view(problem):
+    """The statement with every entry a Fraction, read over den = 1."""
+    den = problem.den
+    return replace(
+        problem,
+        objective=tuple(F(c) / den for c in problem.objective),
+        constraints=tuple(
+            replace(
+                c,
+                coeffs=tuple((j, F(a) / den) for j, a in c.coeffs),
+                rhs=F(c.rhs) / den,
+            )
+            for c in problem.constraints
+        ),
+        den=1,
     )
 
 
@@ -310,3 +329,10 @@ def test_iteration_limit_raises():
     )
     with pytest.raises(Exception):
         lp.solve(p, max_iter=0)
+
+
+@pytest.mark.parametrize("den", [0, -3, 2.0, F(2), True, None])
+def test_den_must_be_a_positive_int(den):
+    # A den <= 0 would flip every row's sign without a word.
+    with pytest.raises(ValueError, match="den must be a positive int"):
+        LpProblem("max", (F(1),), ((F(0), F(1)),), (), den=den)
