@@ -202,7 +202,7 @@ def key_rows(tab: Tableau, basis, s: int) -> list:
     return out
 
 
-def run_simplex(tab: Tableau, basis, enterable, max_iter):
+def run_simplex(tab: Tableau, basis, enterable, budget):
     """Pivot a tableau to optimality.
 
     The entering column is the enterable one with the most negative
@@ -223,8 +223,8 @@ def run_simplex(tab: Tableau, basis, enterable, max_iter):
         basis: list of m column indices, the basic column of each row.
             Updated in place.
         enterable: list of bools per column; false columns never enter.
-        max_iter: pivot budget, a safety net only (the Bland fallback
-            cannot cycle).
+        budget: the most pivots to take, a safety net only (the Bland
+            fallback cannot cycle).
 
     Returns:
         (status, iterations) with status OPTIMAL, UNBOUNDED, or
@@ -246,7 +246,7 @@ def run_simplex(tab: Tableau, basis, enterable, max_iter):
             enter = next(candidates, -1)
         if enter < 0:
             return OPTIMAL, iters
-        if iters >= max_iter:
+        if iters >= budget:
             return ITERATION_LIMIT, iters
         iters += 1
 

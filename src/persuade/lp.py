@@ -1,11 +1,12 @@
 """Exact rational linear programming with dual certificates.
 
-Problems are stated over variables with optional rational bounds, sparse
-constraint rows (<=, >=, ==), and a linear objective in either sense.
-The objective, coefficients and right-hand sides are ints or Fractions
-read over one positive int denominator, the statement's den: a builder
-that holds its instance as ints over a common unit writes those ints
-with den = unit, and a statement written in Fractions has den = 1.
+Every problem is one shape: maximize a linear objective over columns
+that are each >= 0 or free, subject to sparse constraint rows (<=, >=,
+==).  The objective, coefficients and right-hand sides are ints or
+Fractions read over one positive int denominator, the statement's den:
+a builder that holds its instance as ints over a common unit writes
+those ints with den = unit, and a statement written in Fractions has
+den = 1.
 solve() runs a dense tableau simplex from a crash basis: a >= row whose
 right-hand side is 0 is stated as a <= row, so its slack starts basic;
 the artificial of every other >= or == row is pivoted out at once where
@@ -14,20 +15,19 @@ left, if any.  A convexity row (an == row summing disjoint columns to a
 positive constant, such as a state's distribution row) is not held in
 the tableau at all: its crash pivot makes one of its columns the row's
 key, basic without a row (generalized upper bounding), so the tableau
-of a persuasion LP holds only its incentive, budget and bound rows.
+of a persuasion LP holds only its incentive and budget rows.
 The simplex enters by Dantzig's rule and falls back to Bland's after a
 run of degenerate pivots, so results are deterministic and free of
 rounding.  The tableau is kept in integers (fraction-free pivoting, see
 _pivot_py); only the final values become Fractions.
 
 Dual values are extracted from the final tableau and reported per
-constraint, in the stated sense's convention: for a maximization,
-<=-rows carry duals >= 0 and >=-rows carry duals <= 0; for a
-minimization the signs flip; equality rows are free.  certify()
-re-checks a claimed optimal pair from scratch (primal feasibility, dual
-sign and finiteness conditions, and a zero duality gap).  It too works
-in ints, but reads only the problem and the claimed pair, never the
-tableau or solve()'s row scaling, so it trusts nothing the solver did.
+constraint: <=-rows carry duals >= 0 and >=-rows carry duals <= 0;
+equality rows are free.  certify_report() re-checks a claimed optimal
+pair from scratch (primal feasibility, dual sign and finiteness
+conditions, and a zero duality gap).  It too works in ints, but reads
+only the problem and the claimed pair, never the tableau or solve()'s
+row scaling, so it trusts nothing the solver did.
 certified_solve() is the one boundary the package solves through: it
 returns an optimum whose certificate holds or raises CertificateFailed.
 check_fast_path() checks a closed-form answer with its own dual, lifted
@@ -78,35 +78,44 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """A linear program over len(bounds) variables.
+    """Maximize objective . x subject to constraints, over len(free) columns.
 
     Attributes:
-        sense: "max" or "min".
         objective: dense coefficient tuple, one int or Fraction per
-            variable.
-        bounds: per-variable (lower, upper) with None for unbounded sides.
+            column.
+        free: one bool per column: True for a free column, False for a
+            column >= 0.
         constraints: tuple of LinearConstraint.
-        constant: added to the objective value after solving.
         den: a positive int that the objective entries and every row's
-            coefficients and rhs are divided by; bounds and constant are
-            read as they stand.  The same LP written times k over den = k
-            solves to the same LpSolution.
+            coefficients and rhs are divided by.  The same LP written
+            times k over den = k solves to the same LpSolution.
+
+    Raises ValueError at construction for a den that is not a positive
+    int, an objective whose length differs from free's, a relation other
+    than <=, >=, ==, or a row entry on a column outside [0, n).
     """
 
-    sense: str
     objective: tuple
-    bounds: tuple
+    free: tuple
     constraints: tuple
-    constant: Fraction = ZERO
     den: int = 1
 
     def __post_init__(self):
         if type(self.den) is not int or self.den < 1:
             raise ValueError(f"den must be a positive int, got {self.den!r}")
+        n = len(self.free)
+        if len(self.objective) != n:
+            raise ValueError("objective length does not match variable count")
+        for constraint in self.constraints:
+            if constraint.rel not in (LE, GE, EQ):
+                raise ValueError(f"unknown relation {constraint.rel!r}")
+            for j, _ in constraint.coeffs:
+                if not 0 <= j < n:
+                    raise ValueError(f"constraint references variable {j} of {n}")
 
     @property
     def num_vars(self) -> int:
-        return len(self.bounds)
+        return len(self.free)
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class LpSolution:
     """Solver output.
 
     primal and dual are None unless status is "optimal".  dual has one
-    entry per constraint, in the problem's stated-sense convention.
+    entry per constraint: >= 0 on a <= row, <= 0 on a >= row.
     """
 
     status: str
@@ -146,7 +155,7 @@ def recording():
         _recording.reset(token)
 
 
-def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve to proven optimality, infeasibility, or unboundedness.
 
     The start is a crash basis.  Each row is negated where that makes its
@@ -170,100 +179,53 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     artificial row before a convexity row would have been crash-pivoted
     first; there another optimal vertex can come out.
     """
-    n = problem.num_vars
-    sense_max = problem.sense == "max"
-    if problem.sense not in ("max", "min"):
-        raise ValueError(f"unknown sense {problem.sense!r}")
-    if len(problem.objective) != n:
-        raise ValueError("objective length does not match variable count")
-
-    for lo, up in problem.bounds:
-        if lo is not None and up is not None and lo > up:
-            return LpSolution(INFEASIBLE, None, None, None, 0)
-
-    # Variable transforms onto internal columns, all >= 0:
-    #   ("shift", col, lo): x = lo + t
-    #   ("flip", col, up):  x = up - t
-    #   ("free", cp, cn):   x = tp - tn
-    trans = []
+    # Internal columns, all >= 0: column j's first, and for a free
+    # column a second one right after it that enters negated, x = tp - tn.
+    free = problem.free
+    first = []
     ncols_struct = 0
-    extra_upper_rows = []  # (col, up - lo) rows appended after user rows
-    for j, (lo, up) in enumerate(problem.bounds):
-        if lo is not None:
-            trans.append(("shift", ncols_struct, lo))
-            if up is not None:
-                extra_upper_rows.append((ncols_struct, up - lo))
-            ncols_struct += 1
-        elif up is not None:
-            trans.append(("flip", ncols_struct, up))
-            ncols_struct += 1
-        else:
-            trans.append(("free", ncols_struct, ncols_struct + 1))
-            ncols_struct += 2
-    # Internal columns of each variable, with the sign it enters them by.
-    columns = [
-        ((kind[1], 1),)
-        if kind[0] == "shift"
-        else ((kind[1], -1),)
-        if kind[0] == "flip"
-        else ((kind[1], 1), (kind[2], -1))
-        for kind in trans
-    ]
+    for is_free in free:
+        first.append(ncols_struct)
+        ncols_struct += 2 if is_free else 1
 
-    # Phase-2 costs (maximized) in ints over the objective's common
-    # denominator (times den), divided by their gcd: the objective row
-    # comes out times k2 > 0.
-    direction = 1 if sense_max else -1
+    # Phase-2 costs in ints over the objective's common denominator
+    # (times den), divided by their gcd: the objective row comes out
+    # times k2 > 0.
     cost_den = lcm(*[c.denominator for c in problem.objective])
     struct_cost = [0] * ncols_struct
-    shift_const = ZERO
     for j, c in enumerate(problem.objective):
-        v = direction * c.numerator * (cost_den // c.denominator)
-        for col, s in columns[j]:
-            struct_cost[col] = s * v  # each column belongs to one variable
-        kind = trans[j]
-        if kind[0] != "free" and kind[2] and c:
-            shift_const += direction * c * kind[2]
-    shift_const /= problem.den
+        v = c.numerator * (cost_den // c.denominator)
+        col = first[j]
+        struct_cost[col] = v
+        if free[j]:
+            struct_cost[col + 1] = -v
     cost_den *= problem.den
     g = gcd(*struct_cost)
     k2 = Fraction(cost_den, g) if g else ONE
     if g:
         struct_cost = [v // g for v in struct_cost]
 
-    # Rows: user constraints in order, then internal upper-bound rows.
-    # Each is (sparse ints over its common denominator den, the
-    # statement's den included, rel, rhs times den, den, sign), negated
-    # (sign -1) where that makes the right-hand side >= 0, and a >= row
-    # whose right-hand side is 0 is stated as the negated <= row, so its
-    # slack starts basic at 0 and the row needs no artificial.
+    # Rows, in order, each (sparse ints over its common denominator den,
+    # the statement's den included, rel, rhs times den, den, sign),
+    # negated (sign -1) where that makes the right-hand side >= 0, and a
+    # >= row whose right-hand side is 0 is stated as the negated <= row,
+    # so its slack starts basic at 0 and the row needs no artificial.
     rows = []
-    num_user = len(problem.constraints)
     for constraint in problem.constraints:
-        if constraint.rel not in (LE, GE, EQ):
-            raise ValueError(f"unknown relation {constraint.rel!r}")
         rhs = constraint.rhs
-        den = 1
-        for j, a in constraint.coeffs:
-            if not 0 <= j < n:
-                raise ValueError(f"constraint references variable {j} of {n}")
-            kind = trans[j]
-            if kind[0] != "free" and kind[2]:
-                rhs -= a * kind[2]
-            den = lcm(den, a.denominator)
-        den = lcm(den, rhs.denominator)
+        den = lcm(rhs.denominator, *[a.denominator for _, a in constraint.coeffs])
         rel, sign = constraint.rel, 1
         if rhs < 0 or (rhs == 0 and rel == GE):
             rel, sign = {LE: GE, GE: LE}.get(rel, rel), -1
         acc: dict = {}  # duplicate indices are summed
         for j, a in constraint.coeffs:
             v = sign * a.numerator * (den // a.denominator)
-            for col, s in columns[j]:
-                acc[col] = acc.get(col, 0) + s * v
+            col = first[j]
+            acc[col] = acc.get(col, 0) + v
+            if free[j]:
+                acc[col + 1] = acc.get(col + 1, 0) - v
         rhs_int = sign * rhs.numerator * (den // rhs.denominator)
         rows.append((acc, rel, rhs_int, den * problem.den, sign))
-    for col, cap in extra_upper_rows:
-        rows.append(({col: cap.denominator}, LE, cap.numerator, cap.denominator, 1))
 
     m = len(rows)
     surplus_of = {}
@@ -273,7 +235,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             surplus_of[i] = next_col
             next_col += 1
     id_base = next_col
-    budget = max_iter if max_iter is not None else 20000 + 200 * (id_base + 2 * m)
+    budget = 20000 + 200 * (id_base + 2 * m)
 
     # Integer tableau.  Row i is the stated row times scale[i] > 0, the
     # least factor that makes it integral (its ints over den, divided by
@@ -306,7 +268,7 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     # columns no earlier convexity row has.
     convex = []
     claimed: set = set()
-    for i in range(num_user):
+    for i in range(m):
         acc, rel, _, _, _ = rows[i]
         row = rows_int[i]
         r = row[-1]
@@ -513,25 +475,19 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
     for key, (r, c), total in zip(tab.keys, tab.betas, taken):
         internal_x[key] = Fraction(r * det - c * total, c * det)
 
-    primal = []
-    for j in range(n):
-        kind = trans[j]
-        if kind[0] == "shift":
-            x = internal_x[kind[1]]
-            primal.append(kind[2] + x if kind[2] else x)
-        elif kind[0] == "flip":
-            primal.append(kind[2] - internal_x[kind[1]])
-        else:
-            primal.append(internal_x[kind[1]] - internal_x[kind[2]])
+    primal = [
+        internal_x[col] - internal_x[col + 1] if is_free else internal_x[col]
+        for col, is_free in zip(first, free)
+    ]
 
     # Row i's dual is its identity column's reduced cost times scale[i]
-    # / k2, with the row's sign and the sense's.  A convexity row's,
-    # over its c, makes its key's reduced cost 0: the key's cost minus
-    # the other rows' duals times their entries in the key's column.
+    # / k2, with the row's sign.  A convexity row's, over its c, makes
+    # its key's reduced cost 0: the key's cost minus the other rows'
+    # duals times their entries in the key's column.
     obj, obj_den = tab.rows[-1], tab.dens[-1]
     set_of_row = {i: k for k, i in enumerate(keyed_rows)}
     dual = []
-    for i in range(num_user):
+    for i in range(m):
         k = scale[i]
         e = where.get(i)
         if e is not None:
@@ -545,16 +501,14 @@ def solve(problem: LpProblem, max_iter: Optional[int] = None) -> LpSolution:
             )
         dual.append(
             Fraction(
-                direction * rows[i][4] * w * k.numerator * k2.denominator,
+                rows[i][4] * w * k.numerator * k2.denominator,
                 obj_den * c * k.denominator * k2.numerator,
             )
         )
 
-    value_max = tab.fraction(-1, -1) / k2 + shift_const
-    value = value_max if sense_max else -value_max
     solution = LpSolution(
         OPTIMAL,
-        value + problem.constant,
+        tab.fraction(-1, -1) / k2,
         tuple(primal),
         tuple(dual),
         total_iters,
@@ -569,7 +523,7 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     """All reasons the claimed optimal pair fails to certify (empty = valid).
 
     Checks, from the problem and the claimed pair alone: primal
-    feasibility against every constraint and bound, dual sign
+    feasibility against every constraint and every >= 0 column, dual sign
     conventions, finiteness side conditions on reduced costs,
     complementary slackness, an exactly zero duality gap and the
     objective field.  Computed in ints over common denominators, one per
@@ -585,21 +539,15 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
         return ["primal or dual vector has the wrong length"]
     failures = []
 
-    # x[j] = xs[j] / x_den; in max convention, duals ys[k] / y_den and
-    # costs cs[j] / c_den.
-    direction = 1 if problem.sense == "max" else -1
+    # x[j] = xs[j] / x_den, duals ys[k] / y_den, costs cs[j] / c_den.
     xs, x_den = over_common(x)
     ys, y_den = over_common(duals)
     cs, c_den = over_common(problem.objective)
     c_den *= problem.den
-    if direction < 0:
-        ys, cs = [-v for v in ys], [-c for c in cs]
 
-    for j, (lo, up) in enumerate(problem.bounds):
-        if lo is not None and xs[j] * lo.denominator < lo.numerator * x_den:
-            failures.append(f"x[{j}]={x[j]} below lower bound {lo}")
-        if up is not None and xs[j] * up.denominator > up.numerator * x_den:
-            failures.append(f"x[{j}]={x[j]} above upper bound {up}")
+    for j, is_free in enumerate(problem.free):
+        if not is_free and xs[j] < 0:
+            failures.append(f"x[{j}]={x[j]} below lower bound 0")
 
     priced = []  # (dual, row ints, rhs int, row den) of rows with a dual
     for k, constraint in enumerate(problem.constraints):
@@ -641,45 +589,36 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
             rc[j] -= w * v
     rc_den = y_den * r_den
 
-    gap = []  # (reduced cost, the bound it prices)
-    for j, (lo, up) in enumerate(problem.bounds):
+    # A reduced cost is 0, or < 0 on a >= 0 column at 0.
+    for j, is_free in enumerate(problem.free):
         r = rc[j]
         if not r:
             continue
-        bnd, cmp, side = (up, ">", "upper") if r > 0 else (lo, "<", "lower")
-        if bnd is None:
+        if r > 0 or is_free:
+            cmp, side = (">", "upper") if r > 0 else ("<", "lower")
             failures.append(
                 f"reduced cost {j} is {Fraction(r, rc_den)} {cmp} 0 "
                 f"with no {side} bound"
             )
-            continue
-        gap.append((r, bnd))
-        if xs[j] * bnd.denominator != bnd.numerator * x_den:
+        elif xs[j]:
             failures.append(
-                f"complementary slackness: rc[{j}]={Fraction(r, rc_den)} {cmp} 0 "
-                f"but x[{j}]={x[j]} != {side} bound {bnd}"
+                f"complementary slackness: rc[{j}]={Fraction(r, rc_den)} < 0 "
+                f"but x[{j}]={x[j]} != lower bound 0"
             )
 
-    # Primal value over p_den, dual bound over d_den.
+    # Primal value over p_den; the dual bound is b.y, over rc_den.
     p_den = c_den * x_den
     primal = sum(c * v for c, v in zip(cs, xs))
-    g_den = lcm(*[bnd.denominator for _, bnd in gap])
-    d_den = rc_den * g_den
-    dual = dual_b * g_den + sum(
-        r * bnd.numerator * (g_den // bnd.denominator) for r, bnd in gap
-    )
-    if primal * d_den != dual * p_den:
+    if primal * rc_den != dual_b * p_den:
         failures.append(
             f"duality gap: primal {Fraction(primal, p_den)} != dual bound "
-            f"{Fraction(dual, d_den)}"
+            f"{Fraction(dual_b, rc_den)}"
         )
 
-    constant, claimed = problem.constant, solution.objective
-    stated = direction * primal * constant.denominator + constant.numerator * p_den
-    s_den = p_den * constant.denominator
-    if claimed is None or claimed.numerator * s_den != stated * claimed.denominator:
+    claimed = solution.objective
+    if claimed is None or claimed.numerator * p_den != primal * claimed.denominator:
         failures.append(
-            f"objective field {claimed} != recomputed {Fraction(stated, s_den)}"
+            f"objective field {claimed} != recomputed {Fraction(primal, p_den)}"
         )
     return failures
 
@@ -731,7 +670,3 @@ def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> None:
             )
         require_claim(problem, replace(claim, dual=reference.dual), what)
 
-
-def certify(problem: LpProblem, solution: LpSolution) -> bool:
-    """True iff the claimed optimal (primal, dual) pair proves optimality."""
-    return not certify_report(problem, solution)

@@ -404,15 +404,10 @@ def build_lp_binary(
     objective = [
         mass * f for mass, sender in zip(code.mass, code.sender) for f in sender
     ]
-    bounds = [(ZERO, None)] * cols
+    free = [False] * cols
     if with_pay:
         objective += [-unit] * (2 * n)
-        pay_bound = (
-            (ZERO, None)
-            if payment_model is PaymentModel.NONNEGATIVE
-            else (None, None)
-        )
-        bounds += [pay_bound] * (2 * n)
+        free += [payment_model is not PaymentModel.NONNEGATIVE] * (2 * n)
 
     constraints = []
     follow_zero = []
@@ -461,9 +456,8 @@ def build_lp_binary(
         )
 
     problem = lp.LpProblem(
-        sense="max",
         objective=tuple(objective),
-        bounds=tuple(bounds),
+        free=tuple(free),
         constraints=tuple(constraints),
         den=unit,
     )

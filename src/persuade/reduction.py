@@ -153,9 +153,8 @@ def build_lp_dropped(instance: MultiAgentInstance) -> tuple:
         c for c in full.constraints if not c.name.startswith("follow0")
     )
     problem = lp.LpProblem(
-        sense=full.sense,
         objective=full.objective,
-        bounds=full.bounds,
+        free=full.free,
         constraints=kept,
         den=full.den,
     )
@@ -342,10 +341,10 @@ class CuttingPlaneResult:
 
 
 def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
+    """Maximize -sum(y) over alpha >= 0 and free y, one >= row per (state, set)."""
     n, m = code.receivers, len(code.mass)
     unit = code.unit
-    objective = [0] * n + [unit] * m
-    bounds = [(ZERO, None)] * n + [(None, None)] * m
+    objective = [0] * n + [-unit] * m
     constraints = []
     for t, subset in rows:
         mass = code.mass[t]
@@ -362,9 +361,8 @@ def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
             )
         )
     return lp.LpProblem(
-        sense="min",
         objective=tuple(objective),
-        bounds=tuple(bounds),
+        free=(False,) * n + (True,) * m,
         constraints=tuple(constraints),
         den=unit,
     )
@@ -435,7 +433,7 @@ def cutting_plane_solve(
                 added = True
         if not added:
             break
-    objective = solution.objective
+    objective = -solution.objective
 
     # Every row in ints, times the multipliers' common denominator and
     # code.unit.
@@ -455,10 +453,11 @@ def cutting_plane_solve(
                 )
 
     # The restricted primal is the last restricted dual's LP dual, so that
-    # solve's certified duals, one per generated row, are its optimum.
+    # solve's certified duals, one per generated row, are its optimum,
+    # negated: the rows are >= rows of a maximization.
     dist = [[ZERO] * nsub for _ in range(m)]
     for (t, subset), x in zip(rows, solution.dual):
-        dist[t][subset] = x
+        dist[t][subset] = -x
     zeros = (ZERO,) * n
     scheme = MultiAgentScheme(
         distribution=tuple(tuple(row) for row in dist),

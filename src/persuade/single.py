@@ -168,15 +168,10 @@ def _build_lp(
     objective = [
         mass * s for mass, sender in zip(code.mass, code.sender) for s in sender
     ]
+    free = [False] * (m * n)
     if with_pay:
         objective += [-unit] * n
-
-    bounds = [(ZERO, None)] * (m * n)
-    if with_pay:
-        if payment_model is PaymentModel.NONNEGATIVE:
-            bounds += [(ZERO, None)] * n
-        else:
-            bounds += [(None, None)] * n
+        free += [payment_model is not PaymentModel.NONNEGATIVE] * n
 
     constraints = []
     for i in range(n):
@@ -218,9 +213,8 @@ def _build_lp(
         )
 
     problem = lp.LpProblem(
-        sense="max",
         objective=tuple(objective),
-        bounds=tuple(bounds),
+        free=tuple(free),
         constraints=tuple(constraints),
         den=unit,
     )
@@ -233,14 +227,13 @@ def solve_optimal(
 ) -> SingleResult:
     """Solve the LP to exact optimality and attach the certified dual."""
     inst = _as_instance(instance)
-    code = _coding(inst)
     if inst.actions == 1 and payment_model is PaymentModel.ARBITRARY:
         # With no alternative action there is no obedience constraint to
         # price, so an unrestricted charge makes the LP unbounded.
         raise WrongActionCount(
             "free payments are unbounded with a single action"
         )
-    problem, vmap = _build_lp(inst, payment_model, code)
+    problem, vmap = build_lp(inst, payment_model)
     solution = lp.certified_solve(problem)
 
     n, m = inst.actions, inst.num_states

@@ -50,17 +50,12 @@ def oracle_certify_report(problem, solution):
     if len(x) != n or len(solution.dual) != len(problem.constraints):
         return ["primal or dual vector has the wrong length"]
 
-    for j, (lo, up) in enumerate(problem.bounds):
-        if lo is not None and x[j] < lo:
-            failures.append(f"x[{j}]={x[j]} below lower bound {lo}")
-        if up is not None and x[j] > up:
-            failures.append(f"x[{j}]={x[j]} above upper bound {up}")
+    for j, free in enumerate(problem.free):
+        if not free and x[j] < 0:
+            failures.append(f"x[{j}]={x[j]} below lower bound 0")
 
-    sense_max = problem.sense == "max"
-    cmax = [c if sense_max else -c for c in problem.objective]
-    ymax = [y if sense_max else -y for y in solution.dual]
-
-    rc = list(cmax)
+    cost = problem.objective
+    rc = list(cost)
     dual_b = ZERO
     for k, constraint in enumerate(problem.constraints):
         value = ZERO
@@ -78,7 +73,7 @@ def oracle_certify_report(problem, solution):
                 f"constraint {k} {constraint.name!r} violated: "
                 f"{value} {constraint.rel} {constraint.rhs} fails"
             )
-        y = ymax[k]
+        y = solution.dual[k]
         if constraint.rel == lp.LE and y < 0:
             failures.append(f"dual {k} should be >= 0 in max convention, got {y}")
         if constraint.rel == lp.GE and y > 0:
@@ -92,42 +87,26 @@ def oracle_certify_report(problem, solution):
             for j, coeff in constraint.coeffs:
                 rc[j] = rc[j] - y * coeff
 
-    gap_terms = ZERO
-    for j, (lo, up) in enumerate(problem.bounds):
+    for j, free in enumerate(problem.free):
         r = rc[j]
         if r > 0:
-            if up is None:
-                failures.append(f"reduced cost {j} is {r} > 0 with no upper bound")
-            else:
-                gap_terms += r * up
-                if x[j] != up:
-                    failures.append(
-                        f"complementary slackness: rc[{j}]={r} > 0 but "
-                        f"x[{j}]={x[j]} != upper bound {up}"
-                    )
+            failures.append(f"reduced cost {j} is {r} > 0 with no upper bound")
         elif r < 0:
-            if lo is None:
+            if free:
                 failures.append(f"reduced cost {j} is {r} < 0 with no lower bound")
-            else:
-                gap_terms += r * lo
-                if x[j] != lo:
-                    failures.append(
-                        f"complementary slackness: rc[{j}]={r} < 0 but "
-                        f"x[{j}]={x[j]} != lower bound {lo}"
-                    )
+            elif x[j] != 0:
+                failures.append(
+                    f"complementary slackness: rc[{j}]={r} < 0 but "
+                    f"x[{j}]={x[j]} != lower bound 0"
+                )
 
-    primal_value = sum((cmax[j] * x[j] for j in range(n)), ZERO)
-    dual_value = dual_b + gap_terms
-    if primal_value != dual_value:
-        failures.append(
-            f"duality gap: primal {primal_value} != dual bound {dual_value}"
-        )
+    primal_value = sum((cost[j] * x[j] for j in range(n)), ZERO)
+    if primal_value != dual_b:
+        failures.append(f"duality gap: primal {primal_value} != dual bound {dual_b}")
 
-    stated = primal_value if sense_max else -primal_value
-    if solution.objective != stated + problem.constant:
+    if solution.objective != primal_value:
         failures.append(
-            f"objective field {solution.objective} != recomputed "
-            f"{stated + problem.constant}"
+            f"objective field {solution.objective} != recomputed {primal_value}"
         )
     return failures
 
@@ -173,11 +152,10 @@ def oracle_build_lp(instance, payment_model):
     n, m = instance.actions, instance.num_states
     with_pay = payment_model is not PaymentModel.ZERO
     objective = [s.prob * s.sender[i] for s in instance.states for i in range(n)]
-    bounds = [(ZERO, None)] * (m * n)
+    free = [False] * (m * n)
     if with_pay:
         objective += [F(-1)] * n
-        free = payment_model is not PaymentModel.NONNEGATIVE
-        bounds += [(None if free else ZERO, None)] * n
+        free += [payment_model is not PaymentModel.NONNEGATIVE] * n
     rows = []
     for i in range(n):
         for j in range(n):
@@ -197,7 +175,7 @@ def oracle_build_lp(instance, payment_model):
     if payment_model is PaymentModel.BUDGET_BALANCED:
         pays = tuple((m * n + i, F(1)) for i in range(n))
         rows.append(lp.LinearConstraint(pays, lp.EQ, ZERO, "budget"))
-    return lp.LpProblem("max", tuple(objective), tuple(bounds), tuple(rows))
+    return lp.LpProblem(tuple(objective), tuple(free), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +242,6 @@ def test_certify_report_matches_oracle_on_random_lps(seed, kind):
         assert honest == [f"status is {solution.status}, nothing to certify"]
         return
     assert honest == []
-    problem = replace(problem, constant=F(rng.randint(-3, 3), rng.choice((1, 2))))
-    solution = replace(solution, objective=solution.objective + problem.constant)
-    assert _same_report(problem, solution) == []
     bad = tamper(problem, solution, kind, rng)
     if bad is not None:
         _same_report(problem, bad)
@@ -295,9 +270,8 @@ def test_certify_report_matches_oracle_on_single_lps(seed, actions, states, pm, 
 def test_tampering_is_caught_by_the_integer_check():
     # Each tampering on a small LP with a slack row and priced rows.
     problem = lp.LpProblem(
-        sense="max",
         objective=(F(1), F(1)),
-        bounds=((ZERO, None), (ZERO, None)),
+        free=(False, False),
         constraints=(
             lp.LinearConstraint(((0, F(1)), (1, F(2))), lp.LE, F(4)),
             lp.LinearConstraint(((0, F(3)), (1, F(1))), lp.LE, F(6)),
@@ -359,12 +333,10 @@ def _times(problem, k):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32), st.integers(2, 12), st.sampled_from(TAMPERINGS))
 def test_any_den_states_the_same_lp(seed, k, kind):
-    # Shifted, flipped, bounded and free columns, and a constant, which
-    # den does not divide.
+    # Free columns, and the columns the generator shifted, flipped or
+    # bounded above by a row.
     rng = random.Random(seed)
-    problem = replace(
-        _random_problem(rng), constant=F(rng.randint(-3, 3), rng.choice((1, 2)))
-    )
+    problem = _random_problem(rng)
     stated = _times(problem, k)
     solution = lp.solve(problem)
     assert lp.solve(stated) == solution
@@ -527,8 +499,8 @@ def test_support_check_on_a_typed_instance():
 def _break_certificate(monkeypatch):
     honest = lp.solve
 
-    def nudged(problem, max_iter=None):
-        solution = honest(problem, max_iter)
+    def nudged(problem):
+        solution = honest(problem)
         x = list(solution.primal)
         x[0] += 1
         return replace(solution, primal=tuple(x))
@@ -539,7 +511,7 @@ def _break_certificate(monkeypatch):
 def test_certified_solve_raises_on_a_tampered_answer(monkeypatch):
     inst = model.random_instance(3, actions=3, states=3)
     problem, _ = single.build_lp(inst, PaymentModel.NONNEGATIVE)
-    assert lp.certify(problem, lp.certified_solve(problem))
+    assert not lp.certify_report(problem, lp.certified_solve(problem))
     _break_certificate(monkeypatch)
     with pytest.raises(CertificateFailed, match="optimality certificate failed"):
         lp.certified_solve(problem)
@@ -548,12 +520,7 @@ def test_certified_solve_raises_on_a_tampered_answer(monkeypatch):
 
 
 def test_certified_solve_raises_on_a_non_optimal_status():
-    problem = lp.LpProblem(
-        sense="max",
-        objective=(F(1),),
-        bounds=((ZERO, None),),
-        constraints=(),
-    )
+    problem = lp.LpProblem(objective=(F(1),), free=(False,), constraints=())
     with pytest.raises(CertificateFailed, match="status is unbounded"):
         lp.certified_solve(problem)
 
@@ -578,8 +545,8 @@ _UNDER_O = textwrap.dedent(
     assert False, "asserts are stripped under -O"
     honest = lp.solve
 
-    def nudged(problem, max_iter=None):
-        solution = honest(problem, max_iter)
+    def nudged(problem):
+        solution = honest(problem)
         return replace(solution, objective=solution.objective + 1)
 
     lp.solve = nudged

@@ -32,9 +32,9 @@ def solves(monkeypatch):
     seen = []
     real = lp.solve
 
-    def counting(problem, max_iter=None):
+    def counting(problem):
         seen.append(problem)
-        return real(problem, max_iter)
+        return real(problem)
 
     monkeypatch.setattr(lp, "solve", counting)
     return seen

@@ -6,8 +6,8 @@ The oracle below is a crash-started two-phase simplex on exact
 slack or artificial column divided by that factor so it keeps its 1.
 That scaling changes which reduced cost is most negative, so Dantzig's
 rule needs it; Bland's rule and the ratio test read only signs and
-ratios, which it leaves alone.  A ``>=`` row whose shifted right-hand
-side is 0 is stated as the negated ``<=`` row.  Each convexity row (an
+ratios, which it leaves alone.  A ``>=`` row whose right-hand side is
+0 is stated as the negated ``<=`` row.  Each convexity row (an
 ``==`` row whose scaled entries are one c > 0 on columns no earlier such
 row has, with right-hand side > 0) is then pivoted, in row order, on
 its key: the column of largest phase-2 cost whose pivot keeps the basis
@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from persuade import _pivot_py, lp, model, multi, single
 from persuade.model import PaymentModel
 
-from test_lp import fraction_view
+from test_lp import fraction_view, restate
 
 # ---------------------------------------------------------------------------
 # Fraction oracle
@@ -45,7 +45,7 @@ BLAND = 0  # degenerate_run that makes the oracle (and the kernel) Bland's
 
 
 def oracle_run_simplex(
-    tab, basis, enterable, max_iter, degenerate_run, pivots, cases=None
+    tab, basis, enterable, budget, degenerate_run, pivots, cases=None
 ):
     """Dantzig's rule with the Bland fallback on a Fraction tableau.
 
@@ -74,7 +74,7 @@ def oracle_run_simplex(
                     break
         if enter < 0:
             return ORACLE_OPTIMAL, iters
-        if iters >= max_iter:
+        if iters >= budget:
             return ORACLE_ITERATION_LIMIT, iters
         iters += 1
 
@@ -133,69 +133,44 @@ def oracle_solve(problem, degenerate_run, cases=None):
     (phase 1 runs after at least one crash pivot), "unkeyed" (a
     convexity row without a feasible key), "one_member", "c_not_1" and
     "bounded_member" (a keyed row of one column, with c != 1, or with a
-    member shifted or bounded above), and "bland_fallback" (a phase
-    hands over to Bland's rule).
+    member bounded above by a row named "upper[j]", as test_lp.restate
+    writes it), and "bland_fallback" (a phase hands over to Bland's
+    rule).
     """
     if cases is None:
         cases = set()
-    n = problem.num_vars
-    sense_max = problem.sense == "max"
-    cost = [c if sense_max else -c for c in problem.objective]
-    for lo, up in problem.bounds:
-        if lo is not None and up is not None and lo > up:
-            return (lp.INFEASIBLE, None, None, None, 0), None, [], None
-
-    trans, upper, ncols_struct = [], [], 0
-    for lo, up in problem.bounds:
-        if lo is not None:
-            trans.append(("shift", ncols_struct, lo))
-            if up is not None:
-                upper.append((ncols_struct, up - lo))
-            ncols_struct += 1
-        elif up is not None:
-            trans.append(("flip", ncols_struct, up))
-            ncols_struct += 1
-        else:
-            trans.append(("free", ncols_struct, ncols_struct + 1))
-            ncols_struct += 2
+    # Column j is internal column first[j], and a free column also
+    # first[j] + 1, entering negated.
+    first, ncols_struct = [], 0
+    for free in problem.free:
+        first.append(ncols_struct)
+        ncols_struct += 2 if free else 1
 
     struct_cost = [F(0)] * ncols_struct
-    shift_const = F(0)
-    for j, kind in enumerate(trans):
-        if kind[0] == "shift":
-            struct_cost[kind[1]] += cost[j]
-            shift_const += cost[j] * kind[2]
-        elif kind[0] == "flip":
-            struct_cost[kind[1]] -= cost[j]
-            shift_const += cost[j] * kind[2]
-        else:
-            struct_cost[kind[1]] += cost[j]
-            struct_cost[kind[2]] -= cost[j]
+    for j, c in enumerate(problem.objective):
+        struct_cost[first[j]] += c
+        if problem.free[j]:
+            struct_cost[first[j] + 1] -= c
 
     rows = []
     for constraint in problem.constraints:
         srow = [F(0)] * ncols_struct
         rhs = constraint.rhs
         for j, a in constraint.coeffs:
-            kind = trans[j]
-            if kind[0] == "shift":
-                srow[kind[1]] += a
-                rhs -= a * kind[2]
-            elif kind[0] == "flip":
-                srow[kind[1]] -= a
-                rhs -= a * kind[2]
-            else:
-                srow[kind[1]] += a
-                srow[kind[2]] -= a
+            srow[first[j]] += a
+            if problem.free[j]:
+                srow[first[j] + 1] -= a
         rel, sign = constraint.rel, 1
         if rhs < 0 or (rhs == 0 and rel == lp.GE):
             srow, rhs, sign = [-v for v in srow], -rhs, -1
             rel = {lp.LE: lp.GE, lp.GE: lp.LE}.get(rel, rel)
         rows.append((srow, rel, rhs, sign))
-    for col, cap in upper:
-        srow = [F(0)] * ncols_struct
-        srow[col] = F(1)
-        rows.append((srow, lp.LE, cap, 1))
+    bounded_above = {
+        first[j]
+        for c in problem.constraints
+        if c.name.startswith("upper[")
+        for j, _ in c.coeffs
+    }
 
     m = len(rows)
     surplus_of, next_col = {}, ncols_struct
@@ -284,11 +259,7 @@ def oracle_solve(problem, degenerate_run, cases=None):
             cases.add("one_member")
         if tab[r][enter] != 1:
             cases.add("c_not_1")
-        if any(
-            trans[v][0] == "shift" and (trans[v][2] or problem.bounds[v][1] is not None)
-            for v in range(n)
-            if trans[v][1] in members
-        ):
+        if bounded_above.intersection(members):
             cases.add("bounded_member")
         oracle_pivot(tab, basis, r, enter, pivots)
         keyed.append(r)
@@ -359,22 +330,13 @@ def oracle_solve(problem, degenerate_run, cases=None):
     x = [F(0)] * ncols
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
-    primal = []
-    for kind in trans:
-        if kind[0] == "shift":
-            primal.append(kind[2] + x[kind[1]])
-        elif kind[0] == "flip":
-            primal.append(kind[2] - x[kind[1]])
-        else:
-            primal.append(x[kind[1]] - x[kind[2]])
-    dual = []
-    for i in range(len(problem.constraints)):
-        y = obj[id_base + i] * scale[i] * rows[i][3]
-        dual.append(y if sense_max else -y)
-    value = obj[-1] + shift_const
-    value = (value if sense_max else -value) + problem.constant
+    primal = [
+        x[col] - x[col + 1] if free else x[col]
+        for col, free in zip(first, problem.free)
+    ]
+    dual = [obj[id_base + i] * scale[i] * rows[i][3] for i in range(m)]
     return (
-        (lp.OPTIMAL, value, tuple(primal), tuple(dual), total),
+        (lp.OPTIMAL, obj[-1], tuple(primal), tuple(dual), total),
         sorted(basis),
         pivots,
         layout,
@@ -401,9 +363,7 @@ def integer_solve(problem, degenerate_run, layout=None, events=None):
         events = []
     id_base = layout["id_base"] if layout else 0
     keyed = layout["keyed"] if layout else []
-    m = len(problem.constraints) + sum(
-        lo is not None and up is not None for lo, up in problem.bounds
-    )
+    m = len(problem.constraints)
     explicit = [i for i in range(m) if i not in keyed]
 
     def rename(col):
@@ -539,9 +499,8 @@ def test_kernels_produce_identical_solutions():
     # out pivots on a negative entry, and phase 2 pivots after that.
     problems.append(
         lp.LpProblem(
-            sense="max",
             objective=(F(-1), F(-2)),
-            bounds=((F(0), None), (F(0), None)),
+            free=(False, False),
             constraints=(
                 lp.LinearConstraint(((1, F(-1)), (0, F(1))), lp.EQ, F(2)),
                 lp.LinearConstraint(((1, F(-3)),), lp.GE, F(0)),
@@ -581,11 +540,9 @@ def test_kernel_twins_agree_on_a_raw_tableau():
 def test_degenerate_lp_reaches_a_certified_optimum(degenerate_run):
     # Beale's LP as stated: its first pivots are degenerate, so with the
     # constant at 1 or 2 the phase hands over to Bland's rule midway.
-    x = (F(0), None)
     beale = lp.LpProblem(
-        sense="max",
         objective=(F(3, 4), F(-20), F(1, 2), F(-6)),
-        bounds=(x, x, x, x),
+        free=(False,) * 4,
         constraints=(
             lp.LinearConstraint(
                 ((0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))), lp.LE, F(0)
@@ -633,9 +590,9 @@ def test_single_receiver_lps_start_feasible(payment_model):
     runs = []
     real_run = _pivot_py.run_simplex
 
-    def run_spy(tab, basis, enterable, max_iter):
+    def run_spy(tab, basis, enterable, budget):
         runs.append(len(basis))
-        return real_run(tab, basis, enterable, max_iter)
+        return real_run(tab, basis, enterable, budget)
 
     for instance in _single_receiver_instances():
         problem = single.build_lp(instance, payment_model)[0]
@@ -648,6 +605,15 @@ def test_single_receiver_lps_start_feasible(payment_model):
 
 
 _rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _stated(sense, objective, bounds, constraints):
+    """test_lp.restate, with a min problem stated as max of its negation."""
+    if sense == "min":
+        objective = [-c for c in objective]
+    return restate(objective, bounds, constraints)
+
+
 # Zero right-hand sides and zero lower bounds make degenerate vertices:
 # ratio ties, and artificials left basic at zero after phase 1.
 _rhs = st.one_of(st.just(F(0)), _rational)
@@ -674,13 +640,9 @@ def _random_problem(draw):
                 rhs=draw(_rhs),
             )
         )
-    return lp.LpProblem(
-        sense=draw(st.sampled_from(["max", "min"])),
-        objective=tuple(draw(_rational) for _ in range(n)),
-        bounds=tuple(bounds),
-        constraints=tuple(constraints),
-        constant=draw(_rational),
-    )
+    sense = draw(st.sampled_from(["max", "min"]))
+    objective = [draw(_rational) for _ in range(n)]
+    return _stated(sense, objective, bounds, constraints)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -715,12 +677,9 @@ def _blocked_crash_problem(draw):
         lp.LinearConstraint(((2, d),), draw(st.sampled_from([lp.EQ, lp.GE])), f),
     ]
     rows = draw(st.permutations([zero_row] + crashed))
-    return lp.LpProblem(
-        sense=draw(st.sampled_from(["max", "min"])),
-        objective=tuple(draw(_rational) for _ in range(3)),
-        bounds=(_nonneg, _nonneg, _nonneg),
-        constraints=tuple(rows),
-    )
+    sense = draw(st.sampled_from(["max", "min"]))
+    objective = [draw(_rational) for _ in range(3)]
+    return _stated(sense, objective, (_nonneg,) * 3, rows)
 
 
 @st.composite
@@ -737,12 +696,9 @@ def _zero_rhs_equality_problem(draw):
             draw(_rational),
         ),
     ]
-    return lp.LpProblem(
-        sense=draw(st.sampled_from(["max", "min"])),
-        objective=tuple(draw(_rational) for _ in range(n)),
-        bounds=bounds,
-        constraints=tuple(rows),
-    )
+    sense = draw(st.sampled_from(["max", "min"]))
+    objective = [draw(_rational) for _ in range(n)]
+    return _stated(sense, objective, bounds, rows)
 
 
 @pytest.mark.parametrize(
@@ -780,8 +736,9 @@ def _convexity_problem(draw):
 
     A group's row has one coefficient c on each of its columns (negated
     with its right-hand side at times, which sign normalization undoes)
-    and a positive right-hand side; members may be shifted or bounded
-    above.  General rows over any columns, in any order with the
+    and a positive right-hand side; members may be shifted (the
+    substitution moves the right-hand sides) or bounded above by a row
+    after all the others.  General rows over any columns, in any order with the
     convexity rows, can block a key, meet keyed columns and leave
     artificials before or after a convexity row.
     """
@@ -807,12 +764,10 @@ def _convexity_problem(draw):
                 draw(_rhs),
             )
         )
-    return lp.LpProblem(
-        sense=draw(st.sampled_from(["max", "min"])),
-        objective=tuple(draw(_rational) for _ in range(n)),
-        bounds=tuple(draw(_bound) for _ in range(n)),
-        constraints=tuple(draw(st.permutations(rows))),
-    )
+    sense = draw(st.sampled_from(["max", "min"]))
+    objective = [draw(_rational) for _ in range(n)]
+    bounds = [draw(_bound) for _ in range(n)]
+    return _stated(sense, objective, bounds, draw(st.permutations(rows)))
 
 
 def test_convexity_rows_match_fraction_oracle():
@@ -895,11 +850,9 @@ def test_row_whose_duplicates_cancel_is_all_zero():
     # x0/2 - x0/2 == 0 sums to an all-zero row (over the denominator 2),
     # a dependent equality row that phase 1 drops.  (2/3 + 1/3) x1 == 1
     # is a convexity row of one column, keyed on x1.
-    x = (F(0), None)
     problem = lp.LpProblem(
-        sense="max",
         objective=(F(-1), F(1)),
-        bounds=(x, x),
+        free=(False, False),
         constraints=(
             lp.LinearConstraint(((0, F(1, 2)), (0, F(-1, 2))), lp.EQ, F(0)),
             lp.LinearConstraint(((1, F(1)), (0, F(-1, 3))), lp.LE, F(2)),
@@ -918,11 +871,9 @@ def test_drive_out_pivots_count_as_iterations():
     # phase 1 runs.  It ends with an artificial basic at 0 whose row
     # has a nonzero entry outside the artificial columns, so it is driven
     # out by a pivot; the other row reduces to 0 == 0 and is dropped.
-    x = (F(0), None)
     problem = lp.LpProblem(
-        sense="max",
         objective=(F(2), F(0)),
-        bounds=(x, x),
+        free=(False, False),
         constraints=(
             lp.LinearConstraint(((0, F(1)),), lp.LE, F(1)),
             lp.LinearConstraint(((0, F(2)),), lp.EQ, F(2)),
@@ -934,9 +885,9 @@ def test_drive_out_pivots_count_as_iterations():
     real_run, real_pivot = _pivot_py.run_simplex, _pivot_py.Tableau.pivot
     real_delete = _pivot_py.Tableau.delete
 
-    def run_spy(tab, basis, enterable, max_iter):
+    def run_spy(tab, basis, enterable, budget):
         events.append("run")
-        status, iters = real_run(tab, basis, enterable, max_iter)
+        status, iters = real_run(tab, basis, enterable, budget)
         events.append(("end", iters))
         return status, iters
 

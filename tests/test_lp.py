@@ -7,17 +7,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from persuade import lp
+from persuade import _pivot_py, lp
+from persuade.errors import IterationLimit
 from persuade.lp import LinearConstraint, LpProblem
 
 
-def make(sense, objective, bounds, constraints, constant=F(0)):
+def make(objective, free, constraints):
     return LpProblem(
-        sense=sense,
         objective=tuple(F(c) for c in objective),
-        bounds=tuple(bounds),
+        free=tuple(free),
         constraints=tuple(constraints),
-        constant=F(constant),
     )
 
 
@@ -27,6 +26,43 @@ def row(coeffs, rel, rhs, name=""):
         rel=rel,
         rhs=F(rhs),
         name=name,
+    )
+
+
+def restate(objective, bounds, constraints):
+    """An LP over columns with (lower, upper) bounds, stated over columns >= 0 or free.
+
+    A column with a lower bound lo is lo + t and one with only an upper
+    bound up is up - t, over t >= 0; the upper bound of a column with
+    both becomes the row t <= up - lo, named "upper[j]", after all the
+    others.  A column with neither is free.
+    """
+    offset, sign, free, upper = [], [], [], []
+    for j, (lo, up) in enumerate(bounds):
+        if lo is not None:
+            offset.append(lo)
+            sign.append(1)
+            if up is not None:
+                upper.append(row([(j, 1)], "<=", up - lo, f"upper[{j}]"))
+        elif up is not None:
+            offset.append(up)
+            sign.append(-1)
+        else:
+            offset.append(F(0))
+            sign.append(1)
+        free.append(lo is None and up is None)
+    rows = [
+        replace(
+            c,
+            coeffs=tuple((j, sign[j] * a) for j, a in c.coeffs),
+            rhs=c.rhs - sum((a * offset[j] for j, a in c.coeffs), F(0)),
+        )
+        for c in constraints
+    ]
+    return LpProblem(
+        objective=tuple(s * c for s, c in zip(sign, objective)),
+        free=tuple(free),
+        constraints=tuple(rows + upper),
     )
 
 
@@ -51,108 +87,84 @@ def fraction_view(problem):
 def test_simple_max():
     # max x + y st x + 2y <= 4, 3x + y <= 6; optimum at (8/5, 6/5) = 14/5
     p = make(
-        "max",
         [1, 1],
-        [(F(0), None), (F(0), None)],
+        [False, False],
         [row([(0, 1), (1, 2)], "<=", 4), row([(0, 3), (1, 1)], "<=", 6)],
     )
     s = lp.solve(p)
     assert s.status == lp.OPTIMAL
     assert s.objective == F(14, 5)
     assert s.primal == (F(8, 5), F(6, 5))
-    assert lp.certify(p, s)
+    assert not lp.certify_report(p, s)
 
 
 def test_equality_and_min():
-    # min 2x + 3y st x + y == 5, x <= 3 -> x=3, y=2, value 12
+    # min 2x + 3y st x + y == 5, x <= 3 -> x=3, y=2, value 12, stated as
+    # max -2x - 3y, whose value is -12.
     p = make(
-        "min",
-        [2, 3],
-        [(F(0), F(3)), (F(0), None)],
-        [row([(0, 1), (1, 1)], "==", 5)],
+        [-2, -3],
+        [False, False],
+        [row([(0, 1), (1, 1)], "==", 5), row([(0, 1)], "<=", 3)],
     )
     s = lp.solve(p)
     assert s.status == lp.OPTIMAL
-    assert s.objective == F(12)
+    assert s.objective == F(-12)
     assert s.primal == (F(3), F(2))
-    assert lp.certify(p, s)
-    # For a minimization the >=0-dual side is the >= rows; equality free.
-    # Here shadow price of the == row is 3 (y is the marginal variable).
-    assert s.dual == (F(3),)
+    assert not lp.certify_report(p, s)
+    # The == row is free and prices y's cost: -3.  Raising x's cap by
+    # one trades a unit of y for one of x, worth 1.
+    assert s.dual == (F(-3), F(1))
 
 
 def test_free_variable():
     # max 2y - x, x free above -2, y >= 0, x + y <= 3 -> x=-2, y=5, value 12
     p = make(
-        "max",
         [-1, 2],
-        [(None, None), (F(0), None)],
+        [True, False],
         [row([(0, 1), (1, 1)], "<=", 3), row([(0, 1)], ">=", -2)],
     )
     s = lp.solve(p)
     assert s.status == lp.OPTIMAL
     assert s.objective == F(12)
     assert s.primal == (F(-2), F(5))
-    assert lp.certify(p, s)
-    # Max-sense convention: <= rows carry nonnegative duals, >= rows
-    # nonpositive ones.
+    assert not lp.certify_report(p, s)
+    # <= rows carry nonnegative duals, >= rows nonpositive ones.
     assert s.dual[0] >= 0 and s.dual[1] <= 0
 
 
 def test_infeasible():
     p = make(
-        "max",
         [1],
-        [(F(0), None)],
+        [False],
         [row([(0, 1)], "<=", 1), row([(0, 1)], ">=", 2)],
     )
     assert lp.solve(p).status == lp.INFEASIBLE
 
 
-def test_bound_conflict_infeasible():
-    p = make("max", [1], [(F(1), F(0))], [])
-    assert lp.solve(p).status == lp.INFEASIBLE
-
-
 def test_unbounded():
-    p = make("max", [1, 0], [(F(0), None), (F(0), None)], [row([(1, 1)], "<=", 1)])
+    p = make([1, 0], [False, False], [row([(1, 1)], "<=", 1)])
     assert lp.solve(p).status == lp.UNBOUNDED
 
 
-def test_fixed_variable_bounds():
-    p = make(
-        "max",
-        [5, 1],
-        [(F(2), F(2)), (F(0), F(1))],
-        [row([(0, 1), (1, 1)], "<=", 10)],
-    )
-    s = lp.solve(p)
-    assert s.status == lp.OPTIMAL
-    assert s.primal[0] == F(2)
-    assert s.objective == F(11)
-    assert lp.certify(p, s)
-
-
 def test_negative_rhs_row_flips():
-    # -x - y <= -2 is x + y >= 2 in disguise.
+    # -x - y <= -2 is x + y >= 2 in disguise.  min x + 2y, stated as
+    # max -x - 2y.
     p = make(
-        "min",
-        [1, 2],
-        [(F(0), None), (F(0), None)],
+        [-1, -2],
+        [False, False],
         [row([(0, -1), (1, -1)], "<=", -2)],
     )
     s = lp.solve(p)
     assert s.status == lp.OPTIMAL
-    assert s.objective == F(2)
+    assert s.objective == F(-2)
     assert s.primal == (F(2), F(0))
-    assert lp.certify(p, s)
+    assert not lp.certify_report(p, s)
 
 
 def test_redundant_equality_rows_dropped():
     p = make(
-        "max",
         [1, 1],
-        [(F(0), None), (F(0), None)],
+        [False, False],
         [
             row([(0, 1), (1, 1)], "==", 2),
             row([(0, 2), (1, 2)], "==", 4),
@@ -162,33 +174,24 @@ def test_redundant_equality_rows_dropped():
     s = lp.solve(p)
     assert s.status == lp.OPTIMAL
     assert s.objective == F(2)
-    assert lp.certify(p, s)
+    assert not lp.certify_report(p, s)
 
 
 def test_duplicate_coefficients_merge():
     p = make(
-        "max",
         [1],
-        [(F(0), None)],
+        [False],
         [row([(0, 1), (0, 1)], "<=", 4)],
     )
     s = lp.solve(p)
     assert s.objective == F(2)
-    assert lp.certify(p, s)
-
-
-def test_constant_offset():
-    p = make("max", [1], [(F(0), F(1))], [], constant=F(7, 2))
-    s = lp.solve(p)
-    assert s.objective == F(9, 2)
-    assert lp.certify(p, s)
+    assert not lp.certify_report(p, s)
 
 
 def test_determinism():
     p = make(
-        "max",
         [3, 1, 4],
-        [(F(0), None)] * 3,
+        [False] * 3,
         [
             row([(0, 1), (1, 2), (2, 1)], "<=", 7),
             row([(0, 2), (2, 3)], "<=", 9),
@@ -205,7 +208,7 @@ def test_row_scaling_scales_dual():
         row([(0, 1), (1, 2)], "<=", 4),
         row([(0, 3), (1, 1)], "<=", 6),
     ]
-    p = make("max", [1, 1], [(F(0), None), (F(0), None)], base_rows)
+    p = make([1, 1], [False, False], base_rows)
     s = lp.solve(p)
     c = F(5, 3)
     scaled = [
@@ -216,20 +219,23 @@ def test_row_scaling_scales_dual():
         ),
         base_rows[1],
     ]
-    p2 = make("max", [1, 1], [(F(0), None), (F(0), None)], scaled)
+    p2 = make([1, 1], [False, False], scaled)
     s2 = lp.solve(p2)
     assert s2.objective == s.objective
     assert s2.primal == s.primal
     assert s2.dual[0] == s.dual[0] / c
     assert s2.dual[1] == s.dual[1]
-    assert lp.certify(p2, s2)
+    assert not lp.certify_report(p2, s2)
 
 
 def _random_problem(rng):
+    """A random LP over bounded columns, restated; a min one as max of its negation."""
     n = rng.randint(1, 5)
     m = rng.randint(1, 5)
     sense = rng.choice(["max", "min"])
     objective = [F(rng.randint(-4, 4), rng.choice([1, 1, 2])) for _ in range(n)]
+    if sense == "min":
+        objective = [-c for c in objective]
     bounds = []
     for _ in range(n):
         kind = rng.randrange(4)
@@ -249,7 +255,7 @@ def _random_problem(rng):
         coeffs = [(j, c) for j, c in coeffs if c] or [(support[0], F(1))]
         rel = rng.choice(["<=", ">=", "=="])
         constraints.append(row(coeffs, rel, F(rng.randint(-6, 6))))
-    return make(sense, objective, bounds, constraints)
+    return restate(objective, bounds, constraints)
 
 
 def test_random_lps_certify():
@@ -275,15 +281,15 @@ def test_random_lps_deterministic():
 
 def test_audit_log_records_solves():
     with lp.recording() as entries:
-        p = make("max", [1], [(F(0), F(2))], [])
+        p = make([1], [False], [row([(0, 1)], "<=", 2)])
         lp.solve(p)
     assert len(entries) == 1
     assert entries[0][1].objective == F(2)
 
 
 def test_recording_is_scoped_to_its_thread():
-    mine = make("max", [1], [(F(0), F(2))], [])
-    theirs = make("max", [1], [(F(0), F(3))], [])
+    mine = make([1], [False], [row([(0, 1)], "<=", 2)])
+    theirs = make([1], [False], [row([(0, 1)], "<=", 3)])
     with lp.recording() as entries:
         worker = threading.Thread(target=lp.solve, args=(theirs,))
         worker.start()
@@ -296,9 +302,8 @@ def test_recording_is_scoped_to_its_thread():
 
 def test_certify_rejects_tampering():
     p = make(
-        "max",
         [1, 1],
-        [(F(0), None), (F(0), None)],
+        [False, False],
         [row([(0, 1), (1, 2)], "<=", 4), row([(0, 3), (1, 1)], "<=", 6)],
     )
     s = lp.solve(p)
@@ -309,7 +314,7 @@ def test_certify_rejects_tampering():
         dual=s.dual,
         iterations=s.iterations,
     )
-    assert not lp.certify(p, worse)
+    assert lp.certify_report(p, worse)
     weak_dual = lp.LpSolution(
         status=s.status,
         objective=s.objective,
@@ -317,22 +322,64 @@ def test_certify_rejects_tampering():
         dual=(F(0), F(0)),
         iterations=s.iterations,
     )
-    assert not lp.certify(p, weak_dual)
+    assert lp.certify_report(p, weak_dual)
 
 
-def test_iteration_limit_raises():
+def test_iteration_limit_raises(monkeypatch):
+    def out_of_pivots(tab, basis, enterable, budget):
+        return _pivot_py.ITERATION_LIMIT, budget
+
+    monkeypatch.setattr(_pivot_py, "run_simplex", out_of_pivots)
+    # Every row starts with its slack basic: only phase 2 runs.
+    p = make([1, 1, 1], [False] * 3, [row([(0, 1), (1, 1), (2, 1)], "<=", 30)])
+    with pytest.raises(IterationLimit, match="pivots in phase 2"):
+        lp.solve(p)
+    # x0 <= 1 and x1 <= 1 block the crash of x0 + x1 >= 2: phase 1 runs.
     p = make(
-        "max",
-        [1, 1, 1],
-        [(F(0), None)] * 3,
-        [row([(0, 1), (1, 1), (2, 1)], "<=", 30)],
+        [1, 1],
+        [False, False],
+        [
+            row([(0, 1), (1, 1)], ">=", 2),
+            row([(0, 1)], "<=", 1),
+            row([(1, 1)], "<=", 1),
+        ],
     )
-    with pytest.raises(Exception):
-        lp.solve(p, max_iter=0)
+    with pytest.raises(IterationLimit, match="pivots in phase 1"):
+        lp.solve(p)
 
 
 @pytest.mark.parametrize("den", [0, -3, 2.0, F(2), True, None])
 def test_den_must_be_a_positive_int(den):
     # A den <= 0 would flip every row's sign without a word.
     with pytest.raises(ValueError, match="den must be a positive int"):
-        LpProblem("max", (F(1),), ((F(0), F(1)),), (), den=den)
+        LpProblem((F(1),), (False,), (), den=den)
+
+
+_GOOD = make([1, 1], [False, True], [row([(0, 1), (1, 1)], "<=", 4)])
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"objective": (F(1), F(1), F(1))}, "objective length does not match"),
+        (
+            {"constraints": (row([(-1, 1)], "<=", 4),)},
+            "constraint references variable -1 of 2",
+        ),
+        ({"constraints": (row([(0, 1)], "=<", 4),)}, "unknown relation '=<'"),
+    ],
+    ids=["extra-objective-entry", "column-minus-1", "relation"],
+)
+def test_statement_is_checked_at_construction(fields, message):
+    # A statement solve would refuse cannot be made, so certify_report
+    # never reads one.
+    with pytest.raises(ValueError, match=message):
+        replace(_GOOD, **fields)
+    stated = {
+        "objective": _GOOD.objective,
+        "free": _GOOD.free,
+        "constraints": _GOOD.constraints,
+        **fields,
+    }
+    with pytest.raises(ValueError, match=message):
+        LpProblem(**stated)

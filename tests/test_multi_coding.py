@@ -104,12 +104,11 @@ def oracle_build_lp_binary(inst, payment_model):
     for t, state in enumerate(inst.states):
         for subset in range(nsub):
             objective[vmap.phi(t, subset)] = state.prob * state.sender[subset]
-    bounds = [(ZERO, None)] * cols
+    free = [False] * cols
     if with_pay:
         for i in range(n):
             objective[vmap.q_one(i)] = objective[vmap.q_zero(i)] = -ONE
-        nonneg = payment_model is PaymentModel.NONNEGATIVE
-        bounds += [(ZERO, None) if nonneg else (None, None)] * (2 * n)
+        free += [payment_model is not PaymentModel.NONNEGATIVE] * (2 * n)
     constraints = []
     for i in range(n):
         coeffs = []
@@ -146,9 +145,8 @@ def oracle_build_lp_binary(inst, payment_model):
         )
         constraints.append(lp.LinearConstraint(coeffs, lp.EQ, ZERO, "budget"))
     problem = lp.LpProblem(
-        sense="max",
         objective=tuple(objective),
-        bounds=tuple(bounds),
+        free=tuple(free),
         constraints=tuple(constraints),
     )
     return problem, vmap

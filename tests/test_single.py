@@ -346,3 +346,23 @@ def test_solver_is_deterministic():
     b = single.solve_optimal(inst, PaymentModel.NONNEGATIVE)
     assert a.scheme == b.scheme
     assert a.solution.dual == b.solution.dual
+
+
+def test_solve_optimal_builds_through_build_lp(monkeypatch):
+    # A wrapper on the public builder, as a tracer installs one, sees
+    # every LP solve_optimal states.
+    calls = []
+    real = single.build_lp
+
+    def counting(instance, payment_model):
+        calls.append(payment_model)
+        return real(instance, payment_model)
+
+    monkeypatch.setattr(single, "build_lp", counting)
+    typed = model.random_instance(4, actions=3, symmetric=True, types=2)
+    for instance in (ZERO_SUM, typed):
+        for pm in PaymentModel:
+            calls.clear()
+            result = single.solve_optimal(instance, pm)
+            assert calls == [pm]
+            assert result.problem == real(result.instance, pm)[0]
