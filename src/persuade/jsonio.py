@@ -262,6 +262,11 @@ def scheme_to_json(
     return doc
 
 
+def _rows(data: dict) -> tuple:
+    rows = _array(_require(data, "distribution"), "distribution")
+    return tuple(_vector(row) for row in rows)
+
+
 def scheme_from_json(data: dict) -> Scheme:
     """Reconstruct the scheme object from its document."""
     if not isinstance(data, dict):
@@ -269,16 +274,12 @@ def scheme_from_json(data: dict) -> Scheme:
     kind = data.get("kind")
     if kind == "single_scheme":
         return SignalingScheme(
-            distribution=tuple(
-                _vector(row) for row in _require(data, "distribution")
-            ),
+            distribution=_rows(data),
             payments=_vector(_require(data, "payments")),
         )
     if kind == "multi_scheme":
         return MultiAgentScheme(
-            distribution=tuple(
-                _vector(row) for row in _require(data, "distribution")
-            ),
+            distribution=_rows(data),
             q_one=_vector(_require(data, "q_one")),
             q_zero=_vector(_require(data, "q_zero")),
         )

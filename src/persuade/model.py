@@ -82,6 +82,11 @@ class PersuasionInstance:
     def num_states(self) -> int:
         return len(self.states)
 
+    @functools.cached_property
+    def coding(self) -> SingleCoding:
+        """The instance in ints (SingleCoding), built on first use and kept."""
+        return _single_coding(self)
+
 
 @dataclass(frozen=True)
 class ActionType:
@@ -168,6 +173,11 @@ class MultiAgentInstance:
     @property
     def num_subsets(self) -> int:
         return 1 << self.receivers
+
+    @functools.cached_property
+    def coding(self) -> MultiCoding:
+        """The instance in ints (MultiCoding), built on first use and kept."""
+        return _multi_coding(self)
 
 
 @dataclass(frozen=True)
@@ -446,28 +456,18 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
     one orbit, of n! / prod(m!) keys, m running over the multiplicities
     of the pairs.
     Typed instances with an iid marginal are symmetric by construction.
-    The map is keyed by int payoffs and holds int masses, each over one
-    common denominator.
+    The map is keyed by the int payoffs of instance.coding and holds its
+    int masses.
     """
     if isinstance(instance, TypedInstance):
         if instance.iid_marginal is not None:
             return True
         instance = instance.expanded
-    states = instance.states
-    e = math.lcm(*{state.prob.denominator for state in states})
-    d = math.lcm(
-        *{v.denominator for state in states for v in state.sender + state.receiver}
-    )
+    code = instance.coding
     base: dict = {}
-    for state in states:
-        key = tuple(
-            [
-                (s.numerator * (d // s.denominator), r.numerator * (d // r.denominator))
-                for s, r in zip(state.sender, state.receiver)
-            ]
-        )
-        prob = state.prob
-        base[key] = base.get(key, 0) + prob.numerator * (e // prob.denominator)
+    for mass, sender, receiver in zip(code.mass, code.sender, code.receiver):
+        key = tuple(zip(sender, receiver))
+        base[key] = base.get(key, 0) + mass
     orbits: dict = {}
     for key, prob in base.items():
         if prob:
@@ -479,6 +479,104 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
         if len(masses) != size or any(p != masses[0] for p in masses):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Integer codings
+
+
+@dataclass(frozen=True)
+class SingleCoding:
+    """A single-receiver instance in ints over one common denominator.
+
+    mass[t] is state t's probability times E, and sender[t][i] and
+    receiver[t][i] are its payoffs times D, for the least such E and D.
+    A sum of masses times payoffs is then an int over unit = E * D, and
+    the solvers compare such sums without building a Fraction.
+    """
+
+    actions: int
+    mass: tuple
+    sender: tuple
+    receiver: tuple
+    unit: int
+
+
+@dataclass(frozen=True)
+class MultiCoding:
+    """A multi-receiver instance in ints over one common denominator.
+
+    mass[t] is state t's probability times E and sender[t][S] its sender
+    payoff times D, for the least such E and D.  gain[t][i][S] is
+    u_i(S with i) - u_i(S without i) times D, for every S: receiver i's
+    marginal utility at S when i is in S, its gain from switching to 1
+    when it is not.  pull[t][S] is the net marginal pull of S times D:
+    the members' gains minus the outsiders'.  payoff_den is D, and a sum
+    of masses times payoffs is an int over unit = E * D.
+    """
+
+    receivers: int
+    mass: tuple
+    sender: tuple
+    gain: tuple
+    pull: tuple
+    payoff_den: int
+    unit: int
+
+
+def _ints(values, d: int) -> tuple:
+    return tuple([v.numerator * (d // v.denominator) for v in values])
+
+
+def _single_coding(instance: PersuasionInstance) -> SingleCoding:
+    states = instance.states
+    e = math.lcm(*{state.prob.denominator for state in states})
+    d = math.lcm(
+        *{v.denominator for state in states for v in state.sender + state.receiver}
+    )
+    return SingleCoding(
+        actions=instance.actions,
+        mass=_ints([state.prob for state in states], e),
+        sender=tuple([_ints(state.sender, d) for state in states]),
+        receiver=tuple([_ints(state.receiver, d) for state in states]),
+        unit=e * d,
+    )
+
+
+def _multi_coding(instance: MultiAgentInstance) -> MultiCoding:
+    states = instance.states
+    nsub = instance.num_subsets
+    e = math.lcm(*{state.prob.denominator for state in states})
+    d = math.lcm(
+        *{
+            v.denominator
+            for state in states
+            for table in (state.sender, *state.receivers)
+            for v in table
+        }
+    )
+    gain, pull = [], []
+    for state in states:
+        gains = []
+        pulls = [0] * nsub
+        for i, table in enumerate(state.receivers):
+            u = _ints(table, d)
+            bit = 1 << i
+            g = tuple([u[subset | bit] - u[subset & ~bit] for subset in range(nsub)])
+            for subset, v in enumerate(g):
+                pulls[subset] += v if subset & bit else -v
+            gains.append(g)
+        gain.append(tuple(gains))
+        pull.append(tuple(pulls))
+    return MultiCoding(
+        receivers=instance.receivers,
+        mass=_ints([state.prob for state in states], e),
+        sender=tuple([_ints(state.sender, d) for state in states]),
+        gain=tuple(gain),
+        pull=tuple(pull),
+        payoff_den=d,
+        unit=e * d,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +626,16 @@ def payment_thresholds(instance: PersuasionInstance, distribution) -> tuple:
     return tuple(thresholds)
 
 
-def persuasiveness_slack(instance: PersuasionInstance, scheme: SignalingScheme) -> Fraction:
-    """Largest violation of the follow-the-recommendation constraints.
-
-    max over i and j != i of X[i][j] - X[i][i] - P[i]; the pair is
-    persuasive iff this is <= 0.  Defined as 0 for single-action
-    instances.
-    """
-    thresholds = payment_thresholds(instance, scheme.distribution)
-    n = instance.actions
-    if n == 1:
-        return ZERO
-    return max(thresholds[i] - scheme.payments[i] for i in range(n))
-
-
 def is_persuasive(instance: PersuasionInstance, scheme: SignalingScheme) -> bool:
-    """Whether following every recommendation is a best response."""
-    return persuasiveness_slack(instance, scheme) <= 0
+    """Whether following every recommendation is a best response.
+
+    P[i] >= T[i] for every i, T the payment thresholds; always true for
+    a single-action instance, whatever the payments.
+    """
+    if instance.actions == 1:
+        return True
+    thresholds = payment_thresholds(instance, scheme.distribution)
+    return all(p >= t for p, t in zip(scheme.payments, thresholds, strict=True))
 
 
 def sender_utility(instance: PersuasionInstance, scheme: SignalingScheme) -> Fraction:
@@ -557,13 +648,6 @@ def sender_utility(instance: PersuasionInstance, scheme: SignalingScheme) -> Fra
             if dist_row[i]:
                 total += state.prob * dist_row[i] * state.sender[i]
     return total - sum(scheme.payments, ZERO)
-
-
-def receiver_utility(instance: PersuasionInstance, scheme: SignalingScheme) -> Fraction:
-    """Expected receiver payoff when recommendations are followed, plus payments."""
-    x = cross_utility(instance, scheme.distribution)
-    total = sum((x.entry(i, i) for i in range(instance.actions)), ZERO)
-    return total + sum(scheme.payments, ZERO)
 
 
 def per_recommendation_payments(

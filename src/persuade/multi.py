@@ -20,10 +20,11 @@ one solves none, as alpha = beta = gamma = 1 certifies its answer on the
 full LP (lift).
 
 The LP build, the virtual-payoff argmax, the gamma grid and the scheme
-evaluations compute in ints: each call codes the instance with its
-masses and payoffs over one common denominator and its pulls, which do
-not depend on gamma, computed once (_coding); only the returned values
-become Fractions.  The gamma sweep tries each distinct allocation once.
+evaluations compute in ints on the instance's coding (instance.coding:
+masses and payoffs over one common denominator, and the pulls, which do
+not depend on gamma, built once and kept with the instance); only the
+returned values become Fractions.  The gamma sweep tries each distinct
+allocation once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .errors import (
 from .model import (
     MultiAgentInstance,
     MultiAgentScheme,
+    MultiCoding,
     MultiState,
     PaymentModel,
 )
@@ -170,7 +172,7 @@ class RealizedPayments:
 
 
 # ---------------------------------------------------------------------------
-# Marginal utilities, the integer coding and the virtual payoff
+# Marginal utilities and the virtual payoff
 
 
 def _marginal(state: MultiState, i: int, subset: int) -> Fraction:
@@ -189,73 +191,7 @@ def marginal(
     return _marginal(instance.states[theta], i, subset)
 
 
-@dataclass(frozen=True)
-class _Coding:
-    """A multi-receiver instance in ints over one common denominator.
-
-    mass[t] is state t's probability times E and sender[t][S] its sender
-    payoff times D, for the least such E and D.  gain[t][i][S] is
-    u_i(S with i) - u_i(S without i) times D, for every S: receiver i's
-    marginal utility at S when i is in S, its gain from switching to 1
-    when it is not.  pull[t][S] is the net marginal pull of S times D:
-    the members' gains minus the outsiders'.  A sum of masses times
-    payoffs is an int over unit = E * D.
-    """
-
-    receivers: int
-    mass: list
-    sender: list
-    gain: list
-    pull: list
-    mass_den: int
-    payoff_den: int
-
-    @property
-    def unit(self) -> int:
-        return self.mass_den * self.payoff_den
-
-
-def _coding(instance: MultiAgentInstance) -> _Coding:
-    states = instance.states
-    nsub = instance.num_subsets
-    e = lcm(*{state.prob.denominator for state in states})
-    d = lcm(
-        *{
-            v.denominator
-            for state in states
-            for table in (state.sender, *state.receivers)
-            for v in table
-        }
-    )
-
-    def ints(values):
-        return [v.numerator * (d // v.denominator) for v in values]
-
-    gain, pull = [], []
-    for state in states:
-        gains = []
-        pulls = [0] * nsub
-        for i, table in enumerate(state.receivers):
-            u = ints(table)
-            bit = 1 << i
-            g = [u[subset | bit] - u[subset & ~bit] for subset in range(nsub)]
-            for subset, v in enumerate(g):
-                pulls[subset] += v if subset & bit else -v
-            gains.append(g)
-        gain.append(gains)
-        pull.append(pulls)
-    return _Coding(
-        receivers=instance.receivers,
-        mass=[state.prob.numerator * (e // state.prob.denominator) for state in states],
-        sender=[ints(state.sender) for state in states],
-        gain=gain,
-        pull=pull,
-        mass_den=e,
-        payoff_den=d,
-    )
-
-
-def _virtual_values(code: _Coding, gamma: Fraction) -> list:
+def _virtual_values(code: MultiCoding, gamma: Fraction) -> list:
     """Per state, the virtual payoff of every set at gamma, times b * D.
 
     For gamma = a/b (b > 0) that is b*f + a*pull, an int.
@@ -267,38 +203,16 @@ def _virtual_values(code: _Coding, gamma: Fraction) -> list:
     ]
 
 
-def _argmax(code: _Coding, gamma: Fraction) -> tuple:
+def _argmax(code: MultiCoding, gamma: Fraction) -> tuple:
     """Per state, the smallest bitmask maximizing the virtual payoff at gamma."""
     return tuple([values.index(max(values)) for values in _virtual_values(code, gamma)])
-
-
-def total_virtual_payoff(
-    instance: MultiAgentInstance, theta: int, subset: int, gamma: Fraction
-) -> Fraction:
-    """Sender payoff plus gamma times the net marginal pull of the set.
-
-    The pull adds each member's marginal utility for playing 1 and
-    subtracts each outsider's gain from switching to 1, so positive
-    gamma favors sets whose members want in and whose outsiders want to
-    stay out.
-    """
-    code = _coding(instance)
-    f, p = code.sender[theta][subset], code.pull[theta][subset]
-    return Fraction(f + gamma * p, code.payoff_den)
-
-
-def virtual_payoff_argmax(
-    instance: MultiAgentInstance, theta: int, gamma: Fraction
-) -> int:
-    """Smallest bitmask maximizing the total virtual payoff at gamma."""
-    return _argmax(_coding(instance), gamma)[theta]
 
 
 # ---------------------------------------------------------------------------
 # Scheme evaluation
 
 
-def _evaluate(code: _Coding, distribution) -> tuple:
+def _evaluate(code: MultiCoding, distribution) -> tuple:
     """Sender payoff and incentive totals of a distribution, in ints.
 
     Returns (sender, follow_one, switch_zero, den): the expected sender
@@ -337,7 +251,7 @@ def incentive_totals(instance: MultiAgentInstance, distribution) -> tuple:
     payments (q_one, q_zero) is persuasive exactly when
     follow_one[i] + q_one[i] >= 0 and switch_zero[i] - q_zero[i] <= 0.
     """
-    _, follow_one, switch_zero, den = _evaluate(_coding(instance), distribution)
+    _, follow_one, switch_zero, den = _evaluate(instance.coding, distribution)
     return (
         tuple([Fraction(v, den) for v in follow_one]),
         tuple([Fraction(v, den) for v in switch_zero]),
@@ -346,7 +260,7 @@ def incentive_totals(instance: MultiAgentInstance, distribution) -> tuple:
 
 def is_persuasive(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> bool:
     """Whether both incentive families hold given the expected payments."""
-    _, follow_one, switch_zero, den = _evaluate(_coding(instance), scheme.distribution)
+    _, follow_one, switch_zero, den = _evaluate(instance.coding, scheme.distribution)
     return all(
         f * q1.denominator + q1.numerator * den >= 0
         and s * q0.denominator - q0.numerator * den <= 0
@@ -358,7 +272,7 @@ def is_persuasive(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> boo
 
 def sender_value(instance: MultiAgentInstance, scheme: MultiAgentScheme) -> Fraction:
     """Expected sender payoff net of expected payments."""
-    sender, _, _, den = _evaluate(_coding(instance), scheme.distribution)
+    sender, _, _, den = _evaluate(instance.coding, scheme.distribution)
     return Fraction(sender, den) - total_payments(scheme)
 
 
@@ -399,7 +313,7 @@ def build_lp_binary(
 
     # Stated in ints over code.unit: masses times payoffs (or payoff
     # differences), and +-unit where the LP has +-1.
-    code = _coding(instance)
+    code = instance.coding
     unit = code.unit
     objective = [
         mass * f for mass, sender in zip(code.mass, code.sender) for f in sender
@@ -592,7 +506,7 @@ def _normalize_dead_branches(
 
 
 def _fixed_allocation_bb(
-    instance: MultiAgentInstance, code: _Coding, alloc, target: Fraction
+    instance: MultiAgentInstance, code: MultiCoding, alloc, target: Fraction
 ) -> Optional[MultiAgentScheme]:
     """Budget-balanced payments for a deterministic allocation, or None.
 
@@ -622,7 +536,7 @@ def _fixed_allocation_bb(
     )
 
 
-def _gamma_grid(code: _Coding) -> tuple:
+def _gamma_grid(code: MultiCoding) -> tuple:
     crossings = set()
     for sender, pull in zip(code.sender, code.pull):
         for a, (fa, pa) in enumerate(zip(sender, pull)):
@@ -632,17 +546,6 @@ def _gamma_grid(code: _Coding) -> tuple:
                 if df and dp and (df > 0) == (dp > 0):
                     crossings.add((abs(df), abs(dp)))
     return breakpoint_grid({Fraction(df, dp) for df, dp in crossings})
-
-
-def gamma_candidates(instance: MultiAgentInstance) -> tuple:
-    """Grid of gamma values meeting every distinct virtual-payoff argmax.
-
-    The per-state argmax composition changes only where two subsets swap
-    order in f(S) + gamma * pull(S); the grid holds 0, every positive
-    crossing, midpoints of consecutive values, and one point past the
-    last crossing.
-    """
-    return _gamma_grid(_coding(instance))
 
 
 def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
@@ -663,7 +566,7 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
     fails.
     """
     ref = solve_lp(instance, PaymentModel.BUDGET_BALANCED)
-    code = _coding(instance)
+    code = instance.coding
     gamma_star = ref.dual.gamma
     target = ref.utility
 
@@ -719,7 +622,7 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     value, certified on the LP by alpha = beta = gamma = 1 (see lift).
     """
     model.ensure_valid(instance)
-    code = _coding(instance)
+    code = instance.coding
     distribution = _allocation_rows(instance, _argmax(code, ONE))
     sender, follow_one, switch_zero, den = _evaluate(code, distribution)
     scheme = MultiAgentScheme(

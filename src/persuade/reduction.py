@@ -57,7 +57,7 @@ def check_positive_externalities(instance: MultiAgentInstance) -> tuple:
     """
     model.ensure_valid(instance)
     n = instance.receivers
-    for t, gains in enumerate(multi._coding(instance).gain):
+    for t, gains in enumerate(instance.coding.gain):
         for subset in range(1 << n):
             for i, g in enumerate(gains):
                 if not (subset >> i) & 1:
@@ -296,7 +296,7 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
             f"{nsub} subsets exceed the configured limit {limit}"
         )
 
-    code = multi._coding(instance)
+    code = instance.coding
 
     def query(theta: int, alpha: Sequence[Fraction]) -> tuple:
         if len(alpha) != instance.receivers:
@@ -340,7 +340,7 @@ class CuttingPlaneResult:
     rounds: int
 
 
-def _restricted_dual(code: multi._Coding, rows) -> lp.LpProblem:
+def _restricted_dual(code: model.MultiCoding, rows) -> lp.LpProblem:
     """Maximize -sum(y) over alpha >= 0 and free y, one >= row per (state, set)."""
     n, m = code.receivers, len(code.mass)
     unit = code.unit
@@ -392,7 +392,7 @@ def cutting_plane_solve(
     n, m = instance.receivers, instance.num_states
     nsub = instance.num_subsets
     full_mask = nsub - 1
-    code = multi._coding(instance)
+    code = instance.coding
 
     rows = []
     for t in range(m):

@@ -29,9 +29,10 @@ that scalar dual a scheme that treats the actions
 alike is persuasive exactly when its follow payoff (the receiver's
 expected payoff from following) reaches the unconditional expected
 payoff of one action, so the lambda sweep tests each candidate with that
-one comparison.  The fast paths compute in ints: each call codes the
-expanded instance with its masses and payoffs over one common
-denominator, and only the returned values become Fractions.
+one comparison.  The fast paths compute in ints on the expanded
+instance's coding (instance.coding: masses and payoffs over one common
+denominator, built once and kept with the instance), and only the
+returned values become Fractions.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ from . import lp, model
 from .errors import (
     CharacterizationMismatch,
     NotSymmetric,
+    SizeLimitExceeded,
     WrongActionCount,
 )
 from .model import (
     PaymentModel,
     PersuasionInstance,
     SignalingScheme,
+    SingleCoding,
     TypedInstance,
 )
 from .rationals import breakpoint_grid, over_common
@@ -148,20 +151,25 @@ def _as_instance(
 def build_lp(
     instance: PersuasionInstance, payment_model: PaymentModel
 ) -> tuple:
-    """LP over scheme probabilities and (unless zero) expected payments."""
-    return _build_lp(instance, payment_model, _coding(instance))
+    """LP over scheme probabilities and (unless zero) expected payments.
 
-
-def _build_lp(
-    instance: PersuasionInstance, payment_model: PaymentModel, code: _Coding
-) -> tuple:
+    Raises SizeLimitExceeded, before anything is coded or allocated, when
+    actions times states (the scheme columns) exceeds model.size_limit().
+    """
     n = instance.actions
     m = instance.num_states
+    limit = model.size_limit()
+    if n * m > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions times {m} states exceed the configured limit of "
+            f"{limit} scheme columns"
+        )
     vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
     with_pay = payment_model is not PaymentModel.ZERO
 
     # Stated in ints over code.unit: masses times payoffs (or payoff
     # differences), and +-unit where the LP has +-1.
+    code = instance.coding
     unit = code.unit
 
     # Columns phi(t, i) = t * n + i, then the payments.
@@ -267,55 +275,6 @@ def solve_optimal(
     )
 
 
-def dual_adjusted_payoff(
-    instance: PersuasionInstance, dual: SingleDual, theta: int, i: int
-) -> Fraction:
-    """r_theta(i) * sum_j lam[i][j] - sum_j lam[i][j] * r_theta(j)."""
-    state = instance.states[theta]
-    n = instance.actions
-    total = ZERO
-    weight = ZERO
-    for j in range(n):
-        if j == i:
-            continue
-        lam = dual.lam[i][j]
-        if lam:
-            weight += lam
-            total -= lam * state.receiver[j]
-    return state.receiver[i] * weight + total
-
-
-def lagrangian_value(
-    instance: PersuasionInstance, dual: SingleDual, scheme: SignalingScheme
-) -> Fraction:
-    """Objective after moving the follow rows into it with multipliers lam.
-
-    Equals sender payoff + sum over states of the dual-adjusted payoff
-    plus, per action, payments times (sum of outgoing multipliers - 1).
-    For any persuasive pair and non-negative lam this upper-bounds the
-    net sender utility.
-    """
-    n = instance.actions
-    total = ZERO
-    for t, state in enumerate(instance.states):
-        if not state.prob:
-            continue
-        for i in range(n):
-            p = scheme.distribution[t][i]
-            if p:
-                adjusted = state.sender[i] + dual_adjusted_payoff(
-                    instance, dual, t, i
-                )
-                total += state.prob * p * adjusted
-    for i in range(n):
-        if scheme.payments[i]:
-            out = sum(
-                (dual.lam[i][j] for j in range(n) if j != i), ZERO
-            )
-            total += scheme.payments[i] * (out - ONE)
-    return total
-
-
 def verify_support_optimality(
     instance: PersuasionInstance, scheme: SignalingScheme, dual: SingleDual
 ) -> bool:
@@ -327,7 +286,7 @@ def verify_support_optimality(
     follow constraint.  Computed in ints on the instance's coding, with
     the multipliers and the distribution each over one common denominator.
     """
-    code = _coding(instance)
+    code = instance.coding
     n = code.actions
     values, lam, _ = _adjusted(code, dual)
     dist = scheme.distribution
@@ -354,7 +313,7 @@ def verify_support_optimality(
     return True
 
 
-def _adjusted(code: _Coding, dual: SingleDual) -> tuple:
+def _adjusted(code: SingleCoding, dual: SingleDual) -> tuple:
     """Sender plus dual-adjusted payoff of every action in every state.
 
     Returns (values, lam, lam_den), values and multipliers as ints times
@@ -373,45 +332,7 @@ def _adjusted(code: _Coding, dual: SingleDual) -> tuple:
     return values, lam, lam_den
 
 
-@dataclass(frozen=True)
-class _Coding:
-    """An expanded instance in ints over one common denominator.
-
-    mass[t] is state t's probability times E, and sender[t][i] and
-    receiver[t][i] are its payoffs times D, for the least such E and D.
-    A sum of masses times payoffs is then an int over unit = E * D, and
-    the fast paths compare such sums without building a Fraction.
-    """
-
-    actions: int
-    mass: tuple
-    sender: tuple
-    receiver: tuple
-    unit: int
-
-
-def _coding(inst: PersuasionInstance) -> _Coding:
-    states = inst.states
-    e = lcm(*{state.prob.denominator for state in states})
-    d = lcm(
-        *{v.denominator for state in states for v in state.sender + state.receiver}
-    )
-
-    def ints(values):
-        return tuple(v.numerator * (d // v.denominator) for v in values)
-
-    return _Coding(
-        actions=inst.actions,
-        mass=tuple(
-            state.prob.numerator * (e // state.prob.denominator) for state in states
-        ),
-        sender=tuple(ints(state.sender) for state in states),
-        receiver=tuple(ints(state.receiver) for state in states),
-        unit=e * d,
-    )
-
-
-def _argmax_sets(code: _Coding, a: int, b: int) -> list:
+def _argmax_sets(code: SingleCoding, a: int, b: int) -> list:
     """Per state, the actions maximizing s + (a/b) * r, for b > 0.
 
     Compared in ints as b*S + a*R.  Within one set the value is constant,
@@ -441,7 +362,7 @@ def _uniform_rows(sets, n: int) -> tuple:
     return tuple(rows)
 
 
-def _uniform_cross(code: _Coding, sets) -> tuple:
+def _uniform_cross(code: SingleCoding, sets) -> tuple:
     """Cross utilities and sender payoff of the uniform rows over sets.
 
     Returns (X, sender, L): X[i][j] = sum over states of mass times
@@ -470,7 +391,7 @@ def welfare_weighted_scheme(
     instance: PersuasionInstance, weight: Fraction
 ) -> tuple:
     """Distribution recommending argmax of s + weight * r, ties uniform."""
-    code = _coding(instance)
+    code = instance.coding
     sets = _argmax_sets(code, weight.numerator, weight.denominator)
     return _uniform_rows(sets, instance.actions)
 
@@ -486,7 +407,7 @@ def lambda_scheme(
     )
 
 
-def _candidates(code: _Coding) -> tuple:
+def _candidates(code: SingleCoding) -> tuple:
     n = code.actions
     crossings = set()
     for sender, receiver in zip(code.sender, code.receiver):
@@ -500,25 +421,13 @@ def _candidates(code: _Coding) -> tuple:
     return breakpoint_grid({Fraction(ds, n * dr) for ds, dr in crossings})
 
 
-def lambda_candidates(instance: PersuasionInstance) -> tuple:
-    """Breakpoint grid for the scalar-lambda sweep.
-
-    Contains 0, every lambda > 0 where two actions swap order in
-    s + n*lambda*r within some state, midpoints of consecutive grid
-    values, and one point past the last breakpoint.  The scheme is
-    constant between consecutive breakpoints, so this grid meets every
-    distinct scaled-welfare scheme.
-    """
-    return _candidates(_coding(instance))
-
-
 def _require_symmetric(instance, inst: PersuasionInstance, what: str) -> None:
     typed = isinstance(instance, TypedInstance)
     if not model.is_symmetric(instance if typed else inst):
         raise NotSymmetric(f"{what} requires a symmetric instance")
 
 
-def _is_persuasive(code: _Coding, scheme: SignalingScheme) -> bool:
+def _is_persuasive(code: SingleCoding, scheme: SignalingScheme) -> bool:
     """model.is_persuasive in ints on the instance's coding.
 
     X[i][j] - X[i][i] <= P[i] for every j != i, the cross utilities X
@@ -546,7 +455,7 @@ def _is_persuasive(code: _Coding, scheme: SignalingScheme) -> bool:
     return True
 
 
-def _sweep(code: _Coding) -> LambdaStarResult:
+def _sweep(code: SingleCoding) -> LambdaStarResult:
     """The scalar-lambda sweep on a symmetric instance's integer coding."""
     n = code.actions
     mass, senders, receivers = code.mass, code.sender, code.receiver
@@ -667,7 +576,7 @@ def find_lambda_star(
     """
     inst = _as_instance(instance)
     _require_symmetric(instance, inst, "scalar-lambda sweep")
-    sweep = _sweep(_coding(inst))
+    sweep = _sweep(inst.coding)
     if cross_check:
         claim = lift(inst, PaymentModel.ZERO, sweep.scheme, sweep.utility, sweep.dual)
         lp.check_fast_path(*claim, "lambda sweep utility")
@@ -693,8 +602,8 @@ def lift(
     Follow row (i, j) carries -lam[i][j] and state t's simplex row
     mass_t * max_i (s_i + sum_j lam[i][j] (r_i - r_j)), computed in ints.
     """
-    code = _coding(inst)
-    problem, _ = _build_lp(inst, payment_model, code)
+    code = inst.coding
+    problem, _ = build_lp(inst, payment_model)
     values, _, lam_den = _adjusted(code, dual)
     y = [Fraction(m * max(v), code.unit * lam_den) for m, v in zip(code.mass, values)]
     follow = [-v for i, row in enumerate(dual.lam) for j, v in enumerate(row) if i != j]
@@ -705,7 +614,7 @@ def lift(
     return problem, claim
 
 
-def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
+def _threshold_parts(code: SingleCoding, weight: Fraction) -> tuple:
     """Argmax-of-s + weight*r rows (ties uniform) and their threshold payments.
 
     Returns (rows, thresholds, gross, unit): the minimal expected payment
@@ -725,7 +634,7 @@ def _threshold_parts(code: _Coding, weight: Fraction) -> tuple:
 def _canonical(inst: PersuasionInstance, verify: bool, what: str) -> SingleResult:
     """Argmax of s + (n/(n-1)) r with threshold payments, and its dual 1/(n-1)."""
     n = inst.actions
-    rows, thresholds, gross, unit = _threshold_parts(_coding(inst), Fraction(n, n - 1))
+    rows, thresholds, gross, unit = _threshold_parts(inst.coding, Fraction(n, n - 1))
     scheme = SignalingScheme(
         distribution=rows,
         payments=tuple(Fraction(t, unit) for t in thresholds),
@@ -801,7 +710,7 @@ def nonnegative_dichotomy(
     if n < 2:
         raise WrongActionCount("dichotomy needs at least two actions")
     _require_symmetric(instance, inst, "scalar-lambda sweep")
-    code = _coding(inst)
+    code = inst.coding
     sweep = _sweep(code)
 
     rows, thresholds, gross, unit = _threshold_parts(code, Fraction(n, n - 1))

@@ -299,7 +299,7 @@ def test_build_lp_matches_oracle(seed, actions, states, typed):
         problem, _ = single.build_lp(inst, pm)
         assert fraction_view(problem) == oracle_build_lp(inst, pm)
         # The builder writes the ints of its coding, over code.unit.
-        assert problem.den == single._coding(inst).unit
+        assert problem.den == inst.coding.unit
         assert all(type(c) is int for c in problem.objective)
         assert all(
             type(a) is int and type(c.rhs) is int
@@ -362,7 +362,7 @@ def _built_problems(seed):
     )
     yield reduction.build_lp_dropped(rinst)[0]
     rows = [(t, subset) for t in range(3) for subset in range(4)]
-    yield reduction._restricted_dual(multi._coding(rinst), rows)
+    yield reduction._restricted_dual(rinst.coding, rows)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))

@@ -239,6 +239,69 @@ def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
         assert "scheme columns" in capsys.readouterr().err
 
 
+def test_explicit_single_size_limit_exits_5(tmp_path, capsys, monkeypatch):
+    # 3 actions times 4 states: 12 scheme columns, over a cap of 4.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "4")
+    instance = model.random_instance(5, actions=3, states=4)
+    path = write_instance(tmp_path, instance)
+
+    def never_code(*args):
+        raise AssertionError("build_lp coded an instance past the size cap")
+
+    monkeypatch.setattr(model, "_single_coding", never_code)
+    for payment_model in cli.MODELS:
+        code = cli.main(["solve", path, "--model", payment_model, "--method", "lp"])
+        assert code == 5
+        assert "scheme columns" in capsys.readouterr().err
+    monkeypatch.undo()  # the default cap, and the real coding
+    assert cli.main(["solve", path, "--method", "lp"]) == 0
+
+
+@pytest.fixture
+def codings(monkeypatch):
+    """Calls of model's two coding builders from here on, by builder."""
+    calls = {"single": 0, "multi": 0}
+    for kind in calls:
+        real = getattr(model, f"_{kind}_coding")
+
+        def counting(instance, real=real, kind=kind):
+            calls[kind] += 1
+            return real(instance)
+
+        monkeypatch.setattr(model, f"_{kind}_coding", counting)
+    return calls
+
+
+@pytest.mark.parametrize("payment_model", ["budget_balanced", "arbitrary"])
+def test_multi_fast_call_codes_the_instance_once(
+    tmp_path, capsys, codings, payment_model
+):
+    instance = model.random_multi_instance(3, receivers=2, states=3)
+    path = write_instance(tmp_path, instance)
+    argv = ["solve", path, "--model", payment_model, "--method", "fast"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert "dual_certified=yes" in capsys.readouterr().out
+    assert codings == {"single": 0, "multi": 1}
+
+
+def test_cutting_plane_call_codes_the_instance_once(tmp_path, capsys, codings):
+    instance = model.random_multi_instance(
+        1, receivers=3, states=3, positive_externalities=True, monotone_sender=True
+    )
+    path = write_instance(tmp_path, instance)
+    assert cli.main(["solve", path, "--method", "cutting-plane"]) == 0
+    assert "dual_certified=yes" in capsys.readouterr().out
+    assert codings == {"single": 0, "multi": 1}
+
+
+def test_checked_lambda_sweep_codes_the_instance_once(codings):
+    # The symmetry check, the sweep and the lifted certificate share one
+    # coding of the expanded joint prior.
+    typed = model.random_instance(6, actions=3, symmetric=True, types=2, joint=True)
+    single.find_lambda_star(typed, cross_check=True)
+    assert codings == {"single": 1, "multi": 0}
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 @pytest.mark.parametrize("kind", ["multi", "typed"])
 def test_bad_size_limit_exits_2(tmp_path, capsys, monkeypatch, raw, kind):

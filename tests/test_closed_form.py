@@ -21,6 +21,7 @@ from persuade.multi import MultiDual
 from persuade.single import SingleDual
 
 from test_multi import ZERO_MASS_MULTI, ZS_MULTI
+from test_multi_coding import oracle_virtual_payoff
 
 ZERO = F(0)
 ONE = F(1)
@@ -201,7 +202,7 @@ def _written_multi_duals_certify(tmp_path, capsys, payment_model, corpus):
         y = tuple(
             state.prob
             * max(
-                multi.total_virtual_payoff(inst, t, subset, gamma)
+                oracle_virtual_payoff(inst, t, subset, gamma)
                 for subset in range(inst.num_subsets)
             )
             for t, state in enumerate(inst.states)

@@ -171,15 +171,34 @@ _junk = st.one_of(
 )
 
 
+def _scheme_documents():
+    single_scheme = SignalingScheme(
+        distribution=((F(1), F(0)), (F(1, 2), F(1, 2))),
+        payments=(F(-1, 2), F(0)),
+    )
+    multi_scheme = MultiAgentScheme(
+        distribution=((F(0), F(1, 4), F(0), F(3, 4)), (F(1), F(0), F(0), F(0))),
+        q_one=(F(0), F(1, 3)),
+        q_zero=(F(-1, 3), F(0)),
+    )
+    return [
+        jsonio.scheme_to_json(
+            single_scheme, sender_utility=F(9, 8), dual={"symmetric_lambda": "1"}
+        ),
+        jsonio.scheme_to_json(multi_scheme, dual={"gamma_star": "1/2"}),
+    ]
+
+
 @st.composite
-def _malformed_document(draw):
-    """A valid instance document with one to three edits.
+def _malformed_document(draw, bases=None):
+    """A valid document (an instance unless bases are given), one to three edits.
 
     An edit replaces a value with junk, deletes a key or an entry (a
     missing field, a ragged vector), duplicates an entry, or negates a
     rational (a negative mass).
     """
-    doc = json.loads(json.dumps(draw(st.sampled_from(_base_documents()))))
+    bases = _base_documents() if bases is None else bases
+    doc = json.loads(json.dumps(draw(st.sampled_from(bases))))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         if not path:
@@ -211,6 +230,31 @@ def test_malformed_documents_raise_typed_errors(doc):
     except PersuadeError:
         return
     assert model.validate(instance) == ()
+
+
+def test_scheme_with_a_scalar_distribution_is_rejected():
+    documents = (
+        {"kind": "single_scheme", "distribution": 5, "payments": []},
+        {"kind": "multi_scheme", "distribution": 5, "q_one": [], "q_zero": []},
+    )
+    for doc in documents:
+        with pytest.raises(ValidationFailed, match="distribution must be a JSON array"):
+            jsonio.scheme_from_json(doc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_malformed_document(_scheme_documents()))
+def test_malformed_scheme_documents_raise_typed_errors(doc):
+    try:
+        scheme = jsonio.scheme_from_json(doc)
+    except PersuadeError:
+        return
+    rows = scheme.distribution
+    if isinstance(scheme, SignalingScheme):
+        vectors = (scheme.payments,)
+    else:
+        vectors = (scheme.q_one, scheme.q_zero)
+    assert all(type(v) is F for vector in (*rows, *vectors) for v in vector)
 
 
 def test_cli_solve_maps_malformed_documents_to_exit_codes():

@@ -30,6 +30,19 @@ from persuade.model import (
 from persuade.rationals import format_rational, parse_rational
 
 
+def oracle_slack(inst, scheme):
+    """Largest violation of the follow rows: max over i of T[i] - P[i]."""
+    thresholds = model.payment_thresholds(inst, scheme.distribution)
+    return max(t - p for t, p in zip(thresholds, scheme.payments))
+
+
+def oracle_receiver_utility(inst, scheme):
+    """Expected receiver payoff when recommendations are followed, plus payments."""
+    x = model.cross_utility(inst, scheme.distribution)
+    followed = sum((x.entry(i, i) for i in range(inst.actions)), F(0))
+    return followed + sum(scheme.payments, F(0))
+
+
 def two_state_instance():
     return PersuasionInstance(
         actions=2,
@@ -278,11 +291,11 @@ def test_cross_utility_and_thresholds():
     against = ((F(0), F(1)), (F(1), F(0)))
     assert model.payment_thresholds(inst, against) == (F(3, 2), F(1))
     scheme = SignalingScheme(distribution=against, payments=(F(0), F(0)))
-    assert model.persuasiveness_slack(inst, scheme) == F(3, 2)
+    assert oracle_slack(inst, scheme) == F(3, 2)
     assert not model.is_persuasive(inst, scheme)
     paid = SignalingScheme(distribution=against, payments=(F(3, 2), F(1)))
     assert model.is_persuasive(inst, paid)
-    assert model.persuasiveness_slack(inst, paid) == F(0)
+    assert oracle_slack(inst, paid) == F(0)
     assert model.sender_utility(inst, paid) == F(0) - F(5, 2)
     assert model.per_recommendation_payments(inst, paid) == (F(3), F(2))
 
@@ -292,10 +305,10 @@ def test_sender_and_receiver_utility():
     follow = ((F(1), F(0)), (F(0), F(1)))
     scheme = SignalingScheme(distribution=follow, payments=(F(0), F(0)))
     assert model.sender_utility(inst, scheme) == F(1)
-    assert model.receiver_utility(inst, scheme) == F(5, 2)
+    assert oracle_receiver_utility(inst, scheme) == F(5, 2)
     paid = SignalingScheme(distribution=follow, payments=(F(1, 4), F(0)))
     assert model.sender_utility(inst, paid) == F(3, 4)
-    assert model.receiver_utility(inst, paid) == F(11, 4)
+    assert oracle_receiver_utility(inst, paid) == F(11, 4)
 
 
 def test_single_action_instance_always_persuasive():
@@ -306,7 +319,11 @@ def test_single_action_instance_always_persuasive():
     scheme = SignalingScheme(distribution=((F(1),),), payments=(F(0),))
     assert model.payment_thresholds(inst, scheme.distribution) == (F(0),)
     assert model.is_persuasive(inst, scheme)
-    assert model.persuasiveness_slack(inst, scheme) == F(0)
+    assert oracle_slack(inst, scheme) == F(0)
+    # No alternative action, so no payment can break persuasiveness.
+    for pay in (F(-5), F(-1, 3), F(7)):
+        charged = SignalingScheme(distribution=scheme.distribution, payments=(pay,))
+        assert model.is_persuasive(inst, charged)
 
 
 def test_zero_probability_recommendation_payment():
@@ -390,7 +407,7 @@ def test_threshold_payments_are_exactly_tight(data):
     thresholds = model.payment_thresholds(inst, dist)
     tight = SignalingScheme(distribution=dist, payments=thresholds)
     assert model.is_persuasive(inst, tight)
-    assert model.persuasiveness_slack(inst, tight) == 0
+    assert oracle_slack(inst, tight) == 0
     eps = F(1, 97)
     for i in range(inst.actions):
         lowered = list(thresholds)
@@ -415,9 +432,9 @@ def test_payments_cancel_in_welfare():
         without = SignalingScheme(
             distribution=dist, payments=(F(0),) * inst.actions
         )
-        assert model.sender_utility(inst, with_pay) + model.receiver_utility(
+        assert model.sender_utility(inst, with_pay) + oracle_receiver_utility(
             inst, with_pay
-        ) == model.sender_utility(inst, without) + model.receiver_utility(
+        ) == model.sender_utility(inst, without) + oracle_receiver_utility(
             inst, without
         )
 

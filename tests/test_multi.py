@@ -147,7 +147,7 @@ def test_size_limit_enforced(monkeypatch):
 def test_virtual_payoff_argmax_at_zero_gamma_is_sender_argmax():
     inst = model.random_multi_instance(3, receivers=2, states=3)
     for theta, state in enumerate(inst.states):
-        chosen = multi.virtual_payoff_argmax(inst, theta, F(0))
+        chosen = multi._argmax(inst.coding, F(0))[theta]
         best = max(state.sender)
         assert state.sender[chosen] == best
         # Ties go to the smallest bitmask.
@@ -165,7 +165,7 @@ def test_virtual_payoff_argmax_n1_matches_scaled_welfare_rule():
             g = state.receivers[0][1] - state.receivers[0][0]
             lhs = state.sender[1] + 2 * g
             rhs = state.sender[0]
-            chosen = multi.virtual_payoff_argmax(inst, theta, F(1))
+            chosen = multi._argmax(inst.coding, F(1))[theta]
             if lhs > rhs:
                 assert chosen == 1
             elif lhs < rhs:

@@ -329,20 +329,21 @@ def test_lp_matches_oracle(inst):
 @CAMPAIGN
 @given(_instance())
 def test_grid_and_allocations_match_oracle(inst):
-    grid = multi.gamma_candidates(inst)
+    code = inst.coding
+    grid = multi._gamma_grid(code)
     assert grid == oracle_gamma_candidates(inst)
     # gamma = 1 is the arbitrary-payment weight; 1/3 and 0 lie on most
     # grids, so the small payoff set makes them land on ties.
     for gamma in grid + (ONE, F(1, 3), F(-1, 2)):
-        for theta in range(inst.num_states):
-            assert multi.virtual_payoff_argmax(inst, theta, gamma) == oracle_argmax(
-                inst, theta, gamma
-            )
-    for theta in range(inst.num_states):
-        for subset in range(inst.num_subsets):
-            assert multi.total_virtual_payoff(
+        assert multi._argmax(code, gamma) == tuple(
+            oracle_argmax(inst, theta, gamma) for theta in range(inst.num_states)
+        )
+    # The virtual payoffs at 2/3, ints over 3 * D.
+    for theta, values in enumerate(multi._virtual_values(code, F(2, 3))):
+        for subset, value in enumerate(values):
+            assert F(value, 3 * code.payoff_den) == oracle_virtual_payoff(
                 inst, theta, subset, F(2, 3)
-            ) == oracle_virtual_payoff(inst, theta, subset, F(2, 3))
+            )
 
 
 @CAMPAIGN

@@ -9,9 +9,32 @@ from persuade import examples, model, single
 from persuade.errors import NotSymmetric, WrongActionCount
 from persuade.model import PaymentModel, PersuasionInstance, SignalingScheme, State
 
+from test_certify import oracle_dual_adjusted_payoff
+from test_model import oracle_slack
+
 
 ZERO_SUM = examples.zero_sum_two_state_instance()
 TYPE_PAIRS = examples.two_action_type_instance()
+
+
+def oracle_lagrangian_value(inst, dual, scheme):
+    """Objective after moving the follow rows into it with multipliers lam.
+
+    Sender payoff plus the dual-adjusted payoff, summed over states, plus,
+    per action, its payment times (sum of outgoing multipliers - 1).
+    """
+    n = inst.actions
+    total = F(0)
+    for t, state in enumerate(inst.states):
+        for i in range(n):
+            p = scheme.distribution[t][i]
+            if state.prob and p:
+                adjusted = state.sender[i] + oracle_dual_adjusted_payoff(inst, dual, t, i)
+                total += state.prob * p * adjusted
+    for i in range(n):
+        out = sum((dual.lam[i][j] for j in range(n) if j != i), F(0))
+        total += scheme.payments[i] * (out - 1)
+    return total
 
 
 def test_zero_sum_optima_across_models():
@@ -78,7 +101,7 @@ def test_type_pairs_two_action_fast_path():
         payments=(F(0), F(0)),
     )
     assert model.is_persuasive(inst, free)
-    assert model.persuasiveness_slack(inst, free) == F(-1, 4)
+    assert oracle_slack(inst, free) == F(-1, 4)
 
 
 def test_lambda_scheme_matches_weighted_welfare():
@@ -118,12 +141,12 @@ def test_lambda_star_mixes_ties_when_uniform_overshoots():
     sweep = single.find_lambda_star(inst)
     assert sweep.lambda_star == F(1, 6)
     assert sweep.utility == F(329, 1458)
-    assert model.persuasiveness_slack(inst, sweep.scheme) == 0
+    assert oracle_slack(inst, sweep.scheme) == 0
 
     uniform = single.lambda_scheme(inst, sweep.lambda_star)
     assert model.is_persuasive(inst, uniform)
     assert model.sender_utility(inst, uniform) == F(233, 1458)
-    assert model.persuasiveness_slack(inst, uniform) < 0
+    assert oracle_slack(inst, uniform) < 0
 
 
 def test_lambda_star_can_sit_below_first_uniform_persuasive_candidate():
@@ -152,7 +175,7 @@ def test_lambda_sweep_monotone():
             seed, actions=2, symmetric=True, types=3, joint=bool(seed % 2)
         )
         inst = model.expand_typed(typed)
-        grid = single.lambda_candidates(inst)
+        grid = single._candidates(inst.coding)
         persuasive_flags = []
         utilities = []
         for lam in grid:
@@ -273,7 +296,7 @@ def test_lagrangian_upper_bounds_persuasive_utility():
             for i in range(n)
         )
         dual = single.SingleDual(lam=lam)
-        assert single.lagrangian_value(inst, dual, scheme) >= model.sender_utility(
+        assert oracle_lagrangian_value(inst, dual, scheme) >= model.sender_utility(
             inst, scheme
         )
 
@@ -287,7 +310,7 @@ def test_lagrangian_tight_at_lp_pair():
             PaymentModel.ARBITRARY,
         ):
             res = single.solve_optimal(inst, pm)
-            value = single.lagrangian_value(inst, res.dual, res.scheme)
+            value = oracle_lagrangian_value(inst, res.dual, res.scheme)
             assert value == res.utility
 
 
@@ -306,10 +329,18 @@ def test_dual_adjusted_payoff_symmetric_form():
     for t, state in enumerate(inst.states):
         row_sum = sum(state.receiver, F(0))
         for i in range(n):
-            adjusted = single.dual_adjusted_payoff(inst, dual, t, i)
+            adjusted = oracle_dual_adjusted_payoff(inst, dual, t, i)
             assert (
                 adjusted
                 == n * lam_value * state.receiver[i] - lam_value * row_sum
+            )
+    # The int twin: sender plus adjusted payoff, times lam_den and D.
+    code = inst.coding
+    values, _, lam_den = single._adjusted(code, dual)
+    for sender, receiver, row in zip(code.sender, code.receiver, values):
+        for i in range(n):
+            assert F(row[i] - lam_den * sender[i], lam_den) == (
+                n * lam_value * receiver[i] - lam_value * sum(receiver)
             )
 
 

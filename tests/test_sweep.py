@@ -237,7 +237,7 @@ def test_fast_paths_match_the_fraction_oracle(instance):
     assert sweep.scheme == scheme
     assert sweep.utility == utility
     assert _all_fractions(sweep.scheme)
-    assert single.lambda_candidates(inst) == candidates
+    assert single._candidates(inst.coding) == candidates
     for weight in (ZERO, n * lam, F(n, max(n - 1, 1)), F(7, 3)):
         assert single.welfare_weighted_scheme(
             inst, weight
@@ -340,4 +340,4 @@ def test_int_persuasiveness_matches_the_model(case):
     # oracle, on payments at (tied with), above and below the thresholds.
     inst, scheme = case
     expected = model.is_persuasive(inst, scheme)
-    assert single._is_persuasive(single._coding(inst), scheme) == expected
+    assert single._is_persuasive(inst.coding, scheme) == expected
