@@ -7,15 +7,15 @@ Fractions read over one positive int denominator, the statement's den:
 a builder that holds its instance as ints over a common unit writes
 those ints with den = unit, and a statement written in Fractions has
 den = 1.
-solve() runs a dense tableau simplex from a crash basis: a >= row whose
-right-hand side is 0 is stated as a <= row, so its slack starts basic;
-the artificial of every other >= or == row is pivoted out at once where
-a feasible pivot exists, and phase 1 runs only over the artificials
-left, if any.  A convexity row (an == row summing disjoint columns to a
-positive constant, such as a state's distribution row) is not held in
-the tableau at all: its crash pivot makes one of its columns the row's
-key, basic without a row (generalized upper bounding), so the tableau
-of a persuasion LP holds only its incentive and budget rows.
+solve() runs a dense tableau simplex from the slack and artificial
+basis: a >= row whose right-hand side is 0 is stated as a <= row, so
+its slack starts basic, and phase 1 runs over the artificials of the
+>= and == rows left in the tableau, if there are any.  A convexity row
+(an == row summing disjoint columns to a positive constant, such as a
+state's distribution row) is not held in the tableau at all: one of its
+columns is the row's key, basic without a row (generalized upper
+bounding), so the tableau of a persuasion LP holds only its incentive
+and budget rows.
 The simplex enters by Dantzig's rule and falls back to Bland's after a
 run of degenerate pivots, so results are deterministic and free of
 rounding.  The tableau is kept in integers (fraction-free pivoting, see
@@ -158,26 +158,23 @@ def recording():
 def solve(problem: LpProblem) -> LpSolution:
     """Solve to proven optimality, infeasibility, or unboundedness.
 
-    The start is a crash basis.  Each row is negated where that makes its
-    right-hand side >= 0, and a >= row with right-hand side 0 is negated
-    into a <= row; <= rows start with their slack basic.  Each remaining
-    row's artificial is pivoted out in row order on the structural or
-    surplus column of largest phase-2 cost (lowest index on ties) whose
-    pivot keeps the basis feasible.  Phase 1 then minimizes the sum of
-    the artificials still basic and is skipped when there are none.
-    Crash pivots, and the pivots that drive an artificial left basic at
-    0 out after phase 1, count in the solution's iterations.
+    Each row is negated where that makes its right-hand side >= 0, and
+    a >= row with right-hand side 0 is negated into a <= row.  A <= row
+    starts with its slack basic and every other row with its artificial;
+    phase 1 maximizes minus the sum of the artificials, each weighted so
+    that its cost is -1 in the tableau's row scaling, and is skipped when
+    there are none.  The pivots that drive an artificial left basic at 0
+    out after phase 1 count in the solution's iterations.
 
     A user == row whose nonzero coefficients, scaled to coprime ints,
     are all one c > 0, whose right-hand side is beta * c with beta > 0
     and whose columns lie in no earlier such row is a convexity row.
-    Before any other crash pivot, each is keyed in row order on the
-    column its crash pivot would take, and then left out of the tableau
-    (see _pivot_py); keying counts as one iteration.  A convexity row
-    with no feasible key stays in the tableau, with its artificial, for
-    phase 1.  The pivots are those of the full tableau, except where an
-    artificial row before a convexity row would have been crash-pivoted
-    first; there another optimal vertex can come out.
+    Each is keyed in row order on the column of largest phase-2 cost
+    (lowest index on ties) whose pivot keeps every right-hand side >= 0,
+    and then left out of the tableau (see _pivot_py); keying counts as
+    one iteration.  A convexity row with no such column stays in the
+    tableau, with its artificial, for phase 1.  The pivots are those of
+    the full tableau.
     """
     # Internal columns, all >= 0: column j's first, and for a free
     # column a second one right after it that enters negated, x = tp - tn.
@@ -280,12 +277,11 @@ def solve(problem: LpProblem) -> LpSolution:
             claimed.update(members)
             convex.append((i, members, r, c))
 
-    # Key each convexity row, in row order, on the column the crash would
-    # pivot its artificial out on: largest phase-2 cost, lowest index on
-    # ties, among those keeping every other right-hand side >= 0.  That
-    # is the Bareiss pivot of the full tableau on the row, which is then
-    # left out with its identity column; a row with no such column stays.
-    # Keying counts as an iteration, as the crash pivot it stands for.
+    # Key each convexity row, in row order, on the column of largest
+    # phase-2 cost, lowest index on ties, among those keeping every other
+    # right-hand side >= 0.  That is the Bareiss pivot of the full tableau
+    # on the row, which is then left out with its identity column; a row
+    # with no such column stays.  Keying counts as an iteration.
     det = 1
     dens = [1] * m
     sets = []
@@ -364,61 +360,13 @@ def solve(problem: LpProblem) -> LpSolution:
                 obj = [o + cb * v for o, v in zip(obj, tab.current(i))]
         tab.append(obj)
 
-    # Crash (see the docstring).  A pivot keeps every right-hand side >= 0
-    # on any nonzero entry of a row whose right-hand side is 0, and on a
-    # positive entry of another row when no row, explicit or key, has a
-    # smaller ratio (a row's denominator cancels in its ratio).
-    tab_rows = tab.rows
-    by_cost = sorted(
-        range(id_base),
-        key=lambda j: (-struct_cost[j] if j < ncols_struct else 0, j),
-    )
-    # A convexity row left explicit failed the same test at its turn.
-    unkeyed = {where[i] for i, _, _, _ in convex if i not in keyed}
-    still_basic = []  # artificial rows the crash could not pivot out
-    for r in artificial_rows:
-        if r in unkeyed:
-            still_basic.append(r)
-            continue
-        prow = tab_rows[r]
-        rhs = prow[-1]
-        enter = -1
-        for j in by_cost:
-            a = prow[j]
-            if not a:
-                continue
-            if rhs and (
-                a < 0
-                or any(row[j] > 0 and row[-1] * a < rhs * row[j] for row in tab_rows)
-                or any(
-                    num * a < rhs * den
-                    for _, num, den in _pivot_py.key_rows(tab, basis, j)
-                )
-            ):
-                continue
-            enter = j
-            break
-        if enter < 0:
-            still_basic.append(r)
-            continue
-        tab.pivot(r, enter)
-        basis[r] = enter
-        total_iters += 1
-
-    if still_basic:
-        # Maximize minus the sum of the artificials still basic: cost
-        # -1/scale[i] in the substituted columns, brought to coprime ints
-        # by one positive factor.
-        ks = [scale[explicit[e]] for e in still_basic]
-        den = lcm(*[k.numerator for k in ks])
-        costs = {
-            id_base + e: -(den // k.numerator) * k.denominator
-            for e, k in zip(still_basic, ks)
-        }
-        g = gcd(*costs.values())
+    if artificial_rows:
+        # Maximize minus the sum of the artificials, each with cost -1 in
+        # its substituted column: any positive weights find a feasible
+        # basis.
         phase1 = [0] * ncols
-        for col, v in costs.items():
-            phase1[col] = v // g
+        for e in artificial_rows:
+            phase1[id_base + e] = -1
         append_objective(phase1)
         status, iters = _pivot_py.run_simplex(tab, basis, enterable, budget)
         total_iters += iters

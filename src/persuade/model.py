@@ -373,10 +373,12 @@ def ensure_valid(instance: Instance) -> Instance:
 
 
 def size_limit() -> int:
-    """Maximum number of scheme columns an explicit LP or enumeration may have.
+    """Maximum size of an explicit LP or enumeration.
 
-    Read from PERSUADE_SIZE_LIMIT (default 4096) on every call; a value
-    that is not a positive integer raises InvalidSetting.
+    It caps the scheme columns of every explicit LP or enumeration, and
+    the follow rows of the single-receiver LP.  Read from
+    PERSUADE_SIZE_LIMIT (default 4096) on every call; a value that is
+    not a positive integer raises InvalidSetting.
     """
     raw = os.environ.get(SIZE_LIMIT_ENV)
     if not raw:

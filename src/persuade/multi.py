@@ -176,19 +176,13 @@ class RealizedPayments:
 
 
 def _marginal(state: MultiState, i: int, subset: int) -> Fraction:
-    if not (subset >> i) & 1:
-        return ZERO
-    return state.receivers[i][subset] - state.receivers[i][subset & ~(1 << i)]
-
-
-def marginal(
-    instance: MultiAgentInstance, theta: int, i: int, subset: int
-) -> Fraction:
     """Receiver i's marginal utility for playing 1 at the given set.
 
     Returns u_i(S) - u_i(S minus i) for i in S and 0 otherwise.
     """
-    return _marginal(instance.states[theta], i, subset)
+    if not (subset >> i) & 1:
+        return ZERO
+    return state.receivers[i][subset] - state.receivers[i][subset & ~(1 << i)]
 
 
 def _virtual_values(code: MultiCoding, gamma: Fraction) -> list:

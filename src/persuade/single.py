@@ -139,13 +139,35 @@ class DichotomyResult:
     canonical_utility: Fraction
 
 
+def _require_size(n: int, m: int) -> None:
+    """Raise SizeLimitExceeded when the LP over n actions and m states is too large.
+
+    Both its scheme columns (n * m) and its follow rows (n * (n - 1))
+    must stay within model.size_limit().
+    """
+    limit = model.size_limit()
+    if n * m > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions times {m} states exceed the configured limit of "
+            f"{limit} scheme columns"
+        )
+    if n * (n - 1) > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions give {n * (n - 1)} follow rows, over the configured "
+            f"limit of {limit}"
+        )
+
+
 def _as_instance(
     instance: Union[PersuasionInstance, TypedInstance]
 ) -> PersuasionInstance:
+    """The explicit instance, validated and sized before it is coded."""
     if isinstance(instance, TypedInstance):
-        return instance.expanded
-    model.ensure_valid(instance)
-    return instance
+        inst = instance.expanded
+    else:
+        inst = model.ensure_valid(instance)
+    _require_size(inst.actions, inst.num_states)
+    return inst
 
 
 def build_lp(
@@ -154,16 +176,12 @@ def build_lp(
     """LP over scheme probabilities and (unless zero) expected payments.
 
     Raises SizeLimitExceeded, before anything is coded or allocated, when
-    actions times states (the scheme columns) exceeds model.size_limit().
+    actions times states (the scheme columns) or the follow rows exceed
+    model.size_limit().
     """
     n = instance.actions
     m = instance.num_states
-    limit = model.size_limit()
-    if n * m > limit:
-        raise SizeLimitExceeded(
-            f"{n} actions times {m} states exceed the configured limit of "
-            f"{limit} scheme columns"
-        )
+    _require_size(n, m)
     vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
     with_pay = payment_model is not PaymentModel.ZERO
 

@@ -257,6 +257,39 @@ def test_explicit_single_size_limit_exits_5(tmp_path, capsys, monkeypatch):
     assert cli.main(["solve", path, "--method", "lp"]) == 0
 
 
+def test_follow_rows_size_limit_exits_5(tmp_path, capsys, monkeypatch):
+    # 4 actions times 1 state: 4 scheme columns but 12 follow rows, over
+    # a cap of 10.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "10")
+    instance = model.random_instance(5, actions=4, states=1)
+    path = write_instance(tmp_path, instance)
+
+    def never_code(*args):
+        raise AssertionError("build_lp coded an instance past the size cap")
+
+    monkeypatch.setattr(model, "_single_coding", never_code)
+    for payment_model in cli.MODELS:
+        code = cli.main(["solve", path, "--model", payment_model, "--method", "lp"])
+        assert code == 5
+        assert "12 follow rows" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(["solve", path, "--method", "lp"]) == 0
+
+
+def test_unverified_fast_path_size_limit_exits_5(tmp_path, capsys, monkeypatch):
+    # 2 actions times 4 states: 8 scheme columns, over a cap of 4, with
+    # the fast path's LP check on and off.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "4")
+    instance = model.random_instance(5, actions=2, states=4)
+    path = write_instance(tmp_path, instance)
+    argv = ["solve", path, "--model", "arbitrary", "--method", "fast"]
+    for extra in ([], ["--no-verify"]):
+        assert cli.main(argv + extra) == 5
+        assert "scheme columns" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(argv + ["--no-verify"]) == 0
+
+
 @pytest.fixture
 def codings(monkeypatch):
     """Calls of model's two coding builders from here on, by builder."""

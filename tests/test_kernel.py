@@ -1,7 +1,7 @@
 """The integer pivot kernel against a Fraction oracle.
 
-The oracle below is a crash-started two-phase simplex on exact
-``Fraction`` tableaux, built over the same column scaling as
+The oracle below is a two-phase simplex on exact ``Fraction``
+tableaux, built over the same column scaling as
 ``lp.solve``: each row times the factor that makes it integral, and its
 slack or artificial column divided by that factor so it keeps its 1.
 That scaling changes which reduced cost is most negative, so Dantzig's
@@ -11,8 +11,8 @@ ratios, which it leaves alone.  A ``>=`` row whose right-hand side is
 ``==`` row whose scaled entries are one c > 0 on columns no earlier such
 row has, with right-hand side > 0) is then pivoted, in row order, on
 its key: the column of largest phase-2 cost whose pivot keeps the basis
-feasible.  Each other artificial is pivoted out, in row order, by the
-same rule, and phase 1 runs only over the artificials left.  The oracle
+feasible.  Phase 1 runs over every artificial left, each at cost -1 in
+its scaled column, and is skipped when there are none.  The oracle
 keeps every row in its tableau; the kernel keeps the keyed rows
 implicit, so the two are compared basis change for basis change
 (entering column, leaving variable), not row for row.
@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from persuade import _pivot_py, lp, model, multi, single
+from persuade import _pivot_py, lp, model, multi, reduction, single
 from persuade.model import PaymentModel
 
 from test_lp import fraction_view, restate
@@ -126,16 +126,14 @@ def oracle_solve(problem, degenerate_run, cases=None):
     Returns (solution, sorted final basis, basis changes, layout), the
     layout holding id_base, the keyed rows in order and the rows left
     explicit after keying, as the tableau then reads ("keyed_tableau").
-    When cases is a set, the crash adds to it what it met:
-    "blocked_by_zero_rhs_le" (a candidate column turned away by a <= row
-    at right-hand side 0), "crash_on_zero_rhs_eq" (an artificial of an
-    == row at right-hand side 0 pivoted out), "phase1_after_crash"
-    (phase 1 runs after at least one crash pivot), "unkeyed" (a
-    convexity row without a feasible key), "one_member", "c_not_1" and
-    "bounded_member" (a keyed row of one column, with c != 1, or with a
-    member bounded above by a row named "upper[j]", as test_lp.restate
-    writes it), and "bland_fallback" (a phase hands over to Bland's
-    rule).
+    When cases is a set, the solve adds to it what it met:
+    "blocked_by_zero_rhs_le" (a candidate key turned away by a <= row at
+    right-hand side 0), "unkeyed" (a convexity row without a feasible
+    key), "one_member", "c_not_1" and "bounded_member" (a keyed row of
+    one column, with c != 1, or with a member bounded above by a row
+    named "upper[j]", as test_lp.restate writes it), "bland_fallback" (a
+    phase hands over to Bland's rule) and "drive_out" (an artificial
+    basic at 0 after phase 1 pivoted out).
     """
     if cases is None:
         cases = set()
@@ -208,31 +206,30 @@ def oracle_solve(problem, degenerate_run, cases=None):
                 obj = [o + costs[b] * v for o, v in zip(obj, row)]
         return obj
 
-    # Crash: the feasible entering column of largest phase-2 cost (the
-    # lowest index on ties), first as each convexity row's key, then for
-    # each other artificial row in order.
-    crash_cost = struct_cost + [F(0)] * (id_base - ncols_struct)
+    # Key: the feasible entering column of largest phase-2 cost (the
+    # lowest index on ties).  A convexity row's right-hand side is > 0, so
+    # a feasible column has a positive entry whose ratio no row undercuts.
+    key_cost = struct_cost + [F(0)] * (id_base - ncols_struct)
 
-    def crash_column(r):
+    def key_column(r):
         rhs = tab[r][-1]
         feasible = []
         for j in range(id_base):
             a = tab[r][j]
-            if a == 0 or (rhs > 0 and a < 0):
+            if a <= 0:
                 continue
-            if rhs > 0:
-                least = min(tab[i][-1] / tab[i][j] for i in range(m) if tab[i][j] > 0)
-                if least < rhs / a:
-                    if any(
-                        rows[i][1] == lp.LE and tab[i][-1] == 0 and tab[i][j] > 0
-                        for i in range(m)
-                    ):
-                        cases.add("blocked_by_zero_rhs_le")
-                    continue
+            least = min(tab[i][-1] / tab[i][j] for i in range(m) if tab[i][j] > 0)
+            if least < rhs / a:
+                if any(
+                    rows[i][1] == lp.LE and tab[i][-1] == 0 and tab[i][j] > 0
+                    for i in range(m)
+                ):
+                    cases.add("blocked_by_zero_rhs_le")
+                continue
             feasible.append(j)
         if not feasible:
             return -1
-        return max(feasible, key=lambda j: (crash_cost[j], -j))
+        return max(feasible, key=lambda j: (key_cost[j], -j))
 
     convex, claimed = [], set()
     for i in range(len(problem.constraints)):
@@ -247,12 +244,11 @@ def oracle_solve(problem, degenerate_run, cases=None):
         ):
             claimed.update(members)
             convex.append(i)
-    still_basic, keyed = [], []
+    keyed = []
     for r in convex:
-        enter = crash_column(r)
+        enter = key_column(r)
         if enter < 0:
             cases.add("unkeyed")
-            still_basic.append(r)
             continue
         members = [j for j in range(ncols_struct) if tab[r][j]]
         if len(members) == 1:
@@ -272,24 +268,11 @@ def oracle_solve(problem, degenerate_run, cases=None):
         "keyed_tableau": [[tab[i][j] for j in kept] for i in explicit],
     }
 
-    for r in artificial_rows:
-        if r in convex:
-            continue
-        enter = crash_column(r)
-        if enter < 0:
-            still_basic.append(r)
-            continue
-        if rows[r][1] == lp.EQ and tab[r][-1] == 0:
-            cases.add("crash_on_zero_rhs_eq")
-        oracle_pivot(tab, basis, r, enter, pivots)
-        total += 1
-
+    still_basic = [r for r in artificial_rows if r not in keyed]
     if still_basic:
-        if len(still_basic) < len(artificial_rows):
-            cases.add("phase1_after_crash")
         phase1 = [F(0)] * ncols
         for i in still_basic:
-            phase1[id_base + i] = -1 / scale[i]
+            phase1[id_base + i] = F(-1)
         tab.append(objective_row(phase1))
         status, iters = oracle_run_simplex(
             tab, basis, enterable, budget, degenerate_run, pivots, cases
@@ -313,6 +296,7 @@ def oracle_solve(problem, degenerate_run, cases=None):
                 del tab[pos]
                 del basis[pos]
                 continue
+            cases.add("drive_out")
             oracle_pivot(tab, basis, pos, enter, pivots)
             total += 1
             pos += 1
@@ -580,28 +564,73 @@ def _single_receiver_instances():
         )
 
 
-@pytest.mark.parametrize("payment_model", list(PaymentModel), ids=lambda pm: pm.value)
-def test_single_receiver_lps_start_feasible(payment_model):
-    # Full information (each state's receiver-best action, no payments)
-    # is persuasive, so every simplex row is keyed and stays out of the
-    # tableau, and the crash pivots the budget row's artificial out (its
-    # right-hand side is 0): phase 2 is the only simplex run, on the
-    # follow rows and the budget row alone.
+def _phase1_rows(problem, explicit):
+    """The rows lp.solve's phase 1 prices, by name, after checking its start.
+
+    explicit names the rows left in the tableau after keying, in order.
+    The first simplex run must start with only identity columns basic
+    (each row's slack or artificial) beside the keys, and phase 1 must
+    run exactly when an artificial is basic there: the rows it prices
+    are those whose identity column may not enter.
+    """
     runs = []
     real_run = _pivot_py.run_simplex
 
     def run_spy(tab, basis, enterable, budget):
-        runs.append(len(basis))
+        runs.append((list(basis), list(enterable)))
         return real_run(tab, basis, enterable, budget)
 
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
+        solution = lp.solve(problem)
+    assert not lp.certify_report(problem, solution)
+    basis, enterable = runs[0]
+    id_base = len(enterable) - len(explicit)
+    assert basis == list(range(id_base, len(enterable)))
+    priced = [name for e, name in enumerate(explicit) if not enterable[id_base + e]]
+    assert len(runs) == (2 if priced else 1)
+    return priced
+
+
+@pytest.mark.parametrize("payment_model", list(PaymentModel), ids=lambda pm: pm.value)
+def test_single_receiver_lps_start_feasible(payment_model):
+    # Every simplex row is keyed and stays out of the tableau, and every
+    # follow row is a >= row at right-hand side 0, stated as a <= row
+    # with its slack basic.  So phase 2 is the only simplex run, except
+    # under budget balance, where phase 1 prices the budget row alone.
+    expected = ["budget"] if payment_model is PaymentModel.BUDGET_BALANCED else []
     for instance in _single_receiver_instances():
         problem = single.build_lp(instance, payment_model)[0]
-        runs.clear()
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(_pivot_py, "run_simplex", run_spy)
-            solution = lp.solve(problem)
-        assert runs == [len(problem.constraints) - instance.num_states]
-        assert not lp.certify_report(problem, solution)
+        _, _, keys = _initial_tableau(problem)
+        assert len(keys) == instance.num_states
+        explicit = [
+            c.name for c in problem.constraints if not c.name.startswith("simplex[")
+        ]
+        assert _phase1_rows(problem, explicit) == expected
+
+
+def test_restricted_dual_phase1_prices_the_positive_cuts():
+    # A cut row is a >= row with no convexity rows around it: at a right-
+    # hand side <= 0 it is stated as a <= row with its slack basic, and
+    # phase 1 prices exactly the rest.
+    seen = 0
+    for seed in range(1, 6):
+        inst = model.random_multi_instance(
+            seed,
+            receivers=3,
+            states=3,
+            positive_externalities=True,
+            monotone_sender=True,
+        )
+        with lp.recording() as log:
+            reduction.cutting_plane_solve(inst)
+        for problem, _ in log:
+            names = [c.name for c in problem.constraints]
+            assert all(name.startswith("cut[") for name in names)
+            expected = [c.name for c in problem.constraints if c.rhs > 0]
+            assert _phase1_rows(problem, names) == expected
+            seen += bool(expected)
+    assert seen
 
 
 _rational = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -659,24 +688,25 @@ _nonneg = (F(0), None)
 
 
 @st.composite
-def _blocked_crash_problem(draw):
-    """A partial crash: one artificial row blocked by a zero-rhs <= row.
+def _blocked_key_problem(draw):
+    """A convexity row whose only key is blocked by a zero-rhs <= row.
 
     The row a*x0 - b*x1 <= 0 (or its >= 0 negation) has its slack basic
-    at 0 and a positive entry on x0, the only column of the row
-    c*x0 (== or >=) e > 0, so that row's artificial stays; the row
-    d*x2 (== or >=) f > 0 crashes on x2.
+    at 0 and a positive entry on x0, the only column of the convexity
+    row c*x0 == e > 0, so that row stays unkeyed, with its artificial,
+    for phase 1; the row d*x2 (== or >=) f > 0 is keyed on x2 when it
+    is an == row and priced in phase 1 when it is a >= row.
     """
     a, b, c, d, e, f = (draw(_positive) for _ in range(6))
     if draw(st.booleans()):
         zero_row = lp.LinearConstraint(((0, a), (1, -b)), lp.LE, F(0))
     else:
         zero_row = lp.LinearConstraint(((0, -a), (1, b)), lp.GE, F(0))
-    crashed = [
-        lp.LinearConstraint(((0, c),), draw(st.sampled_from([lp.EQ, lp.GE])), e),
+    others = [
+        lp.LinearConstraint(((0, c),), lp.EQ, e),
         lp.LinearConstraint(((2, d),), draw(st.sampled_from([lp.EQ, lp.GE])), f),
     ]
-    rows = draw(st.permutations([zero_row] + crashed))
+    rows = draw(st.permutations([zero_row] + others))
     sense = draw(st.sampled_from(["max", "min"]))
     objective = [draw(_rational) for _ in range(3)]
     return _stated(sense, objective, (_nonneg,) * 3, rows)
@@ -684,12 +714,24 @@ def _blocked_crash_problem(draw):
 
 @st.composite
 def _zero_rhs_equality_problem(draw):
-    """An == row at right-hand side 0, first, so any nonzero entry crashes it."""
+    """An == row at right-hand side 0, first: its artificial starts basic at 0.
+
+    Half the time the row's coefficients are all negative on columns
+    >= 0, so no ratio test picks it: phase 1 leaves its artificial basic
+    at 0, to be driven out after.
+    """
     n = draw(st.integers(2, 3))
-    bounds = tuple(draw(st.sampled_from([_nonneg, (None, None)])) for _ in range(n))
     cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    one_signed = draw(st.booleans())
+    bounds = tuple(
+        _nonneg
+        if one_signed and j in cols
+        else draw(st.sampled_from([_nonneg, (None, None)]))
+        for j in range(n)
+    )
+    entry = _positive.map(lambda v: -v) if one_signed else _nonzero
     rows = [
-        lp.LinearConstraint(tuple((j, draw(_nonzero)) for j in cols), lp.EQ, F(0)),
+        lp.LinearConstraint(tuple((j, draw(entry)) for j in cols), lp.EQ, F(0)),
         lp.LinearConstraint(
             tuple((j, draw(_nonzero)) for j in range(n)),
             draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
@@ -702,25 +744,32 @@ def _zero_rhs_equality_problem(draw):
 
 
 @pytest.mark.parametrize(
-    "strategy, expected",
+    "strategy, every, some",
     [
-        (_blocked_crash_problem(), {"blocked_by_zero_rhs_le", "phase1_after_crash"}),
-        (_zero_rhs_equality_problem(), {"crash_on_zero_rhs_eq"}),
+        (_blocked_key_problem(), {"blocked_by_zero_rhs_le", "unkeyed"}, set()),
+        (_zero_rhs_equality_problem(), set(), {"drive_out"}),
     ],
-    ids=["blocked-partial-crash", "zero-rhs-equality"],
+    ids=["blocked-key", "zero-rhs-equality"],
 )
-def test_crash_cases_match_fraction_oracle(strategy, expected):
+def test_start_cases_match_fraction_oracle(strategy, every, some):
+    # every: the cases each LP meets; some: those the campaign must reach
+    # (a zero-rhs row's artificial can be priced out in phase 1, or stay
+    # basic at 0 and be driven out after it).
+    seen = set()
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(strategy)
     def check(problem):
         cases = set()
         oracle_solve(problem, _pivot_py.DEGENERATE_RUN, cases)
-        assert expected <= cases
+        assert every <= cases
+        seen.update(cases)
         solution = assert_matches_oracle(problem)
         if solution.status == lp.OPTIMAL:
             assert not lp.certify_report(problem, solution)
 
     check()
+    assert some <= seen
 
 
 _bound = st.one_of(
@@ -867,10 +916,11 @@ def test_row_whose_duplicates_cancel_is_all_zero():
 
 def test_drive_out_pivots_count_as_iterations():
     # The two rows 2*x0 == 2 are dependent.  2*x0 - 2*x1 <= 1 has a
-    # smaller ratio on x0 than they do, which blocks their crash, so
-    # phase 1 runs.  It ends with an artificial basic at 0 whose row
-    # has a nonzero entry outside the artificial columns, so it is driven
-    # out by a pivot; the other row reduces to 0 == 0 and is dropped.
+    # smaller ratio on x0 than they do, so the first, a convexity row,
+    # gets no key, and phase 1 runs over both.  It ends with an
+    # artificial basic at 0 whose row has a nonzero entry outside the
+    # artificial columns, so it is driven out by a pivot; the other row
+    # reduces to 0 == 0 and is dropped.
     problem = lp.LpProblem(
         objective=(F(2), F(0)),
         free=(False, False),

@@ -334,7 +334,7 @@ def test_iteration_limit_raises(monkeypatch):
     p = make([1, 1, 1], [False] * 3, [row([(0, 1), (1, 1), (2, 1)], "<=", 30)])
     with pytest.raises(IterationLimit, match="pivots in phase 2"):
         lp.solve(p)
-    # x0 <= 1 and x1 <= 1 block the crash of x0 + x1 >= 2: phase 1 runs.
+    # x0 + x1 >= 2 starts with its artificial basic: phase 1 runs.
     p = make(
         [1, 1],
         [False, False],

@@ -97,11 +97,14 @@ def test_zero_sum_arbitrary_charges_on_the_zero_branch():
 
 def test_marginal_zero_outside_the_set():
     inst = model.random_multi_instance(0, receivers=3, states=2)
-    for theta in range(inst.num_states):
+    for state in inst.states:
         for subset in range(inst.num_subsets):
             for i in range(inst.receivers):
-                g = multi.marginal(inst, theta, i, subset)
-                if not (subset >> i) & 1:
+                g = multi._marginal(state, i, subset)
+                if (subset >> i) & 1:
+                    u = state.receivers[i]
+                    assert g == u[subset] - u[subset - (1 << i)]
+                else:
                     assert g == 0
 
 
@@ -122,7 +125,7 @@ def test_marginal_additive_utilities_give_constant_weight():
     for subset in range(4):
         for i in range(2):
             expected = weights[i] if (subset >> i) & 1 else F(0)
-            assert multi.marginal(inst, 0, i, subset) == expected
+            assert multi._marginal(inst.states[0], i, subset) == expected
 
 
 def test_lp_shape_two_receivers_two_states_zero_model():
