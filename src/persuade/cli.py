@@ -23,9 +23,11 @@ above the size cap, 6 a solver exceeded its iteration limit, 7 an answer
 failed its optimality certificate; "verify" exits 1 when any property
 fails.
 
-The multi-receiver, cutting-plane and verify modules are imported only
-by the commands that use them, so a single-receiver solve starts
-without them.
+Every module past model and jsonio is imported only where it is used:
+the single-receiver solver by a single-receiver solve, the
+multi-receiver and cutting-plane solvers by a multi-receiver solve, the
+built-in examples by "examples" and the property campaigns by "verify".
+So a solve starts with only the solver it runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from . import jsonio, model, single
+from . import jsonio, model
 from .errors import (
     CertificateFailed,
     CharacterizationMismatch,
@@ -55,7 +57,6 @@ from .errors import (
     ValidationFailed,
     WrongActionCount,
 )
-from .examples import get_example
 from .model import (
     MultiAgentInstance,
     PaymentModel,
@@ -103,6 +104,8 @@ def _lambda_section(dual) -> dict:
 
 def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
     """Fast-path dispatch: (result, dual section, extra report lines)."""
+    from . import single
+
     if payment_model is PaymentModel.ZERO:
         sweep = single.find_lambda_star(instance, cross_check=verify)
         dual = {"symmetric_lambda": format_rational(sweep.lambda_star)}
@@ -131,6 +134,8 @@ def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
 
 
 def _solve_single(instance, payment_model, method, no_verify):
+    from . import single
+
     inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
     certified: Optional[bool] = None
@@ -352,6 +357,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .examples import get_example
+
     instance = get_example(args.name)
     out = args.out or f"{args.name}.json"
     jsonio.save_instance(out, instance)

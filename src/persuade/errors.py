@@ -7,14 +7,14 @@ the point of failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import record
 
 
 class PersuadeError(Exception):
     """Base class for all package-specific errors."""
 
 
-@dataclass(frozen=True)
+@record
 class ValidationIssue:
     """One violated input invariant.
 

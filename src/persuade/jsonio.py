@@ -7,7 +7,7 @@ for explicit single-receiver states, "single_typed" for per-action type
 draws (iid marginal or explicit joint), and "multi" for binary-action
 multi-receiver instances whose vectors are indexed by subset bitmask
 with receiver 0 at the least significant bit.  Scheme documents mirror
-the corresponding scheme dataclasses plus a sender_utility field and a
+the corresponding scheme records plus a sender_utility field and a
 dual section, and round-trip losslessly.
 """
 

@@ -39,13 +39,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Optional
 
 from . import _pivot_py
+from ._record import record, replace
 from .errors import CertificateFailed, CharacterizationMismatch, IterationLimit
 from .rationals import over_common
 
@@ -61,7 +61,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
+@record
 class LinearConstraint:
     """A sparse constraint row: sum of coeff * var  rel  rhs.
 
@@ -76,7 +76,7 @@ class LinearConstraint:
     name: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class LpProblem:
     """Maximize objective . x subject to constraints, over len(free) columns.
 
@@ -118,7 +118,7 @@ class LpProblem:
         return len(self.free)
 
 
-@dataclass(frozen=True)
+@record
 class LpSolution:
     """Solver output.
 

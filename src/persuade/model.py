@@ -25,10 +25,10 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from ._record import record
 from .errors import (
     GenerationFailed,
     InconsistentPayments,
@@ -61,7 +61,7 @@ class PaymentModel(enum.Enum):
         raise ValueError(f"unknown payment model {name!r}")
 
 
-@dataclass(frozen=True)
+@record
 class State:
     """One state of the world for a single-receiver instance."""
 
@@ -70,7 +70,7 @@ class State:
     receiver: tuple
 
 
-@dataclass(frozen=True)
+@record
 class PersuasionInstance:
     """Single-receiver instance: prior over states, payoffs per action."""
 
@@ -88,7 +88,7 @@ class PersuasionInstance:
         return _single_coding(self)
 
 
-@dataclass(frozen=True)
+@record
 class ActionType:
     """Scalar payoffs earned when an action of this type is taken."""
 
@@ -96,7 +96,7 @@ class ActionType:
     receiver: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class TypedInstance:
     """Single-receiver instance where each action draws a payoff type.
 
@@ -117,7 +117,7 @@ class TypedInstance:
         return expand_typed(self)
 
 
-@dataclass(frozen=True)
+@record
 class SignalingScheme:
     """A direct scheme plus expected payments per recommendation.
 
@@ -130,7 +130,7 @@ class SignalingScheme:
     payments: tuple
 
 
-@dataclass(frozen=True)
+@record
 class CrossUtilityMatrix:
     """X[i][j]: expected receiver payoff of playing j on recommendation i.
 
@@ -145,7 +145,7 @@ class CrossUtilityMatrix:
         return self.values[i][j]
 
 
-@dataclass(frozen=True)
+@record
 class MultiState:
     """One state for a multi-receiver binary-action instance.
 
@@ -158,7 +158,7 @@ class MultiState:
     receivers: tuple
 
 
-@dataclass(frozen=True)
+@record
 class MultiAgentInstance:
     """Multi-receiver binary-action instance."""
 
@@ -180,7 +180,7 @@ class MultiAgentInstance:
         return _multi_coding(self)
 
 
-@dataclass(frozen=True)
+@record
 class MultiAgentScheme:
     """Per-state distribution over recommended 1-sets, plus payments.
 
@@ -487,7 +487,7 @@ def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
 # Integer codings
 
 
-@dataclass(frozen=True)
+@record
 class SingleCoding:
     """A single-receiver instance in ints over one common denominator.
 
@@ -504,7 +504,7 @@ class SingleCoding:
     unit: int
 
 
-@dataclass(frozen=True)
+@record
 class MultiCoding:
     """A multi-receiver instance in ints over one common denominator.
 

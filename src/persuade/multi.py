@@ -29,12 +29,12 @@ allocation once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
 from . import lp, model
+from ._record import record, replace
 from .errors import (
     InconsistentPayments,
     SizeLimitExceeded,
@@ -55,7 +55,7 @@ ONE = Fraction(1)
 # Variable/row layout and result containers
 
 
-@dataclass(frozen=True)
+@record
 class MultiVarMap:
     """Column and row indexing for the subset LP."""
 
@@ -94,7 +94,7 @@ class MultiVarMap:
         return 2 * self.receivers + self.num_states
 
 
-@dataclass(frozen=True)
+@record
 class MultiDual:
     """Multipliers for the subset LP.
 
@@ -113,7 +113,7 @@ class MultiDual:
     y: tuple
 
 
-@dataclass(frozen=True)
+@record
 class MultiLpResult:
     """Certified LP solve of a multi-receiver instance."""
 
@@ -126,7 +126,7 @@ class MultiLpResult:
     solution: lp.LpSolution
 
 
-@dataclass(frozen=True)
+@record
 class BudgetBalancedResult:
     """Budget-balanced optimum in virtual-payoff form.
 
@@ -147,7 +147,7 @@ class BudgetBalancedResult:
     via: str
 
 
-@dataclass(frozen=True)
+@record
 class ArbitraryResult:
     """Unrestricted-payment optimum: total-payoff argmax plus payments."""
 
@@ -157,7 +157,7 @@ class ArbitraryResult:
     dual: MultiDual  # alpha = beta = gamma = 1, which certifies it (see lift)
 
 
-@dataclass(frozen=True)
+@record
 class RealizedPayments:
     """Per-recommendation transfers recovered from expected payments.
 

@@ -20,11 +20,11 @@ an oracle that ever failed to report a violated row is unmasked there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import lp, model, multi
+from ._record import record
 from .errors import (
     CertificateFailed,
     CharacterizationMismatch,
@@ -109,7 +109,7 @@ def _require_reducible(instance: MultiAgentInstance) -> None:
 # The reduced program: keep-playing-0 rows removed
 
 
-@dataclass(frozen=True)
+@record
 class DroppedMap:
     """Column and row indexing for the reduced zero-payment LP."""
 
@@ -130,7 +130,7 @@ class DroppedMap:
         return self.receivers + t
 
 
-@dataclass(frozen=True)
+@record
 class DroppedLpResult:
     """Certified solve of the reduced program."""
 
@@ -321,7 +321,7 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
 # Cutting-plane solver
 
 
-@dataclass(frozen=True)
+@record
 class CuttingPlaneResult:
     """Certified output of the constraint-generation solver.
 

@@ -37,12 +37,12 @@ returned values become Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
 from . import lp, model
+from ._record import record
 from .errors import (
     CharacterizationMismatch,
     NotSymmetric,
@@ -62,7 +62,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@record
 class SingleVarMap:
     """Column and row layout of the single-receiver LP."""
 
@@ -85,7 +85,7 @@ class SingleVarMap:
         return i * (self.actions - 1) + (j if j < i else j - 1)
 
 
-@dataclass(frozen=True)
+@record
 class SingleDual:
     """Follow-row multipliers as an n x n matrix with a zero diagonal."""
 
@@ -100,7 +100,7 @@ class SingleDual:
         return None
 
 
-@dataclass(frozen=True)
+@record
 class SingleResult:
     """A solved single-receiver instance under one payment model."""
 
@@ -113,7 +113,7 @@ class SingleResult:
     solution: Optional[lp.LpSolution] = None
 
 
-@dataclass(frozen=True)
+@record
 class LambdaStarResult:
     """Smallest persuasive lambda and its scaled-welfare scheme."""
 
@@ -128,7 +128,7 @@ class LambdaStarResult:
         return _constant_dual(len(self.scheme.payments), self.lambda_star)
 
 
-@dataclass(frozen=True)
+@record
 class DichotomyResult:
     """Winner of the two non-negative-payment candidates."""
 

@@ -12,11 +12,11 @@ acceptance tests run the same campaigns at their own seed counts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import model, multi, reduction, single
+from ._record import record
 from .errors import CharacterizationMismatch, OracleUnsound, PersuadeError
 from .model import PaymentModel, SignalingScheme
 
@@ -25,7 +25,7 @@ ZERO = Fraction(0)
 SUITES = ("single", "multi", "reduction")
 
 
-@dataclass(frozen=True)
+@record
 class PropertyReport:
     """Outcome of one property over a seed range."""
 

@@ -18,7 +18,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 import pytest
 
 from persuade import lp, model, multi, reduction, single, verify
+from persuade._record import replace
 from persuade.errors import CertificateFailed
 from persuade.model import PaymentModel, SignalingScheme
 from persuade.single import SingleDual
@@ -537,8 +537,8 @@ def test_campaign_records_a_failed_certificate(monkeypatch):
 
 _UNDER_O = textwrap.dedent(
     """
-    from dataclasses import replace
     from persuade import lp, model, multi, single
+    from persuade._record import replace
     from persuade.errors import PersuadeError
     from persuade.model import PaymentModel
 

@@ -378,6 +378,31 @@ def test_single_receiver_solve_leaves_other_modules_unimported(tmp_path, argv):
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_starts_without_dataclasses_or_unused_modules(tmp_path):
+    path = write_instance(tmp_path, model.random_instance(3, actions=3, symmetric=True))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from persuade import cli\n"
+        "names = ('dataclasses', 'inspect', 'persuade.examples',"
+        " 'persuade.multi', 'persuade.reduction', 'persuade.verify')\n"
+        "print(sorted(n for n in names if n in sys.modules))\n"
+        f"code = cli.main(['solve', {path!r}, '--out', {str(tmp_path / 'o.json')!r}])\n"
+        "print(code, 'persuade.multi' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 False"
+
+
 def test_unknown_suite_is_a_usage_error(capsys):
     assert cli.main(["verify", "--suite", "no-such-suite"]) == 2
     assert "invalid choice: 'no-such-suite'" in capsys.readouterr().err

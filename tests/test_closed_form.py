@@ -9,12 +9,12 @@ scheme from the last round's duals.
 """
 
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from persuade import cli, jsonio, lp, model, multi, reduction, single
+from persuade._record import replace
 from persuade.errors import CharacterizationMismatch
 from persuade.model import PaymentModel
 from persuade.multi import MultiDual

@@ -2,12 +2,12 @@
 
 import random
 import threading
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from persuade import _pivot_py, lp
+from persuade._record import replace
 from persuade.errors import IterationLimit
 from persuade.lp import LinearConstraint, LpProblem
 

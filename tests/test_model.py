@@ -1,12 +1,10 @@
 """Domain model tests: parsing, validation, scheme arithmetic, generators."""
 
 import collections
-import dataclasses
 import itertools
 import math
 import operator
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -14,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from persuade import model
+from persuade._record import FrozenInstanceError, replace
 from persuade.errors import (
     InconsistentPayments,
     InvalidSetting,
@@ -247,7 +246,7 @@ def test_symmetry_orbit_check_matches_permutation_definition(actions, types):
         )
         # Two types with one payoff pair: profiles that differ only in
         # which of them sits where aggregate to the same key.
-        merged = dataclasses.replace(
+        merged = replace(
             typed, types=(typed.types[0],) + typed.types[:-1]
         )
         for base in (typed, merged):
@@ -261,7 +260,7 @@ def test_symmetry_orbit_check_matches_permutation_definition(actions, types):
                 rows[i][1] -= moved
                 rows[j][1] += moved
                 cases.append(
-                    dataclasses.replace(
+                    replace(
                         base, joint=tuple(tuple(row) for row in rows)
                     )
                 )
