@@ -37,7 +37,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Optional
 
 from . import jsonio, model
 from .errors import (
@@ -138,7 +137,7 @@ def _solve_single(instance, payment_model, method, no_verify):
 
     inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
-    certified: Optional[bool] = None
+    certified: bool | None = None
     if method == "lp":
         result = single.solve_optimal(instance, payment_model)
         dual = _lambda_section(result.dual)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
 
 from .errors import ValidationFailed, ValidationIssue
 from .model import (
@@ -32,8 +31,8 @@ from .model import (
 )
 from .rationals import format_rational, parse_rational
 
-Instance = Union[PersuasionInstance, TypedInstance, MultiAgentInstance]
-Scheme = Union[SignalingScheme, MultiAgentScheme]
+Instance = PersuasionInstance | TypedInstance | MultiAgentInstance
+Scheme = SignalingScheme | MultiAgentScheme
 
 
 def _fail(message: str) -> ValidationFailed:
@@ -230,9 +229,9 @@ def instance_from_json(data: dict) -> Instance:
 def scheme_to_json(
     scheme: Scheme,
     *,
-    sender_utility: Optional[Fraction] = None,
-    dual: Optional[dict] = None,
-    recovered_payments: Optional[dict] = None,
+    sender_utility: Fraction | None = None,
+    dual: dict | None = None,
+    recovered_payments: dict | None = None,
 ) -> dict:
     """Serialize a scheme plus its report metadata.
 

@@ -2,11 +2,10 @@
 
 Every problem is one shape: maximize a linear objective over columns
 that are each >= 0 or free, subject to sparse constraint rows (<=, >=,
-==).  The objective, coefficients and right-hand sides are ints or
-Fractions read over one positive int denominator, the statement's den:
-a builder that holds its instance as ints over a common unit writes
-those ints with den = unit, and a statement written in Fractions has
-den = 1.
+==).  The objective, coefficients and right-hand sides are Python ints
+(LpProblem refuses any other type), read over one positive int
+denominator, the statement's den: a builder that holds its instance as
+ints over a common unit writes those ints with den = unit.
 solve() runs a dense tableau simplex from the slack and artificial
 basis: a >= row whose right-hand side is 0 is stated as a <= row, so
 its slack starts basic, and phase 1 runs over the artificials of the
@@ -40,9 +39,8 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
-from typing import Optional
 
 from . import _pivot_py
 from ._record import record, replace
@@ -50,7 +48,6 @@ from .errors import CertificateFailed, CharacterizationMismatch, IterationLimit
 from .rationals import over_common
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 LE = "<="
 GE = ">="
@@ -67,12 +64,12 @@ class LinearConstraint:
 
     coeffs holds (variable index, coefficient) pairs; duplicate indices
     are summed.  rel is one of "<=", ">=", "==".  Each coefficient and
-    rhs is an int or a Fraction, read divided by the problem's den.
+    rhs is an int, read divided by the problem's den.
     """
 
     coeffs: tuple
     rel: str
-    rhs: Fraction
+    rhs: int
     name: str = ""
 
 
@@ -81,8 +78,7 @@ class LpProblem:
     """Maximize objective . x subject to constraints, over len(free) columns.
 
     Attributes:
-        objective: dense coefficient tuple, one int or Fraction per
-            column.
+        objective: dense coefficient tuple, one int per column.
         free: one bool per column: True for a free column, False for a
             column >= 0.
         constraints: tuple of LinearConstraint.
@@ -92,7 +88,9 @@ class LpProblem:
 
     Raises ValueError at construction for a den that is not a positive
     int, an objective whose length differs from free's, a relation other
-    than <=, >=, ==, or a row entry on a column outside [0, n).
+    than <=, >=, ==, a row entry on a column outside [0, n), or an
+    objective entry, coefficient or rhs whose type is not int (a
+    Fraction, float or bool is refused).
     """
 
     objective: tuple
@@ -106,12 +104,19 @@ class LpProblem:
         n = len(self.free)
         if len(self.objective) != n:
             raise ValueError("objective length does not match variable count")
+        for c in self.objective:
+            if type(c) is not int:
+                raise ValueError(f"objective entry {c!r} is not an int")
         for constraint in self.constraints:
             if constraint.rel not in (LE, GE, EQ):
                 raise ValueError(f"unknown relation {constraint.rel!r}")
-            for j, _ in constraint.coeffs:
+            if type(constraint.rhs) is not int:
+                raise ValueError(f"rhs {constraint.rhs!r} is not an int")
+            for j, a in constraint.coeffs:
                 if not 0 <= j < n:
                     raise ValueError(f"constraint references variable {j} of {n}")
+                if type(a) is not int:
+                    raise ValueError(f"coefficient {a!r} is not an int")
 
     @property
     def num_vars(self) -> int:
@@ -127,9 +132,9 @@ class LpSolution:
     """
 
     status: str
-    objective: Optional[Fraction]
-    primal: Optional[tuple]
-    dual: Optional[tuple]
+    objective: Fraction | None
+    primal: tuple | None
+    dual: tuple | None
     iterations: int
 
 
@@ -185,44 +190,35 @@ def solve(problem: LpProblem) -> LpSolution:
         first.append(ncols_struct)
         ncols_struct += 2 if is_free else 1
 
-    # Phase-2 costs in ints over the objective's common denominator
-    # (times den), divided by their gcd: the objective row comes out
-    # times k2 > 0.
-    cost_den = lcm(*[c.denominator for c in problem.objective])
+    # Phase-2 costs: the objective's ints divided by their gcd g, so the
+    # objective row comes out times den / g.
     struct_cost = [0] * ncols_struct
     for j, c in enumerate(problem.objective):
-        v = c.numerator * (cost_den // c.denominator)
         col = first[j]
-        struct_cost[col] = v
+        struct_cost[col] = c
         if free[j]:
-            struct_cost[col + 1] = -v
-    cost_den *= problem.den
-    g = gcd(*struct_cost)
-    k2 = Fraction(cost_den, g) if g else ONE
-    if g:
-        struct_cost = [v // g for v in struct_cost]
+            struct_cost[col + 1] = -c
+    g = gcd(*struct_cost) or 1  # 0 for an all-zero objective
+    struct_cost = [v // g for v in struct_cost]
 
-    # Rows, in order, each (sparse ints over its common denominator den,
-    # the statement's den included, rel, rhs times den, den, sign),
-    # negated (sign -1) where that makes the right-hand side >= 0, and a
-    # >= row whose right-hand side is 0 is stated as the negated <= row,
-    # so its slack starts basic at 0 and the row needs no artificial.
+    # Rows, in order, each (sparse ints, rel, rhs, sign), negated (sign
+    # -1) where that makes the right-hand side >= 0, and a >= row whose
+    # right-hand side is 0 is stated as the negated <= row, so its slack
+    # starts basic at 0 and the row needs no artificial.
     rows = []
     for constraint in problem.constraints:
         rhs = constraint.rhs
-        den = lcm(rhs.denominator, *[a.denominator for _, a in constraint.coeffs])
         rel, sign = constraint.rel, 1
         if rhs < 0 or (rhs == 0 and rel == GE):
             rel, sign = {LE: GE, GE: LE}.get(rel, rel), -1
         acc: dict = {}  # duplicate indices are summed
         for j, a in constraint.coeffs:
-            v = sign * a.numerator * (den // a.denominator)
+            v = sign * a
             col = first[j]
             acc[col] = acc.get(col, 0) + v
             if free[j]:
                 acc[col + 1] = acc.get(col + 1, 0) - v
-        rhs_int = sign * rhs.numerator * (den // rhs.denominator)
-        rows.append((acc, rel, rhs_int, den * problem.den, sign))
+        rows.append((acc, rel, sign * rhs, sign))
 
     m = len(rows)
     surplus_of = {}
@@ -234,31 +230,29 @@ def solve(problem: LpProblem) -> LpSolution:
     id_base = next_col
     budget = 20000 + 200 * (id_base + 2 * m)
 
-    # Integer tableau.  Row i is the stated row times scale[i] > 0, the
-    # least factor that makes it integral (its ints over den, divided by
-    # their gcd), and its identity column (slack or artificial) is
-    # divided by scale[i] so that it keeps its 1: the substitution
-    # x' = scale[i] * x.  The pivots are those of a Fraction tableau over
-    # the same substituted columns.  The identity columns' reduced costs
-    # come out divided by scale[i], which steers Dantzig's rule and which
-    # the dual read-out undoes.
+    # Integer tableau.  Row i is the stated row times den / gs[i] > 0,
+    # the least factor that makes it integral (its ints divided by their
+    # gcd), and its identity column (slack or artificial) is divided by
+    # the same factor so that it keeps its 1: the substitution
+    # x' = den / gs[i] * x.  The pivots are those of a Fraction tableau
+    # over the same substituted columns.  The identity columns' reduced
+    # costs come out times gs[i] / den, which steers Dantzig's rule and
+    # which the dual read-out undoes.
     ncols = id_base + m  # identity block, one column per row
     rows_int = []
-    scale = []
     gs = []
-    for i, (acc, rel, rhs, den, _sign) in enumerate(rows):
-        surplus = -den if rel == GE else 0
-        g = gcd(rhs, surplus, *acc.values()) or 1  # 0 for an all-zero row
+    for i, (acc, rel, rhs, _sign) in enumerate(rows):
+        surplus = -problem.den if rel == GE else 0
+        gi = gcd(rhs, surplus, *acc.values()) or 1  # 0 for an all-zero row
         row = [0] * (ncols + 1)
         for col, v in acc.items():
-            row[col] = v // g
+            row[col] = v // gi
         if rel == GE:
-            row[surplus_of[i]] = surplus // g
+            row[surplus_of[i]] = surplus // gi
         row[id_base + i] = 1
-        row[-1] = rhs // g
+        row[-1] = rhs // gi
         rows_int.append(row)
-        scale.append(Fraction(den, g))
-        gs.append(g)
+        gs.append(gi)
 
     # Convexity rows: a user == row whose nonzero ints are all one c > 0,
     # with right-hand side r > 0 (so sum over its columns == r / c), on
@@ -266,7 +260,7 @@ def solve(problem: LpProblem) -> LpSolution:
     convex = []
     claimed: set = set()
     for i in range(m):
-        acc, rel, _, _, _ = rows[i]
+        acc, rel, _, _ = rows[i]
         row = rows_int[i]
         r = row[-1]
         if rel != EQ or r <= 0:
@@ -289,7 +283,7 @@ def solve(problem: LpProblem) -> LpSolution:
     col_rows: dict = {}  # claimed column -> the other rows that have it
     if convex:
         convex_rows = {i for i, _, _, _ in convex}
-        for i, (acc, _, _, _, _) in enumerate(rows):
+        for i, (acc, _, _, _) in enumerate(rows):
             if i not in convex_rows:
                 for col, v in acc.items():
                     if v and col in claimed:
@@ -428,15 +422,14 @@ def solve(problem: LpProblem) -> LpSolution:
         for col, is_free in zip(first, free)
     ]
 
-    # Row i's dual is its identity column's reduced cost times scale[i]
-    # / k2, with the row's sign.  A convexity row's, over its c, makes
-    # its key's reduced cost 0: the key's cost minus the other rows'
-    # duals times their entries in the key's column.
+    # Row i's dual is its identity column's reduced cost times g / gs[i],
+    # with the row's sign: den cancels.  A convexity row's, over its c,
+    # makes its key's reduced cost 0: the key's cost minus the other
+    # rows' duals times their entries in the key's column.
     obj, obj_den = tab.rows[-1], tab.dens[-1]
     set_of_row = {i: k for k, i in enumerate(keyed_rows)}
     dual = []
     for i in range(m):
-        k = scale[i]
         e = where.get(i)
         if e is not None:
             w, c = obj[id_base + e], 1
@@ -447,16 +440,11 @@ def solve(problem: LpProblem) -> LpSolution:
                 obj[id_base + where[t]] * (rows[t][0][key] // gs[t])
                 for t in col_rows.get(key, ())
             )
-        dual.append(
-            Fraction(
-                rows[i][4] * w * k.numerator * k2.denominator,
-                obj_den * c * k.denominator * k2.numerator,
-            )
-        )
+        dual.append(Fraction(rows[i][3] * w * g, obj_den * c * gs[i]))
 
     solution = LpSolution(
         OPTIMAL,
-        tab.fraction(-1, -1) / k2,
+        Fraction(obj[-1] * g, obj_den * problem.den),
         tuple(primal),
         tuple(dual),
         total_iters,
@@ -474,9 +462,9 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     feasibility against every constraint and every >= 0 column, dual sign
     conventions, finiteness side conditions on reduced costs,
     complementary slackness, an exactly zero duality gap and the
-    objective field.  Computed in ints over common denominators, one per
-    row and the statement's den included; Fractions are built only for
-    the failure messages.
+    objective field.  Computed in ints: the statement's over its den,
+    the claimed pair's over their common denominators; Fractions are
+    built only for the failure messages.
     """
     if solution.status != OPTIMAL:
         return [f"status is {solution.status}, nothing to certify"]
@@ -487,25 +475,21 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
         return ["primal or dual vector has the wrong length"]
     failures = []
 
-    # x[j] = xs[j] / x_den, duals ys[k] / y_den, costs cs[j] / c_den.
+    # x[j] = xs[j] / x_den, duals ys[k] / y_den, every entry of the
+    # statement over den.
     xs, x_den = over_common(x)
     ys, y_den = over_common(duals)
-    cs, c_den = over_common(problem.objective)
-    c_den *= problem.den
+    den = problem.den
 
     for j, is_free in enumerate(problem.free):
         if not is_free and xs[j] < 0:
             failures.append(f"x[{j}]={x[j]} below lower bound 0")
 
-    priced = []  # (dual, row ints, rhs int, row den) of rows with a dual
+    priced = []  # (dual, row) of rows with a dual
     for k, constraint in enumerate(problem.constraints):
-        rhs, rel = constraint.rhs, constraint.rel
-        den = lcm(rhs.denominator, *[a.denominator for _, a in constraint.coeffs])
-        ints = [(j, a.numerator * (den // a.denominator)) for j, a in constraint.coeffs]
-        b = rhs.numerator * (den // rhs.denominator)
-        den *= problem.den
+        b, rel = constraint.rhs, constraint.rel
         # Activity minus right-hand side, over den * x_den.
-        slack = sum(v * xs[j] for j, v in ints) - b * x_den
+        slack = sum(v * xs[j] for j, v in constraint.coeffs) - b * x_den
         if (slack > 0) if rel == LE else (slack < 0) if rel == GE else slack != 0:
             failures.append(
                 f"constraint {k} {constraint.name!r} violated: "
@@ -524,18 +508,16 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
                     f"complementary slackness: dual {k} is {Fraction(y, y_den)} "
                     "but row is slack"
                 )
-            priced.append((y, ints, b, den))
+            priced.append((y, constraint))
 
-    # Reduced costs and the dual objective b.y as ints over y_den * r_den.
-    r_den = lcm(c_den, *[den for _, _, _, den in priced])
-    rc = [c * (r_den // c_den) * y_den for c in cs]
+    # Reduced costs and the dual objective b.y as ints over y_den * den.
+    rc = [c * y_den for c in problem.objective]
     dual_b = 0
-    for y, ints, b, den in priced:
-        w = y * (r_den // den)
-        dual_b += w * b
-        for j, v in ints:
-            rc[j] -= w * v
-    rc_den = y_den * r_den
+    for y, constraint in priced:
+        dual_b += y * constraint.rhs
+        for j, v in constraint.coeffs:
+            rc[j] -= y * v
+    rc_den = y_den * den
 
     # A reduced cost is 0, or < 0 on a >= 0 column at 0.
     for j, is_free in enumerate(problem.free):
@@ -555,9 +537,9 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
             )
 
     # Primal value over p_den; the dual bound is b.y, over rc_den.
-    p_den = c_den * x_den
-    primal = sum(c * v for c, v in zip(cs, xs))
-    if primal * rc_den != dual_b * p_den:
+    p_den = den * x_den
+    primal = sum(c * v for c, v in zip(problem.objective, xs))
+    if primal * y_den != dual_b * x_den:
         failures.append(
             f"duality gap: primal {Fraction(primal, p_den)} != dual bound "
             f"{Fraction(dual_b, rc_den)}"
@@ -571,20 +553,15 @@ def certify_report(problem: LpProblem, solution: LpSolution) -> list:
     return failures
 
 
-def require_certificate(problem: LpProblem, solution: LpSolution) -> None:
-    """Raise CertificateFailed unless certify_report finds no fault in the pair."""
-    report = certify_report(problem, solution)
-    if report:
-        raise CertificateFailed("optimality certificate failed: " + "; ".join(report))
-
-
 def certified_solve(problem: LpProblem) -> LpSolution:
     """Solve, and return the answer only if certify_report finds no fault.
 
     Otherwise, a non-optimal status included, raise CertificateFailed.
     """
     solution = solve(problem)
-    require_certificate(problem, solution)
+    report = certify_report(problem, solution)
+    if report:
+        raise CertificateFailed("optimality certificate failed: " + "; ".join(report))
     return solution
 
 

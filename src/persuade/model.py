@@ -26,7 +26,6 @@ import math
 import os
 import random
 from fractions import Fraction
-from typing import Optional, Union
 
 from ._record import record
 from .errors import (
@@ -107,8 +106,8 @@ class TypedInstance:
 
     actions: int
     types: tuple
-    iid_marginal: Optional[tuple] = None
-    joint: Optional[tuple] = None  # ((profile tuple, prob), ...)
+    iid_marginal: tuple | None = None
+    joint: tuple | None = None  # ((profile tuple, prob), ...)
     default_model: PaymentModel = PaymentModel.ZERO
 
     @functools.cached_property
@@ -193,7 +192,7 @@ class MultiAgentScheme:
     q_zero: tuple
 
 
-Instance = Union[PersuasionInstance, TypedInstance, MultiAgentInstance]
+Instance = PersuasionInstance | TypedInstance | MultiAgentInstance
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def _profile_state(instance: TypedInstance, profile, prob) -> State:
     )
 
 
-def is_symmetric(instance: Union[PersuasionInstance, TypedInstance]) -> bool:
+def is_symmetric(instance: PersuasionInstance | TypedInstance) -> bool:
     """Whether the prior is invariant under every permutation of actions.
 
     Payoff profiles are aggregated into a map (sender vector, receiver
@@ -697,7 +696,7 @@ def random_instance(
     symmetric: bool = False,
     types: int = 2,
     joint: bool = False,
-) -> Union[PersuasionInstance, TypedInstance]:
+) -> PersuasionInstance | TypedInstance:
     """Draw a random instance deterministically from the seed.
 
     With symmetric=True the result is a TypedInstance whose prior is

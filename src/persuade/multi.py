@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from . import lp, model
 from ._record import record, replace
@@ -109,7 +108,7 @@ class MultiDual:
 
     alpha: tuple
     beta: tuple
-    gamma: Optional[Fraction]
+    gamma: Fraction | None
     y: tuple
 
 
@@ -403,7 +402,7 @@ def solve_lp(
         # The objective charges each payment column -1 and the budget row
         # adds its dual to the same column, so the weight the dual prices
         # marginal utilities at is one plus the raw budget dual.
-        gamma: Optional[Fraction] = ONE + solution.dual[vmap.budget_row]
+        gamma: Fraction | None = ONE + solution.dual[vmap.budget_row]
     elif payment_model is PaymentModel.ARBITRARY:
         gamma = ONE
     else:
@@ -501,7 +500,7 @@ def _normalize_dead_branches(
 
 def _fixed_allocation_bb(
     instance: MultiAgentInstance, code: MultiCoding, alloc, target: Fraction
-) -> Optional[MultiAgentScheme]:
+) -> MultiAgentScheme | None:
     """Budget-balanced payments for a deterministic allocation, or None.
 
     With the allocation fixed, payments cancel out of the objective, so

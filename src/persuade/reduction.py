@@ -20,8 +20,8 @@ an oracle that ever failed to report a violated row is unmasked there.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
 from . import lp, model, multi
 from ._record import record
@@ -369,7 +369,7 @@ def _restricted_dual(code: model.MultiCoding, rows) -> lp.LpProblem:
 
 
 def cutting_plane_solve(
-    instance: MultiAgentInstance, oracle: Optional[SetFunctionOracle] = None
+    instance: MultiAgentInstance, oracle: SetFunctionOracle | None = None
 ) -> CuttingPlaneResult:
     """Solve the reduced program by constraint generation.
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Union
 
 from . import lp, model
 from ._record import record
@@ -73,7 +72,7 @@ class SingleVarMap:
     def phi(self, theta: int, i: int) -> int:
         return theta * self.actions + i
 
-    def payment(self, i: int) -> Optional[int]:
+    def payment(self, i: int) -> int | None:
         if self.payment_model is PaymentModel.ZERO:
             return None
         return self.num_states * self.actions + i
@@ -92,7 +91,7 @@ class SingleDual:
     lam: tuple
 
     @property
-    def symmetric_value(self) -> Optional[Fraction]:
+    def symmetric_value(self) -> Fraction | None:
         n = len(self.lam)
         off = [self.lam[i][j] for i in range(n) for j in range(n) if i != j]
         if off and all(v == off[0] for v in off):
@@ -108,9 +107,9 @@ class SingleResult:
     payment_model: PaymentModel
     scheme: SignalingScheme
     utility: Fraction
-    dual: Optional[SingleDual]
-    problem: Optional[lp.LpProblem] = None
-    solution: Optional[lp.LpSolution] = None
+    dual: SingleDual | None
+    problem: lp.LpProblem | None = None
+    solution: lp.LpSolution | None = None
 
 
 @record
@@ -159,7 +158,7 @@ def _require_size(n: int, m: int) -> None:
 
 
 def _as_instance(
-    instance: Union[PersuasionInstance, TypedInstance]
+    instance: PersuasionInstance | TypedInstance
 ) -> PersuasionInstance:
     """The explicit instance, validated and sized before it is coded."""
     if isinstance(instance, TypedInstance):
@@ -248,7 +247,7 @@ def build_lp(
 
 
 def solve_optimal(
-    instance: Union[PersuasionInstance, TypedInstance],
+    instance: PersuasionInstance | TypedInstance,
     payment_model: PaymentModel,
 ) -> SingleResult:
     """Solve the LP to exact optimality and attach the certified dual."""
@@ -305,7 +304,6 @@ def verify_support_optimality(
     the multipliers and the distribution each over one common denominator.
     """
     code = instance.coding
-    n = code.actions
     values, lam, _ = _adjusted(code, dual)
     dist = scheme.distribution
     for mass, state_values, row in zip(code.mass, values, dist):
@@ -313,22 +311,38 @@ def verify_support_optimality(
         if mass and any(p and v != best for p, v in zip(row, state_values)):
             return False
 
-    # Tight rows: X[i][i] + P[i] == X[i][j], X over code.unit * d_den.
-    d_den = lcm(*[v.denominator for row in dist for v in row])
-    for i, multipliers in enumerate(lam):
+    # Tight rows: X[i][i] + P[i] == X[i][j].
+    cross, scale = _cross(code, dist)
+    for i, (multipliers, xi) in enumerate(zip(lam, cross)):
         if not any(multipliers):
             continue
-        cross = [0] * n
-        for mass, receiver, row in zip(code.mass, code.receiver, dist):
-            w = mass * row[i].numerator * (d_den // row[i].denominator)
-            for j in range(n):
-                cross[j] += w * receiver[j]
         pay = scheme.payments[i]
-        pay_int = pay.numerator * code.unit * d_den
+        pay_int = pay.numerator * scale
         for j, w in enumerate(multipliers):
-            if w and j != i and (cross[i] - cross[j]) * pay.denominator + pay_int:
+            if w and j != i and (xi[i] - xi[j]) * pay.denominator + pay_int:
                 return False
     return True
+
+
+def _cross(code: SingleCoding, dist) -> tuple:
+    """The cross utilities X of a distribution in ints, and their scale.
+
+    X[i][j] is the receiver's payoff of action j, summed over states
+    weighted by the probability that i is recommended; the ints are X
+    times scale, code.unit times the distribution's common denominator.
+    """
+    n = code.actions
+    d_den = lcm(*[v.denominator for row in dist for v in row])
+    cross = [[0] * n for _ in range(n)]
+    for mass, receiver, row in zip(code.mass, code.receiver, dist):
+        if mass:
+            for i, p in enumerate(row):
+                if p:
+                    w = mass * p.numerator * (d_den // p.denominator)
+                    xi = cross[i]
+                    for j in range(n):
+                        xi[j] += w * receiver[j]
+    return cross, code.unit * d_den
 
 
 def _adjusted(code: SingleCoding, dual: SingleDual) -> tuple:
@@ -415,7 +429,7 @@ def welfare_weighted_scheme(
 
 
 def lambda_scheme(
-    instance: Union[PersuasionInstance, TypedInstance], lam: Fraction
+    instance: PersuasionInstance | TypedInstance, lam: Fraction
 ) -> SignalingScheme:
     """Scaled-welfare scheme for scalar lambda: argmax s + n*lambda*r, no payments."""
     inst = _as_instance(instance)
@@ -448,22 +462,9 @@ def _require_symmetric(instance, inst: PersuasionInstance, what: str) -> None:
 def _is_persuasive(code: SingleCoding, scheme: SignalingScheme) -> bool:
     """model.is_persuasive in ints on the instance's coding.
 
-    X[i][j] - X[i][i] <= P[i] for every j != i, the cross utilities X
-    over code.unit times the distribution's common denominator.
+    X[i][j] - X[i][i] <= P[i] for every j != i, with X from _cross.
     """
-    n = code.actions
-    dist = scheme.distribution
-    d_den = lcm(*[v.denominator for row in dist for v in row])
-    cross = [[0] * n for _ in range(n)]
-    for mass, receiver, row in zip(code.mass, code.receiver, dist):
-        if mass:
-            for i, p in enumerate(row):
-                if p:
-                    w = mass * p.numerator * (d_den // p.denominator)
-                    xi = cross[i]
-                    for j in range(n):
-                        xi[j] += w * receiver[j]
-    scale = code.unit * d_den
+    cross, scale = _cross(code, scheme.distribution)
     for i, (xi, pay) in enumerate(zip(cross, scheme.payments)):
         own, limit = xi[i], pay.numerator * scale
         if any(
@@ -563,7 +564,7 @@ def _sweep(code: SingleCoding) -> LambdaStarResult:
 
 
 def find_lambda_star(
-    instance: Union[PersuasionInstance, TypedInstance],
+    instance: PersuasionInstance | TypedInstance,
     *,
     cross_check: bool = True,
 ) -> LambdaStarResult:
@@ -672,7 +673,7 @@ def _canonical(inst: PersuasionInstance, verify: bool, what: str) -> SingleResul
 
 
 def canonical_two_action_scheme(
-    instance: Union[PersuasionInstance, TypedInstance],
+    instance: PersuasionInstance | TypedInstance,
     *,
     verify: bool = True,
 ) -> SingleResult:
@@ -692,7 +693,7 @@ def canonical_two_action_scheme(
 
 
 def canonical_symmetric_scheme(
-    instance: Union[PersuasionInstance, TypedInstance],
+    instance: PersuasionInstance | TypedInstance,
     *,
     verify: bool = True,
 ) -> SingleResult:
@@ -712,7 +713,7 @@ def canonical_symmetric_scheme(
 
 
 def nonnegative_dichotomy(
-    instance: Union[PersuasionInstance, TypedInstance],
+    instance: PersuasionInstance | TypedInstance,
     *,
     verify: bool = True,
 ) -> DichotomyResult:

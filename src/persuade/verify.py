@@ -12,8 +12,8 @@ acceptance tests run the same campaigns at their own seed counts.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import model, multi, reduction, single
 from ._record import record
@@ -45,7 +45,7 @@ class PropertyReport:
 
 
 def _campaign(
-    suite: str, name: str, count: int, check: Callable[[int], Optional[tuple]]
+    suite: str, name: str, count: int, check: Callable[[int], tuple | None]
 ) -> PropertyReport:
     failures = []
     counterexamples = []
@@ -77,7 +77,7 @@ def payment_identity_campaign(
 ) -> PropertyReport:
     """Persuasive exactly when payments cover the thresholds, per action."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         rng = random.Random(seed * 2654435761 % 2**31)
         inst = model.random_instance(
             seed,
@@ -117,7 +117,7 @@ def lambda_star_campaign(
     """Smallest-persuasive-weight scheme matches the zero-payment LP,
     and the uniform scaled-welfare family is monotone over the grid."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         typed = model.random_instance(
             seed,
             actions=2 + seed % (max_actions - 1),
@@ -158,7 +158,7 @@ def two_action_arbitrary_campaign(
     """Two actions, any prior: argmax of s + 2r with threshold payments
     reaches the free-payment LP optimum."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         inst = model.random_instance(
             seed, actions=2, states=1 + seed % max_states
         )
@@ -180,7 +180,7 @@ def symmetric_arbitrary_campaign(
     """Symmetric instances: argmax of s + (n/(n-1))r with threshold
     payments reaches the free-payment LP optimum."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         actions = 2 + seed % (max_actions - 1)
         typed = model.random_instance(
             seed,
@@ -207,7 +207,7 @@ def dichotomy_campaign(
     """Non-negative payments: the better of the payment-free optimum and
     the canonical paid scheme is LP-optimal, with a consistent label."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         typed = model.random_instance(
             seed,
             actions=2 + seed % (max_actions - 1),
@@ -252,7 +252,7 @@ def multi_models_campaign(
     """Virtual-payoff schemes match their LPs; model values nest; the
     recovered payments balance exactly."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         inst = model.random_multi_instance(
             seed,
             receivers=2 + seed % (max_receivers - 1),
@@ -315,7 +315,7 @@ def reduction_equivalence_campaign(
     """Dropping the keep-playing-0 rows, repairing, and cutting planes
     all reproduce the full zero-payment optimum."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         inst = _reduction_instance(seed, max_receivers, max_states)
         full = multi.solve_lp(inst, PaymentModel.ZERO)
         dropped = reduction.solve_dropped(inst)
@@ -357,7 +357,7 @@ def oracle_soundness_campaign(
     """A runner-up oracle is either unmasked or harmless, never silently
     wrong."""
 
-    def check(seed: int) -> Optional[tuple]:
+    def check(seed: int) -> tuple | None:
         inst = _reduction_instance(seed, max_receivers, max_states)
 
         def runner_up(theta, alpha):

@@ -30,7 +30,7 @@ from persuade.errors import CertificateFailed
 from persuade.model import PaymentModel, SignalingScheme
 from persuade.single import SingleDual
 
-from test_lp import _random_problem, fraction_view
+from test_lp import _random_problem, fraction_view, make
 
 ZERO = F(0)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -39,25 +39,26 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 # Fraction oracles
 
 
-def oracle_certify_report(problem, solution):
+def oracle_certify_report(view, solution):
+    """certify_report on a statement's fraction_view: (objective, free, rows)."""
+    cost, frees, constraints = view
     failures = []
     if solution.status != lp.OPTIMAL:
         return [f"status is {solution.status}, nothing to certify"]
     if solution.primal is None or solution.dual is None:
         return ["optimal solution is missing primal or dual values"]
-    n = problem.num_vars
+    n = len(frees)
     x = solution.primal
-    if len(x) != n or len(solution.dual) != len(problem.constraints):
+    if len(x) != n or len(solution.dual) != len(constraints):
         return ["primal or dual vector has the wrong length"]
 
-    for j, free in enumerate(problem.free):
+    for j, free in enumerate(frees):
         if not free and x[j] < 0:
             failures.append(f"x[{j}]={x[j]} below lower bound 0")
 
-    cost = problem.objective
     rc = list(cost)
     dual_b = ZERO
-    for k, constraint in enumerate(problem.constraints):
+    for k, constraint in enumerate(constraints):
         value = ZERO
         for j, coeff in constraint.coeffs:
             value += coeff * x[j]
@@ -87,7 +88,7 @@ def oracle_certify_report(problem, solution):
             for j, coeff in constraint.coeffs:
                 rc[j] = rc[j] - y * coeff
 
-    for j, free in enumerate(problem.free):
+    for j, free in enumerate(frees):
         r = rc[j]
         if r > 0:
             failures.append(f"reduced cost {j} is {r} > 0 with no upper bound")
@@ -148,7 +149,7 @@ def oracle_verify_support_optimality(instance, scheme, dual):
 
 
 def oracle_build_lp(instance, payment_model):
-    """single.build_lp's problem with every coefficient a Fraction product."""
+    """single.build_lp's (objective, free, rows), every entry a Fraction product."""
     n, m = instance.actions, instance.num_states
     with_pay = payment_model is not PaymentModel.ZERO
     objective = [s.prob * s.sender[i] for s in instance.states for i in range(n)]
@@ -175,7 +176,7 @@ def oracle_build_lp(instance, payment_model):
     if payment_model is PaymentModel.BUDGET_BALANCED:
         pays = tuple((m * n + i, F(1)) for i in range(n))
         rows.append(lp.LinearConstraint(pays, lp.EQ, ZERO, "budget"))
-    return lp.LpProblem(tuple(objective), tuple(free), tuple(rows))
+    return tuple(objective), tuple(free), tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +270,14 @@ def test_certify_report_matches_oracle_on_single_lps(seed, actions, states, pm, 
 
 def test_tampering_is_caught_by_the_integer_check():
     # Each tampering on a small LP with a slack row and priced rows.
-    problem = lp.LpProblem(
-        objective=(F(1), F(1)),
-        free=(False, False),
-        constraints=(
+    problem = make(
+        [F(1), F(1)],
+        [False, False],
+        [
             lp.LinearConstraint(((0, F(1)), (1, F(2))), lp.LE, F(4)),
             lp.LinearConstraint(((0, F(3)), (1, F(1))), lp.LE, F(6)),
             lp.LinearConstraint(((0, F(1)),), lp.LE, F(10)),
-        ),
+        ],
     )
     solution = lp.solve(problem)
     assert lp.certify_report(problem, solution) == []
@@ -309,20 +310,15 @@ def test_build_lp_matches_oracle(seed, actions, states, typed):
 
 
 def _times(problem, k):
-    """The same LP written times k over den * k; integral entries as ints."""
-
-    def scaled(v):
-        v = F(v) * k
-        return v.numerator if v.denominator == 1 else v
-
+    """The same LP written times k over den * k."""
     return replace(
         problem,
-        objective=tuple(scaled(c) for c in problem.objective),
+        objective=tuple(c * k for c in problem.objective),
         constraints=tuple(
             replace(
                 c,
-                coeffs=tuple((j, scaled(a)) for j, a in c.coeffs),
-                rhs=scaled(c.rhs),
+                coeffs=tuple((j, a * k) for j, a in c.coeffs),
+                rhs=c.rhs * k,
             )
             for c in problem.constraints
         ),
@@ -370,7 +366,7 @@ def test_built_statements_solve_as_their_fraction_view(seed):
     dens = []
     for problem in _built_problems(seed):
         solution = lp.solve(problem)
-        assert solution == lp.solve(fraction_view(problem))
+        assert solution == lp.solve(make(*fraction_view(problem)))
         assert solution.status == lp.OPTIMAL
         assert lp.certify_report(problem, solution) == []
         dens.append(problem.den)
@@ -520,7 +516,7 @@ def test_certified_solve_raises_on_a_tampered_answer(monkeypatch):
 
 
 def test_certified_solve_raises_on_a_non_optimal_status():
-    problem = lp.LpProblem(objective=(F(1),), free=(False,), constraints=())
+    problem = make([F(1)], [False], [])
     with pytest.raises(CertificateFailed, match="status is unbounded"):
         lp.certified_solve(problem)
 

@@ -386,10 +386,10 @@ def test_cli_starts_without_dataclasses_or_unused_modules(tmp_path):
         f"sys.path.insert(0, {src!r})\n"
         "from persuade import cli\n"
         "names = ('dataclasses', 'inspect', 'persuade.examples',"
-        " 'persuade.multi', 'persuade.reduction', 'persuade.verify')\n"
+        " 'persuade.multi', 'persuade.reduction', 'persuade.verify', 'typing')\n"
         "print(sorted(n for n in names if n in sys.modules))\n"
         f"code = cli.main(['solve', {path!r}, '--out', {str(tmp_path / 'o.json')!r}])\n"
-        "print(code, 'persuade.multi' in sys.modules)\n"
+        "print(code, 'persuade.multi' in sys.modules, 'typing' in sys.modules)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -400,7 +400,7 @@ def test_cli_starts_without_dataclasses_or_unused_modules(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]"
-    assert lines[-1] == "0 False"
+    assert lines[-1] == "0 False False"
 
 
 def test_unknown_suite_is_a_usage_error(capsys):

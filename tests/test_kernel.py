@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 from persuade import _pivot_py, lp, model, multi, reduction, single
 from persuade.model import PaymentModel
 
-from test_lp import fraction_view, restate
+from test_lp import make, restate
 
 # ---------------------------------------------------------------------------
 # Fraction oracle
@@ -144,20 +144,22 @@ def oracle_solve(problem, degenerate_run, cases=None):
         first.append(ncols_struct)
         ncols_struct += 2 if free else 1
 
+    # Every entry of the statement is an int over its den.
+    den = problem.den
     struct_cost = [F(0)] * ncols_struct
     for j, c in enumerate(problem.objective):
-        struct_cost[first[j]] += c
+        struct_cost[first[j]] += F(c, den)
         if problem.free[j]:
-            struct_cost[first[j] + 1] -= c
+            struct_cost[first[j] + 1] -= F(c, den)
 
     rows = []
     for constraint in problem.constraints:
         srow = [F(0)] * ncols_struct
-        rhs = constraint.rhs
+        rhs = F(constraint.rhs, den)
         for j, a in constraint.coeffs:
-            srow[first[j]] += a
+            srow[first[j]] += F(a, den)
             if problem.free[j]:
-                srow[first[j] + 1] -= a
+                srow[first[j] + 1] -= F(a, den)
         rel, sign = constraint.rel, 1
         if rhs < 0 or (rhs == 0 and rel == lp.GE):
             srow, rhs, sign = [-v for v in srow], -rhs, -1
@@ -416,7 +418,7 @@ def assert_matches_oracle(problem, rules=RULES, events=None):
     """Compare the kernel with the oracle under each rule; return the last solution."""
     for degenerate_run in rules:
         expected, expected_basis, expected_changes, layout = oracle_solve(
-            fraction_view(problem), degenerate_run
+            problem, degenerate_run
         )
         solution, basis, changes = integer_solve(
             problem, degenerate_run, layout, events
@@ -482,13 +484,13 @@ def test_kernels_produce_identical_solutions():
     # Phase 1 ends with the artificial of row 0 basic at zero; driving it
     # out pivots on a negative entry, and phase 2 pivots after that.
     problems.append(
-        lp.LpProblem(
-            objective=(F(-1), F(-2)),
-            free=(False, False),
-            constraints=(
+        make(
+            [F(-1), F(-2)],
+            [False, False],
+            [
                 lp.LinearConstraint(((1, F(-1)), (0, F(1))), lp.EQ, F(2)),
                 lp.LinearConstraint(((1, F(-3)),), lp.GE, F(0)),
-            ),
+            ],
         )
     )
     for problem in problems:
@@ -524,10 +526,10 @@ def test_kernel_twins_agree_on_a_raw_tableau():
 def test_degenerate_lp_reaches_a_certified_optimum(degenerate_run):
     # Beale's LP as stated: its first pivots are degenerate, so with the
     # constant at 1 or 2 the phase hands over to Bland's rule midway.
-    beale = lp.LpProblem(
-        objective=(F(3, 4), F(-20), F(1, 2), F(-6)),
-        free=(False,) * 4,
-        constraints=(
+    beale = make(
+        [F(3, 4), F(-20), F(1, 2), F(-6)],
+        [False] * 4,
+        [
             lp.LinearConstraint(
                 ((0, F(1, 4)), (1, F(-8)), (2, F(-1)), (3, F(9))), lp.LE, F(0)
             ),
@@ -535,7 +537,7 @@ def test_degenerate_lp_reaches_a_certified_optimum(degenerate_run):
                 ((0, F(1, 2)), (1, F(-12)), (2, F(-1, 2)), (3, F(3))), lp.LE, F(0)
             ),
             lp.LinearConstraint(((2, F(1)),), lp.LE, F(1)),
-        ),
+        ],
     )
     solution = assert_matches_oracle(beale, rules=(degenerate_run,))
     assert solution.objective == F(5, 4)
@@ -896,18 +898,19 @@ def test_tableau_rows_are_coprime_ints(problem):
 
 
 def test_row_whose_duplicates_cancel_is_all_zero():
-    # x0/2 - x0/2 == 0 sums to an all-zero row (over the denominator 2),
-    # a dependent equality row that phase 1 drops.  (2/3 + 1/3) x1 == 1
-    # is a convexity row of one column, keyed on x1.
-    problem = lp.LpProblem(
-        objective=(F(-1), F(1)),
-        free=(False, False),
-        constraints=(
+    # x0/2 - x0/2 == 0 sums to an all-zero row (stated over the common
+    # denominator 6), a dependent equality row that phase 1 drops.
+    # (2/3 + 1/3) x1 == 1 is a convexity row of one column, keyed on x1.
+    problem = make(
+        [F(-1), F(1)],
+        [False, False],
+        [
             lp.LinearConstraint(((0, F(1, 2)), (0, F(-1, 2))), lp.EQ, F(0)),
             lp.LinearConstraint(((1, F(1)), (0, F(-1, 3))), lp.LE, F(2)),
             lp.LinearConstraint(((1, F(2, 3)), (1, F(1, 3))), lp.EQ, F(1)),
-        ),
+        ],
     )
+    assert problem.den == 6
     rows, _, keys = _initial_tableau(problem)
     assert keys == [1]
     assert rows[0] == [0, 0, 1, 0, 0]
@@ -921,15 +924,15 @@ def test_drive_out_pivots_count_as_iterations():
     # artificial basic at 0 whose row has a nonzero entry outside the
     # artificial columns, so it is driven out by a pivot; the other row
     # reduces to 0 == 0 and is dropped.
-    problem = lp.LpProblem(
-        objective=(F(2), F(0)),
-        free=(False, False),
-        constraints=(
+    problem = make(
+        [F(2), F(0)],
+        [False, False],
+        [
             lp.LinearConstraint(((0, F(1)),), lp.LE, F(1)),
             lp.LinearConstraint(((0, F(2)),), lp.EQ, F(2)),
             lp.LinearConstraint(((0, F(2)),), lp.EQ, F(2)),
             lp.LinearConstraint(((0, F(2)), (1, F(-2))), lp.LE, F(1)),
-        ),
+        ],
     )
     events = []
     real_run, real_pivot = _pivot_py.run_simplex, _pivot_py.Tableau.pivot

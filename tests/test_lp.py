@@ -3,6 +3,7 @@
 import random
 import threading
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -13,10 +14,31 @@ from persuade.lp import LinearConstraint, LpProblem
 
 
 def make(objective, free, constraints):
+    """The LP with rational entries, stated as ints over their common denominator.
+
+    objective and every row's coefficients and rhs may be ints or
+    Fractions; all are scaled by the least den that makes them ints.
+    """
+    entries = [*objective]
+    for c in constraints:
+        entries += [a for _, a in c.coeffs] + [c.rhs]
+    den = lcm(*[F(v).denominator for v in entries])
+
+    def scaled(v):
+        return int(F(v) * den)
+
     return LpProblem(
-        objective=tuple(F(c) for c in objective),
+        objective=tuple(scaled(c) for c in objective),
         free=tuple(free),
-        constraints=tuple(constraints),
+        constraints=tuple(
+            replace(
+                c,
+                coeffs=tuple((j, scaled(a)) for j, a in c.coeffs),
+                rhs=scaled(c.rhs),
+            )
+            for c in constraints
+        ),
+        den=den,
     )
 
 
@@ -59,28 +81,23 @@ def restate(objective, bounds, constraints):
         )
         for c in constraints
     ]
-    return LpProblem(
-        objective=tuple(s * c for s, c in zip(sign, objective)),
-        free=tuple(free),
-        constraints=tuple(rows + upper),
-    )
+    return make([s * c for s, c in zip(sign, objective)], free, rows + upper)
 
 
 def fraction_view(problem):
-    """The statement with every entry a Fraction, read over den = 1."""
+    """(objective, free, rows) of the statement, every entry a Fraction over den."""
     den = problem.den
-    return replace(
-        problem,
-        objective=tuple(F(c) / den for c in problem.objective),
-        constraints=tuple(
+    return (
+        tuple(F(c, den) for c in problem.objective),
+        problem.free,
+        tuple(
             replace(
                 c,
-                coeffs=tuple((j, F(a) / den) for j, a in c.coeffs),
-                rhs=F(c.rhs) / den,
+                coeffs=tuple((j, F(a, den)) for j, a in c.coeffs),
+                rhs=F(c.rhs, den),
             )
             for c in problem.constraints
         ),
-        den=1,
     )
 
 
@@ -352,7 +369,7 @@ def test_iteration_limit_raises(monkeypatch):
 def test_den_must_be_a_positive_int(den):
     # A den <= 0 would flip every row's sign without a word.
     with pytest.raises(ValueError, match="den must be a positive int"):
-        LpProblem((F(1),), (False,), (), den=den)
+        LpProblem((1,), (False,), (), den=den)
 
 
 _GOOD = make([1, 1], [False, True], [row([(0, 1), (1, 1)], "<=", 4)])
@@ -361,14 +378,36 @@ _GOOD = make([1, 1], [False, True], [row([(0, 1), (1, 1)], "<=", 4)])
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"objective": (F(1), F(1), F(1))}, "objective length does not match"),
+        ({"objective": (1, 1, 1)}, "objective length does not match"),
         (
-            {"constraints": (row([(-1, 1)], "<=", 4),)},
+            {"constraints": (LinearConstraint(((-1, 1),), "<=", 4),)},
             "constraint references variable -1 of 2",
         ),
-        ({"constraints": (row([(0, 1)], "=<", 4),)}, "unknown relation '=<'"),
+        (
+            {"constraints": (LinearConstraint(((0, 1),), "=<", 4),)},
+            "unknown relation '=<'",
+        ),
+        (
+            {"objective": (F(1), 1)},
+            r"objective entry Fraction\(1, 1\) is not an int",
+        ),
+        (
+            {"constraints": (LinearConstraint(((0, 1.0),), "<=", 4),)},
+            "coefficient 1.0 is not an int",
+        ),
+        (
+            {"constraints": (LinearConstraint(((0, 1),), "<=", True),)},
+            "rhs True is not an int",
+        ),
     ],
-    ids=["extra-objective-entry", "column-minus-1", "relation"],
+    ids=[
+        "extra-objective-entry",
+        "column-minus-1",
+        "relation",
+        "fraction-objective-entry",
+        "float-coefficient",
+        "bool-rhs",
+    ],
 )
 def test_statement_is_checked_at_construction(fields, message):
     # A statement solve would refuse cannot be made, so certify_report

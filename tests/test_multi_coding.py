@@ -144,12 +144,7 @@ def oracle_build_lp_binary(inst, payment_model):
             (vmap.q_zero(i), ONE) for i in range(n)
         )
         constraints.append(lp.LinearConstraint(coeffs, lp.EQ, ZERO, "budget"))
-    problem = lp.LpProblem(
-        objective=tuple(objective),
-        free=tuple(free),
-        constraints=tuple(constraints),
-    )
-    return problem, vmap
+    return (tuple(objective), tuple(free), tuple(constraints)), vmap
 
 
 def oracle_gamma_candidates(inst):

@@ -10,6 +10,7 @@ the unconditional payoff".  Every returned value must be equal.
 
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,11 +334,29 @@ def _scheme_on_instance(draw):
     return inst, SignalingScheme(distribution=tuple(rows), payments=payments)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_scheme_on_instance())
-def test_int_persuasiveness_matches_the_model(case):
+def test_int_persuasiveness_matches_the_model():
     # The sweep's own check against model.is_persuasive, the Fraction
-    # oracle, on payments at (tied with), above and below the thresholds.
-    inst, scheme = case
-    expected = model.is_persuasive(inst, scheme)
-    assert single._is_persuasive(inst.coding, scheme) == expected
+    # oracle, on payments at (tied with), above and below the thresholds,
+    # and on payments at the thresholds with one entry moved by +-1/den,
+    # den the scale of the int comparison: the coding's unit times the
+    # distribution's common denominator.
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_scheme_on_instance(), st.integers(0, 3), st.sampled_from([1, -1]))
+    def check(case, pick, sign):
+        inst, scheme = case
+        dist = scheme.distribution
+        den = inst.coding.unit * lcm(*[v.denominator for row in dist for v in row])
+        moved = list(model.payment_thresholds(inst, dist))
+        moved[pick % inst.actions] += F(sign, den)
+        for payments in (scheme.payments, tuple(moved)):
+            tampered = SignalingScheme(distribution=dist, payments=payments)
+            expected = model.is_persuasive(inst, tampered)
+            assert single._is_persuasive(inst.coding, tampered) == expected
+            seen.add(expected)
+        if any(not state.prob for state in inst.states):
+            seen.add("zero_mass")
+
+    check()
+    assert seen == {True, False, "zero_mass"}
