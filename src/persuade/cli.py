@@ -101,13 +101,23 @@ def _lambda_section(dual) -> dict:
     return section
 
 
+def _scalar_section(dual, value) -> dict:
+    """{"symmetric_lambda": value} when dual is value on every follow row,
+    as a fast path's own dual is; otherwise the full matrix, as for the
+    LP's dual where the fast path's failed its certificate."""
+    n = len(dual.lam)
+    if all(dual.lam[i][j] == value for i in range(n) for j in range(n) if i != j):
+        return {"symmetric_lambda": format_rational(value)}
+    return _lambda_section(dual)
+
+
 def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
     """Fast-path dispatch: (result, dual section, extra report lines)."""
     from . import single
 
     if payment_model is PaymentModel.ZERO:
         sweep = single.find_lambda_star(instance, cross_check=verify)
-        dual = {"symmetric_lambda": format_rational(sweep.lambda_star)}
+        dual = _scalar_section(sweep.dual, sweep.lambda_star)
         return sweep, dual, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
     if payment_model is PaymentModel.ARBITRARY:
         if inst.actions == 2:
@@ -118,7 +128,7 @@ def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
     if payment_model is PaymentModel.NONNEGATIVE:
         outcome = single.nonnegative_dichotomy(instance, verify=verify)
         result = outcome.result
-        dual = {"symmetric_lambda": format_rational(result.dual.symmetric_value)}
+        dual = _scalar_section(result.dual, result.dual.symmetric_value)
         extra = [
             f"dichotomy branch: {outcome.branch} "
             f"(smallest persuasive weight {format_rational(outcome.lambda_star)}; "

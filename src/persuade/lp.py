@@ -30,7 +30,8 @@ row scaling, so it trusts nothing the solver did.
 certified_solve() is the one boundary the package solves through: it
 returns an optimum whose certificate holds or raises CertificateFailed.
 check_fast_path() checks a closed-form answer with its own dual, lifted
-to the full problem, and solves only where that dual fails;
+to the full problem, solves only where that dual fails, and returns the
+pair that certified;
 require_claim() checks an answer against a dual already in hand.
 """
 
@@ -578,20 +579,24 @@ def require_claim(problem: LpProblem, claim: LpSolution, what: str) -> None:
         )
 
 
-def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> None:
-    """Accept a claimed optimal pair that certifies, without solving.
+def check_fast_path(problem: LpProblem, claim: LpSolution, what: str) -> LpSolution:
+    """The claimed optimal pair, or the claimed primal with a solved dual.
 
-    A closed-form dual can fail where the claimed primal is still optimal
+    A claim that certifies is returned as it is, without solving.  A
+    closed-form dual can fail where the claimed primal is still optimal
     (dual degeneracy); then the problem is solved once.  The claimed
     value must equal the optimum, and the claimed primal must certify
     with the solved dual, as every optimal primal does; otherwise
-    CharacterizationMismatch is raised.
+    CharacterizationMismatch is raised.  Either way the pair returned is
+    the one that certified.
     """
-    if certify_report(problem, claim):
-        reference = certified_solve(problem)
-        if reference.objective != claim.objective:
-            raise CharacterizationMismatch(
-                f"{what} {claim.objective} != LP optimum {reference.objective}"
-            )
-        require_claim(problem, replace(claim, dual=reference.dual), what)
-
+    if not certify_report(problem, claim):
+        return claim
+    reference = certified_solve(problem)
+    if reference.objective != claim.objective:
+        raise CharacterizationMismatch(
+            f"{what} {claim.objective} != LP optimum {reference.objective}"
+        )
+    certified = replace(claim, dual=reference.dual)
+    require_claim(problem, certified, what)
+    return certified

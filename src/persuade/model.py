@@ -451,11 +451,10 @@ def is_symmetric(instance: PersuasionInstance | TypedInstance) -> bool:
 
     Payoff profiles are aggregated into a map (sender vector, receiver
     vector) -> total probability, and the map must be unchanged when
-    action coordinates are permuted.  That holds iff every orbit that
-    meets the map's support is present in full with one mass.  Keys
-    sharing a sorted tuple of per-action (sender, receiver) pairs lie in
-    one orbit, of n! / prod(m!) keys, m running over the multiplicities
-    of the pairs.
+    action coordinates are permuted.  That holds iff every key with
+    positive mass carries its orbit's mass (SingleCoding.orbits) divided
+    by the orbit's size, n! / prod(m!) keys with m running over the
+    multiplicities of its pairs: the keys present then fill the orbit.
     Typed instances with an iid marginal are symmetric by construction.
     The map is keyed by the int payoffs of instance.coding and holds its
     int masses.
@@ -465,19 +464,21 @@ def is_symmetric(instance: PersuasionInstance | TypedInstance) -> bool:
             return True
         instance = instance.expanded
     code = instance.coding
+    of, counts, orbit_mass = code.orbits
     base: dict = {}
-    for mass, sender, receiver in zip(code.mass, code.sender, code.receiver):
-        key = tuple(zip(sender, receiver))
-        base[key] = base.get(key, 0) + mass
-    orbits: dict = {}
-    for key, prob in base.items():
-        if prob:
-            orbits.setdefault(tuple(sorted(key)), []).append(prob)
-    for pairs, masses in orbits.items():
-        size = math.factorial(len(pairs))
-        for count in collections.Counter(pairs).values():
-            size //= math.factorial(count)
-        if len(masses) != size or any(p != masses[0] for p in masses):
+    for o, mass, sender, receiver in zip(of, code.mass, code.sender, code.receiver):
+        if mass:
+            key = (o, tuple(zip(sender, receiver)))
+            base[key] = base.get(key, 0) + mass
+    sizes: dict = {}
+    for (o, _), mass in base.items():
+        size = sizes.get(o)
+        if size is None:
+            size = math.factorial(code.actions)
+            for _, m in counts[o]:
+                size //= math.factorial(m)
+            sizes[o] = size
+        if mass * size != orbit_mass[o]:
             return False
     return True
 
@@ -501,6 +502,29 @@ class SingleCoding:
     sender: tuple
     receiver: tuple
     unit: int
+
+    @functools.cached_property
+    def orbits(self) -> tuple:
+        """The states grouped by permuting actions: (of, counts, mass).
+
+        A state's orbit is its sorted tuple of per-action (sender,
+        receiver) int pairs.  of[t] is state t's orbit, numbered in order
+        of first appearance; counts[o] holds orbit o's distinct pairs,
+        sorted, each with its multiplicity, as ((pair, m), ...); mass[o]
+        is the sum of its states' masses.  Built on first use and kept.
+        """
+        index: dict = {}
+        of, counts, mass = [], [], []
+        for m, sender, receiver in zip(self.mass, self.sender, self.receiver):
+            key = tuple(sorted(zip(sender, receiver)))
+            o = index.get(key)
+            if o is None:
+                o = index[key] = len(counts)
+                counts.append(tuple(collections.Counter(key).items()))
+                mass.append(0)
+            of.append(o)
+            mass[o] += m
+        return tuple(of), tuple(counts), tuple(mass)
 
 
 @record

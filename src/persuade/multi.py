@@ -79,15 +79,6 @@ class MultiVarMap:
     def q_zero(self, i: int) -> int:
         return self._q_base + self.receivers + i
 
-    def follow_one_row(self, i: int) -> int:
-        return i
-
-    def follow_zero_row(self, i: int) -> int:
-        return self.receivers + i
-
-    def simplex_row(self, t: int) -> int:
-        return 2 * self.receivers + t
-
     @property
     def budget_row(self) -> int:
         return 2 * self.receivers + self.num_states
@@ -153,7 +144,7 @@ class ArbitraryResult:
     instance: MultiAgentInstance
     scheme: MultiAgentScheme
     utility: Fraction
-    dual: MultiDual  # alpha = beta = gamma = 1, which certifies it (see lift)
+    dual: MultiDual  # alpha = beta = gamma = 1, or the LP's where that fails (see lift)
 
 
 @record
@@ -393,21 +384,16 @@ def solve_lp(
         q_zero = tuple([primal[vmap.q_zero(i)] for i in range(n)])
     scheme = MultiAgentScheme(distribution=distribution, q_one=q_one, q_zero=q_zero)
 
-    # >=-rows carry non-positive duals in max convention, <=-rows
-    # non-negative ones; alpha and beta are the non-negative multipliers.
-    alpha = tuple([-duals[vmap.follow_one_row(i)] for i in range(n)])
-    beta = tuple([duals[vmap.follow_zero_row(i)] for i in range(n)])
-    y = tuple([duals[vmap.simplex_row(t)] for t in range(m)])
     if payment_model is PaymentModel.BUDGET_BALANCED:
         # The objective charges each payment column -1 and the budget row
         # adds its dual to the same column, so the weight the dual prices
         # marginal utilities at is one plus the raw budget dual.
-        gamma: Fraction | None = ONE + solution.dual[vmap.budget_row]
+        gamma: Fraction | None = ONE + duals[vmap.budget_row]
     elif payment_model is PaymentModel.ARBITRARY:
         gamma = ONE
     else:
         gamma = None
-    dual = MultiDual(alpha=alpha, beta=beta, gamma=gamma, y=y)
+    dual = _read_dual(duals, n, m, gamma)
 
     return MultiLpResult(
         instance=instance,
@@ -417,6 +403,22 @@ def solve_lp(
         dual=dual,
         problem=problem,
         solution=solution,
+    )
+
+
+def _read_dual(duals, n: int, m: int, gamma) -> MultiDual:
+    """The multipliers of a dual of build_lp_binary's LP, with weight gamma.
+
+    Its rows are follow1[i] for every receiver i, then follow0[i], then
+    one per state.
+    >=-rows carry non-positive duals in max convention, <=-rows
+    non-negative ones; alpha and beta are the non-negative multipliers.
+    """
+    return MultiDual(
+        alpha=tuple([-d for d in duals[:n]]),
+        beta=tuple(duals[n : 2 * n]),
+        gamma=gamma,
+        y=tuple(duals[2 * n : 2 * n + m]),
     )
 
 
@@ -612,7 +614,8 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     forgone switches.  The cheapest incentive-compatible payments for
     the resulting allocation are Q_i(1) = -follow_one_i and
     Q_i(0) = switch_zero_i, and any argmax tie-break yields the same
-    value, certified on the LP by alpha = beta = gamma = 1 (see lift).
+    value, certified on the LP by alpha = beta = gamma = 1 (see lift);
+    where that dual fails, the dual of the one LP solve is reported.
     """
     model.ensure_valid(instance)
     code = instance.coding
@@ -628,8 +631,10 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     values = _virtual_values(code, ONE)
     y = tuple([Fraction(m * max(v), code.unit) for m, v in zip(code.mass, values)])
     dual = MultiDual(alpha=ones, beta=ones, gamma=ONE, y=y)
-    claim = lift(instance, PaymentModel.ARBITRARY, scheme, utility, dual)
-    lp.check_fast_path(*claim, "total-payoff scheme value")
+    problem, claim = lift(instance, PaymentModel.ARBITRARY, scheme, utility, dual)
+    certified = lp.check_fast_path(problem, claim, "total-payoff scheme value")
+    if certified is not claim:
+        dual = _read_dual(certified.dual, instance.receivers, len(y), ONE)
     return ArbitraryResult(instance=instance, scheme=scheme, utility=utility, dual=dual)
 
 

@@ -10,9 +10,10 @@ free.
 The follow rows' dual multipliers reweight the receiver's payoff into a
 dual-adjusted payoff; at an optimal dual the optimal scheme recommends,
 in every state, only actions maximizing sender payoff plus dual-adjusted
-payoff.  solve_optimal solves through lp.certified_solve, and that
-certificate already implies the condition: the follow rows' duals are
--lambda, so a column's reduced cost is its state's mass times the
+payoff.  Every answer of solve_optimal carries a certificate of the
+full LP, and that certificate already implies the condition: the
+follow rows' duals are -lambda, so a column's reduced cost is its
+state's mass times the
 action's sender plus dual-adjusted payoff, less the state's simplex
 dual; the certificate makes it at most 0 everywhere and 0 wherever the
 scheme recommends, and makes every priced follow row tight.
@@ -20,11 +21,18 @@ verify_support_optimality checks the same condition for any scheme and
 dual matrix, in ints on the instance's coding.
 
 For action-symmetric instances the dual collapses to a single scalar
-lambda and the optimizer of sender payoff + n*lambda*receiver payoff
+lambda, and the LP collapses the same way: averaging an optimal scheme
+over the permutations of the actions keeps it optimal, so solve_optimal
+solves a symmetric typed instance on its orbit LP (one column per
+distinct payoff pair in each orbit of states, one follow row) and
+certifies the lifted optimum, scheme and scalar dual, on the full LP;
+any other instance it solves on the full LP through lp.certified_solve.
+The optimizer of sender payoff + n*lambda*receiver payoff
 (ties uniform) is optimal: at the smallest persuasive lambda for the
 no-payment model, and at lambda = 1/(n-1) with threshold payments for
 free payments.  Those fast paths are implemented here, and that scalar,
-lifted to the full LP (lift), certifies their answers there.  Under
+lifted to the full LP (lift), certifies their answers there; where it
+fails, the full LP is solved once and its dual is reported.  Under
 that scalar dual a scheme that treats the actions
 alike is persuasive exactly when its follow payoff (the receiver's
 expected payoff from following) reaches the unconditional expected
@@ -41,8 +49,9 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp, model
-from ._record import record
+from ._record import record, replace
 from .errors import (
+    CertificateFailed,
     CharacterizationMismatch,
     NotSymmetric,
     SizeLimitExceeded,
@@ -76,12 +85,6 @@ class SingleVarMap:
         if self.payment_model is PaymentModel.ZERO:
             return None
         return self.num_states * self.actions + i
-
-    def follow_row(self, i: int, j: int) -> int:
-        # Rows ordered (0,1), (0,2), ..., (1,0), (1,2), ...
-        if i == j:
-            raise ValueError("no follow row for i == j")
-        return i * (self.actions - 1) + (j if j < i else j - 1)
 
 
 @record
@@ -120,11 +123,8 @@ class LambdaStarResult:
     scheme: SignalingScheme
     utility: Fraction
     candidates: tuple
-
-    @property
-    def dual(self) -> SingleDual:
-        """lambda_star on every follow row: the dual that certifies the scheme."""
-        return _constant_dual(len(self.scheme.payments), self.lambda_star)
+    # lambda_star on every follow row, or the LP's where that fails (see lift)
+    dual: SingleDual
 
 
 @record
@@ -132,7 +132,7 @@ class DichotomyResult:
     """Winner of the two non-negative-payment candidates."""
 
     branch: str  # "no_payment" or "canonical_payment"
-    result: SingleResult  # its dual: lambda_star or 1/(n-1), by branch
+    result: SingleResult  # its dual: lambda_star or 1/(n-1) by branch, or the LP's
     lambda_star: Fraction
     no_payment_utility: Fraction
     canonical_utility: Fraction
@@ -250,46 +250,162 @@ def solve_optimal(
     instance: PersuasionInstance | TypedInstance,
     payment_model: PaymentModel,
 ) -> SingleResult:
-    """Solve the LP to exact optimality and attach the certified dual."""
+    """Solve the LP to exact optimality and attach the certified dual.
+
+    A typed instance with n >= 2 actions and a symmetric prior is solved
+    on its orbit LP (see _solve_orbits), and its answer is certified on
+    build_lp's full LP; any other instance is solved on the full LP.
+    Either way problem is the full LP and solution the pair that
+    certified on it.
+    """
     inst = _as_instance(instance)
-    if inst.actions == 1 and payment_model is PaymentModel.ARBITRARY:
+    n, m = inst.actions, inst.num_states
+    if n == 1 and payment_model is PaymentModel.ARBITRARY:
         # With no alternative action there is no obedience constraint to
         # price, so an unrestricted charge makes the LP unbounded.
         raise WrongActionCount(
             "free payments are unbounded with a single action"
         )
-    problem, vmap = build_lp(inst, payment_model)
-    solution = lp.certified_solve(problem)
+    if isinstance(instance, TypedInstance) and n >= 2 and model.is_symmetric(instance):
+        problem, solution = _solve_orbits(inst, payment_model)
+    else:
+        problem, _ = build_lp(inst, payment_model)
+        solution = lp.certified_solve(problem)
 
-    n, m = inst.actions, inst.num_states
+    # Columns phi(t, i) = t * n + i, then the payments (see SingleVarMap).
     primal = solution.primal
-    distribution = tuple(
-        [tuple([primal[vmap.phi(t, i)] for i in range(n)]) for t in range(m)]
-    )
+    distribution = tuple([primal[k : k + n] for k in range(0, n * m, n)])
     if payment_model is PaymentModel.ZERO:
         payments = (ZERO,) * n
     else:
-        payments = tuple([primal[vmap.payment(i)] for i in range(n)])
+        payments = primal[n * m : n * m + n]
     scheme = SignalingScheme(distribution=distribution, payments=payments)
-
-    lam = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                # Follow rows are >=-rows; in max convention their duals
-                # are <= 0 and the multipliers are their negatives.
-                lam[i][j] = -solution.dual[vmap.follow_row(i, j)]
-    dual = SingleDual(lam=tuple([tuple(row) for row in lam]))
 
     return SingleResult(
         instance=inst,
         payment_model=payment_model,
         scheme=scheme,
         utility=solution.objective,
-        dual=dual,
+        dual=_follow_dual(n, solution.dual),
         problem=problem,
         solution=solution,
     )
+
+
+def _follow_dual(n: int, duals) -> SingleDual:
+    """The multipliers of a dual of build_lp's LP.
+
+    Its first n(n-1) rows are the follow rows, ordered (0,1), (0,2), ...,
+    (1,0), (1,2), ...  They are >=-rows; in max convention their duals
+    are <= 0 and the multipliers are their negatives.
+    """
+    follow = iter(duals)
+    return SingleDual(
+        lam=tuple(
+            [
+                tuple([ZERO if i == j else -next(follow) for j in range(n)])
+                for i in range(n)
+            ]
+        )
+    )
+
+
+def _orbit_lp(code: SingleCoding, payment_model: PaymentModel) -> lp.LpProblem:
+    """The LP over the symmetric schemes of a symmetric instance.
+
+    A scheme that treats the actions alike is fixed, in each orbit of
+    states (code.orbits), by y[o][tau]: the probability that some action
+    of (sender, receiver) pair tau is recommended.  Column y[o][tau], in
+    the order of code.orbits, has objective mu_o * s_tau; one convexity
+    row per orbit sums them to 1; and the one follow row is the sum of
+    build_lp's n(n-1) follow rows,
+    sum mu_o * (n * r_tau - R_o) * y[o][tau] + n(n-1) * P >= 0, R_o the
+    sum of the orbit's receiver payoffs.  The payment P of each action is
+    absent under zero and budget-balanced payments (symmetric payments
+    that sum to 0 are 0), >= 0 under nonnegative ones and free under
+    arbitrary ones, with objective -n.  Stated in ints over code.unit.
+    """
+    n, unit = code.actions, code.unit
+    _, counts, mass = code.orbits
+    objective: list = []
+    follow: list = []
+    rows = []
+    for o, (pairs, mu) in enumerate(zip(counts, mass)):
+        total = sum([m * r for (_, r), m in pairs])
+        first = len(objective)
+        for j, ((s, r), _) in enumerate(pairs, first):
+            objective.append(mu * s)
+            if mu * (n * r - total):
+                follow.append((j, mu * (n * r - total)))
+        rows.append(
+            lp.LinearConstraint(
+                coeffs=tuple([(j, unit) for j in range(first, len(objective))]),
+                rel=lp.EQ,
+                rhs=unit,
+                name=f"orbit[{o}]",
+            )
+        )
+    free = [False] * len(objective)
+    if payment_model in (PaymentModel.NONNEGATIVE, PaymentModel.ARBITRARY):
+        follow.append((len(objective), n * (n - 1) * unit))
+        objective.append(-n * unit)
+        free.append(payment_model is PaymentModel.ARBITRARY)
+    row = lp.LinearConstraint(coeffs=tuple(follow), rel=lp.GE, rhs=0, name="follow")
+    return lp.LpProblem(
+        objective=tuple(objective),
+        free=tuple(free),
+        constraints=(row, *rows),
+        den=unit,
+    )
+
+
+def _solve_orbits(inst: PersuasionInstance, payment_model: PaymentModel) -> tuple:
+    """solve_optimal on a symmetric instance with n >= 2: (full LP, certified pair).
+
+    Averaging an optimal scheme over the permutations of the actions
+    keeps it optimal, so the orbit LP (_orbit_lp) has the full LP's
+    optimum.  Its optimal pair is lifted to build_lp's LP.  The primal:
+    x(t, i) = y[o][tau_i] / m_tau, m_tau the multiplicity of pair tau_i
+    in state t, and P on every payment column.  The dual: the follow
+    row's on every follow row (-lambda, lambda the paper's scalar),
+    mass_t / mu_o times orbit o's row dual on state t's simplex row,
+    which at an orbit optimum is lift's mass_t * max_i (s_i + lambda *
+    (n r_i - R_o)), and (n-1) lambda - 1 on the budget row.  The lifted
+    pair is checked on the full LP by lp.check_fast_path, which solves
+    it only where the pair fails; the pair returned counts the orbit
+    LP's pivots.
+    """
+    code = inst.coding
+    n = code.actions
+    of, counts, mass = code.orbits
+    orbit = lp.solve(_orbit_lp(code, payment_model))
+    if orbit.status != lp.OPTIMAL:
+        raise CertificateFailed(f"orbit LP status is {orbit.status}")
+    y, (follow, *w) = orbit.primal, orbit.dual
+    shares = []
+    k = 0
+    for pairs in counts:
+        shares.append(
+            {pair: y[j] if m == 1 else y[j] / m for j, (pair, m) in enumerate(pairs, k)}
+        )
+        k += len(pairs)
+    primal = [
+        shares[o][pair]
+        for o, sender, receiver in zip(of, code.sender, code.receiver)
+        for pair in zip(sender, receiver)
+    ]
+    duals = [follow] * (n * (n - 1))
+    scale = [v / mu if mu else ZERO for v, mu in zip(w, mass)]
+    duals += [scale[o] * m for o, m in zip(of, code.mass)]
+    if payment_model is not PaymentModel.ZERO:
+        primal += [y[k] if k < len(y) else ZERO] * n
+    if payment_model is PaymentModel.BUDGET_BALANCED:
+        duals.append(-(n - 1) * follow - 1)
+    problem, _ = build_lp(inst, payment_model)
+    claim = lp.LpSolution(
+        lp.OPTIMAL, orbit.objective, tuple(primal), tuple(duals), orbit.iterations
+    )
+    return problem, lp.check_fast_path(problem, claim, "orbit LP optimum")
 
 
 def verify_support_optimality(
@@ -559,7 +675,11 @@ def _sweep(code: SingleCoding) -> LambdaStarResult:
             "the scheme at the critical lambda is not persuasive"
         )
     return LambdaStarResult(
-        lambda_star=lam, scheme=scheme, utility=utility, candidates=candidates
+        lambda_star=lam,
+        scheme=scheme,
+        utility=utility,
+        candidates=candidates,
+        dual=_constant_dual(n, lam),
     )
 
 
@@ -591,14 +711,22 @@ def find_lambda_star(
     is persuasive and no such mixture beats it.  The sweep runs in ints
     over one common denominator; the returned scheme is checked for
     persuasiveness there too.  With cross_check the answer is certified
-    on the zero-payment LP by lambda_star on every follow row (see lift).
+    on the zero-payment LP by lambda_star on every follow row (see lift),
+    and the result's dual is the one that certified it.
     """
     inst = _as_instance(instance)
     _require_symmetric(instance, inst, "scalar-lambda sweep")
     sweep = _sweep(inst.coding)
     if cross_check:
-        claim = lift(inst, PaymentModel.ZERO, sweep.scheme, sweep.utility, sweep.dual)
-        lp.check_fast_path(*claim, "lambda sweep utility")
+        dual = _certify(
+            inst,
+            PaymentModel.ZERO,
+            sweep.scheme,
+            sweep.utility,
+            sweep.dual,
+            "lambda sweep utility",
+        )
+        sweep = replace(sweep, dual=dual)
     return sweep
 
 
@@ -616,10 +744,13 @@ def lift(
     utility: Fraction,
     dual: SingleDual,
 ) -> tuple:
-    """build_lp's LP (no budget row), and a fast path's answer claimed as its optimum.
+    """build_lp's LP, and a fast path's answer claimed as its optimum.
 
-    Follow row (i, j) carries -lam[i][j] and state t's simplex row
-    mass_t * max_i (s_i + sum_j lam[i][j] (r_i - r_j)), computed in ints.
+    Follow row (i, j) carries -lam[i][j], state t's simplex row
+    mass_t * max_i (s_i + sum_j lam[i][j] (r_i - r_j)), computed in ints,
+    and the budget row, under budget balance, sum_j lam[0][j] - 1
+    ((n-1) lambda - 1 for a constant lambda), which prices each free
+    payment column at 0 when every action's multipliers sum alike.
     """
     code = inst.coding
     problem, _ = build_lp(inst, payment_model)
@@ -629,8 +760,29 @@ def lift(
     primal = [p for row in scheme.distribution for p in row]
     if payment_model is not PaymentModel.ZERO:
         primal += scheme.payments
-    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(follow + y), 0)
+    duals = follow + y
+    if payment_model is PaymentModel.BUDGET_BALANCED:
+        duals.append(sum(dual.lam[0], ZERO) - 1)
+    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
     return problem, claim
+
+
+def _certify(
+    inst: PersuasionInstance,
+    payment_model: PaymentModel,
+    scheme: SignalingScheme,
+    utility: Fraction,
+    dual: SingleDual,
+    what: str,
+) -> SingleDual:
+    """Check a fast path's answer on the LP with its dual (see lift).
+
+    Returns the dual that certified it: dual itself, or the LP's where
+    dual fails and lp.check_fast_path solves.
+    """
+    problem, claim = lift(inst, payment_model, scheme, utility, dual)
+    certified = lp.check_fast_path(problem, claim, what)
+    return dual if certified is claim else _follow_dual(inst.actions, certified.dual)
 
 
 def _threshold_parts(code: SingleCoding, weight: Fraction) -> tuple:
@@ -661,8 +813,7 @@ def _canonical(inst: PersuasionInstance, verify: bool, what: str) -> SingleResul
     utility = Fraction(gross - sum(thresholds), unit)
     dual = _constant_dual(n, Fraction(1, n - 1))
     if verify:
-        claim = lift(inst, PaymentModel.ARBITRARY, scheme, utility, dual)
-        lp.check_fast_path(*claim, what)
+        dual = _certify(inst, PaymentModel.ARBITRARY, scheme, utility, dual, what)
     return SingleResult(
         instance=inst,
         payment_model=PaymentModel.ARBITRARY,
@@ -748,8 +899,14 @@ def nonnegative_dichotomy(
         dual = _constant_dual(n, Fraction(1, n - 1))
 
     if verify:
-        claim = lift(inst, PaymentModel.NONNEGATIVE, scheme, utility, dual)
-        lp.check_fast_path(*claim, "dichotomy winner utility")
+        dual = _certify(
+            inst,
+            PaymentModel.NONNEGATIVE,
+            scheme,
+            utility,
+            dual,
+            "dichotomy winner utility",
+        )
     result = SingleResult(
         instance=inst,
         payment_model=PaymentModel.NONNEGATIVE,

@@ -190,7 +190,9 @@ def symmetric_arbitrary_campaign(
             joint=seed % 4 == 0,
         )
         fast = single.canonical_symmetric_scheme(typed, verify=False)
-        reference = single.solve_optimal(typed, PaymentModel.ARBITRARY)
+        # The expanded instance, so the reference is the full LP's simplex,
+        # not the orbit LP that shares the fast path's symmetry argument.
+        reference = single.solve_optimal(typed.expanded, PaymentModel.ARBITRARY)
         if fast.utility != reference.utility:
             return (
                 f"canonical utility {fast.utility} != LP {reference.utility}",
@@ -216,7 +218,7 @@ def dichotomy_campaign(
             joint=seed % 5 == 0,
         )
         outcome = single.nonnegative_dichotomy(typed, verify=False)
-        reference = single.solve_optimal(typed, PaymentModel.NONNEGATIVE)
+        reference = single.solve_optimal(typed.expanded, PaymentModel.NONNEGATIVE)
         best = max(outcome.no_payment_utility, outcome.canonical_utility)
         if outcome.result.utility != reference.utility:
             return (

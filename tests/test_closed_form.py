@@ -88,6 +88,20 @@ def test_single_receiver_closed_forms_certify():
         ) == []
 
 
+def test_zero_payment_sweep_certifies_under_budget_balance():
+    # Symmetric payments that sum to 0 are 0, so the zero-payment optimum
+    # is the budget-balanced one; lifted there, lambda* on every follow
+    # row and (n-1) lambda* - 1 on the budget row certify it.
+    for typed in _symmetric_corpus(range(1, 21)):
+        inst = typed.expanded
+        sweep = single.find_lambda_star(inst, cross_check=False)
+        problem, claim = single.lift(
+            inst, PaymentModel.BUDGET_BALANCED, sweep.scheme, sweep.utility, sweep.dual
+        )
+        assert claim.dual[-1] == (inst.actions - 1) * sweep.lambda_star - 1
+        assert lp.certify_report(problem, claim) == []
+
+
 def test_two_action_dual_certifies_on_any_prior():
     for seed in range(1, 61):
         inst = model.random_instance(seed, actions=2, states=1 + seed % 4)
@@ -394,6 +408,77 @@ def test_failed_lift_falls_back_to_one_solve(
         call()
     assert cli.main(argv) == cli.EXIT_MISMATCH == 4
     assert "!= LP optimum" in capsys.readouterr().err
+
+
+def test_check_fast_path_returns_the_pair_that_certified(solves):
+    inst = _symmetric(4).expanded
+    result = single.canonical_symmetric_scheme(inst, verify=False)
+    problem, claim = single.lift(
+        inst, PaymentModel.ARBITRARY, result.scheme, result.utility, result.dual
+    )
+    assert lp.check_fast_path(problem, claim, "canonical scheme") is claim
+    assert solves == []
+    perturbed = replace(claim, dual=tuple(v + F(1, 7) for v in claim.dual))
+    assert lp.certify_report(problem, perturbed)
+    certified = lp.check_fast_path(problem, perturbed, "canonical scheme")
+    assert len(solves) == 1
+    assert certified.primal == claim.primal
+    assert certified.objective == claim.objective
+    assert certified.dual == lp.solve(problem).dual
+    assert lp.certify_report(problem, certified) == []
+
+
+@pytest.mark.parametrize("payment_model", ["zero", "nonnegative", "arbitrary"])
+def test_fast_paths_report_the_dual_that_certified(
+    tmp_path, capsys, monkeypatch, payment_model
+):
+    # With each lifted dual zeroed, the fast paths fall back to one solve
+    # and report its dual, in their results and in the written JSON.
+    # Under zero payments that dual is not the closed form's constant.
+    pm = PaymentModel.from_name(payment_model)
+    typed = _symmetric(4)
+    inst = typed.expanded
+    solved = single._follow_dual(
+        inst.actions, lp.solve(single.build_lp(inst, pm)[0]).dual
+    )
+    assert (solved.symmetric_value is None) is (pm is PaymentModel.ZERO)
+    certifies = _single_certifies  # through the unpatched lift
+    _wrong_lift(monkeypatch, single)
+    if pm is PaymentModel.ZERO:
+        result = single.find_lambda_star(typed)
+    elif pm is PaymentModel.NONNEGATIVE:
+        result = single.nonnegative_dichotomy(typed).result
+    else:
+        result = single.canonical_symmetric_scheme(typed)
+    monkeypatch.undo()
+    assert result.dual == solved
+    assert certifies(inst, pm, result.scheme, result.utility, result.dual) == []
+
+    _wrong_lift(monkeypatch, single)
+    path = tmp_path / "inst.json"
+    out = tmp_path / "scheme.json"
+    jsonio.save_instance(str(path), typed)
+    argv = ["solve", str(path), "--model", payment_model, "--method", "fast"]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert "dual_certified=yes" in capsys.readouterr().out
+    monkeypatch.undo()
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    dual = _json_dual(doc, inst.actions)
+    assert dual == solved
+    scheme = jsonio.scheme_from_json(doc)
+    assert certifies(inst, pm, scheme, F(doc["sender_utility"]), dual) == []
+
+
+def test_multi_fast_path_reports_the_dual_that_certified(monkeypatch):
+    inst = model.random_multi_instance(2, receivers=2, states=3)
+    _wrong_lift(monkeypatch, multi)
+    result = multi.solve_arbitrary(inst)
+    monkeypatch.undo()
+    solved = multi.solve_lp(inst, PaymentModel.ARBITRARY).dual
+    assert result.dual == solved
+    assert _multi_certifies(
+        inst, PaymentModel.ARBITRARY, result.scheme, result.utility, result.dual
+    ) == []
 
 
 def test_fallback_certifies_the_claimed_primal(solves):

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from persuade import examples, model, single
-from persuade.errors import NotSymmetric, WrongActionCount
+from persuade import examples, lp, model, single
+from persuade.errors import CertificateFailed, NotSymmetric, WrongActionCount
 from persuade.model import PaymentModel, PersuasionInstance, SignalingScheme, State
 
 from test_certify import oracle_dual_adjusted_payoff
@@ -15,6 +15,16 @@ from test_model import oracle_slack
 
 ZERO_SUM = examples.zero_sum_two_state_instance()
 TYPE_PAIRS = examples.two_action_type_instance()
+
+
+def full_lp_optimum(typed, payment_model):
+    """The simplex optimum of the expanded instance's full LP.
+
+    The fast paths' oracle: solve_optimal solves a symmetric typed
+    instance on its orbit LP, which shares their symmetry argument.
+    """
+    problem, _ = single.build_lp(typed.expanded, payment_model)
+    return lp.certified_solve(problem).objective
 
 
 def oracle_lagrangian_value(inst, dual, scheme):
@@ -199,8 +209,8 @@ def test_canonical_symmetric_matches_lp():
             types=2 + (seed + 1) % 2,
         )
         fast = single.canonical_symmetric_scheme(inst, verify=False)
-        oracle = single.solve_optimal(inst, PaymentModel.ARBITRARY)
-        assert fast.utility == oracle.utility
+        oracle = full_lp_optimum(inst, PaymentModel.ARBITRARY)
+        assert fast.utility == oracle
         assert single.verify_support_optimality(
             fast.instance, fast.scheme, fast.dual
         )
@@ -232,8 +242,8 @@ def test_dichotomy_matches_lp_and_labels_winner():
             seed, actions=2 + seed % 2, symmetric=True, types=2 + seed % 2
         )
         outcome = single.nonnegative_dichotomy(inst, verify=False)
-        oracle = single.solve_optimal(inst, PaymentModel.NONNEGATIVE)
-        assert outcome.result.utility == oracle.utility
+        oracle = full_lp_optimum(inst, PaymentModel.NONNEGATIVE)
+        assert outcome.result.utility == oracle
         assert outcome.result.utility == max(
             outcome.no_payment_utility, outcome.canonical_utility
         )
@@ -397,3 +407,116 @@ def test_solve_optimal_builds_through_build_lp(monkeypatch):
             result = single.solve_optimal(instance, pm)
             assert calls == [pm]
             assert result.problem == real(result.instance, pm)[0]
+
+
+# ---------------------------------------------------------------------------
+# The orbit LP of symmetric typed instances
+
+# (actions, types, joint): iid and symmetrized joint priors.
+ORBIT_SHAPES = (
+    (2, 3, False),
+    (3, 2, False),
+    (3, 3, False),
+    (4, 2, False),
+    (4, 3, False),
+    (3, 2, True),
+    (5, 2, True),
+)
+
+
+@pytest.fixture
+def full_solves(monkeypatch):
+    """The problems lp.certified_solve is called on from here on."""
+    seen = []
+    real = lp.certified_solve
+
+    def counting(problem):
+        seen.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(lp, "certified_solve", counting)
+    return seen
+
+
+@pytest.mark.parametrize("actions, types, joint", ORBIT_SHAPES)
+def test_orbit_route_matches_the_full_lp(full_solves, actions, types, joint):
+    # Lifted from the orbit LP, every optimum certifies on the full LP
+    # with its own dual: no full solve.
+    for seed in range(1, 41):
+        typed = model.random_instance(
+            seed, actions=actions, symmetric=True, types=types, joint=joint
+        )
+        for pm in PaymentModel:
+            result = single.solve_optimal(typed, pm)
+            assert full_solves == []
+            assert result.utility == full_lp_optimum(typed, pm)
+            full_solves.clear()
+            assert result.problem == single.build_lp(typed.expanded, pm)[0]
+            assert lp.certify_report(result.problem, result.solution) == []
+            assert model.is_persuasive(result.instance, result.scheme)
+            assert result.dual.symmetric_value is not None
+
+
+def _asymmetric_joint():
+    typed = model.random_instance(2, actions=3, symmetric=True, types=2, joint=True)
+    profiles = [profile for profile, _ in typed.joint]
+    weights = range(1, len(profiles) + 1)
+    total = sum(weights)
+    joint = tuple((p, F(w, total)) for p, w in zip(profiles, weights))
+    return model.TypedInstance(actions=3, types=typed.types, joint=joint)
+
+
+def test_full_lp_route_for_other_instances(full_solves, monkeypatch):
+    orbit_solves = []
+    real = single._solve_orbits
+
+    def counting(*args):
+        orbit_solves.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(single, "_solve_orbits", counting)
+    one_action = model.random_instance(3, actions=1, symmetric=True, types=2)
+    asymmetric = _asymmetric_joint()
+    assert not model.is_symmetric(asymmetric)
+    for instance in (ZERO_SUM, asymmetric, one_action):
+        for pm in PaymentModel:
+            if instance is one_action and pm is PaymentModel.ARBITRARY:
+                continue
+            full_solves.clear()
+            result = single.solve_optimal(instance, pm)
+            assert full_solves == [result.problem]
+    assert orbit_solves == []
+    typed = model.random_instance(3, actions=3, symmetric=True)
+    single.solve_optimal(typed, PaymentModel.ZERO)
+    assert len(orbit_solves) == 1
+
+
+def test_orbit_route_reports_the_symmetrized_optimum():
+    # Every permutation of the actions maps the scheme to itself, and the
+    # constant dual sits on every follow row.
+    typed = model.random_instance(108, actions=4, symmetric=True, types=3)
+    inst = typed.expanded
+    index = {
+        tuple(zip(state.sender, state.receiver)): t
+        for t, state in enumerate(inst.states)
+    }
+    for pm in PaymentModel:
+        result = single.solve_optimal(typed, pm)
+        dist = result.scheme.distribution
+        assert len(set(result.scheme.payments)) == 1
+        for t, state in enumerate(inst.states):
+            pairs = list(zip(state.sender, state.receiver))
+            swapped = tuple(pairs[1::-1] + pairs[2:])
+            row = dist[index[swapped]]
+            assert row == (dist[t][1], dist[t][0]) + dist[t][2:]
+        lam = result.dual.symmetric_value
+        n = inst.actions
+        assert result.solution.dual[: n * (n - 1)] == (-lam,) * (n * (n - 1))
+
+
+def test_orbit_lp_status_is_checked(monkeypatch):
+    infeasible = lp.LpSolution(lp.INFEASIBLE, None, None, None, 0)
+    monkeypatch.setattr(lp, "solve", lambda problem: infeasible)
+    typed = model.random_instance(3, actions=3, symmetric=True)
+    with pytest.raises(CertificateFailed, match="orbit LP status is infeasible"):
+        single.solve_optimal(typed, PaymentModel.ZERO)
