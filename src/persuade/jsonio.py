@@ -290,11 +290,17 @@ def scheme_from_json(data: dict) -> Scheme:
 
 
 def load_instance(path: str) -> Instance:
-    """Read, parse, and validate an instance file."""
+    """Read, parse, and validate an instance file.
+
+    A file that is not UTF-8 JSON, nests deeper than the recursion
+    limit or holds an integer too long to convert raises ValidationFailed.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and the
+        # integer digit limit.
+        except (ValueError, RecursionError) as exc:
             raise _fail(f"{path} is not valid JSON: {exc}") from exc
     return instance_from_json(data)
 

@@ -217,6 +217,12 @@ def _check_prob_vector(issues, probs, where):
         )
 
 
+def _covers_subsets(values, n: int) -> bool:
+    """Whether values holds 2**n entries, one per subset, without building 2**n."""
+    size = len(values)
+    return size.bit_length() == n + 1 and not size & (size - 1)
+
+
 def validate(instance: Instance) -> tuple:
     """Every violated input invariant, empty when the instance is well formed."""
     issues: list = []
@@ -322,14 +328,14 @@ def validate(instance: Instance) -> tuple:
                     f"need >= 1, got {instance.receivers}",
                 )
             )
-        size = 1 << max(instance.receivers, 0)
+        n = max(instance.receivers, 0)
         for t, state in enumerate(instance.states):
-            if len(state.sender) != size:
+            if not _covers_subsets(state.sender, n):
                 issues.append(
                     ValidationIssue(
                         "DimensionMismatch",
                         f"states[{t}].sender",
-                        f"expected {size} subset payoffs, got {len(state.sender)}",
+                        f"expected 2**{n} subset payoffs, got {len(state.sender)}",
                     )
                 )
             if len(state.receivers) != instance.receivers:
@@ -343,12 +349,12 @@ def validate(instance: Instance) -> tuple:
                 )
             else:
                 for i, table in enumerate(state.receivers):
-                    if len(table) != size:
+                    if not _covers_subsets(table, n):
                         issues.append(
                             ValidationIssue(
                                 "DimensionMismatch",
                                 f"states[{t}].receivers[{i}]",
-                                f"expected {size} subset payoffs, got {len(table)}",
+                                f"expected 2**{n} subset payoffs, got {len(table)}",
                             )
                         )
         _check_prob_vector(
@@ -449,38 +455,15 @@ def _profile_state(instance: TypedInstance, profile, prob) -> State:
 def is_symmetric(instance: PersuasionInstance | TypedInstance) -> bool:
     """Whether the prior is invariant under every permutation of actions.
 
-    Payoff profiles are aggregated into a map (sender vector, receiver
-    vector) -> total probability, and the map must be unchanged when
-    action coordinates are permuted.  That holds iff every key with
-    positive mass carries its orbit's mass (SingleCoding.orbits) divided
-    by the orbit's size, n! / prod(m!) keys with m running over the
-    multiplicities of its pairs: the keys present then fill the orbit.
-    Typed instances with an iid marginal are symmetric by construction.
-    The map is keyed by the int payoffs of instance.coding and holds its
-    int masses.
+    Typed instances with an iid marginal are symmetric by construction;
+    any other instance is decided on its coding, which keeps the verdict
+    (SingleCoding.symmetric).
     """
     if isinstance(instance, TypedInstance):
         if instance.iid_marginal is not None:
             return True
         instance = instance.expanded
-    code = instance.coding
-    of, counts, orbit_mass = code.orbits
-    base: dict = {}
-    for o, mass, sender, receiver in zip(of, code.mass, code.sender, code.receiver):
-        if mass:
-            key = (o, tuple(zip(sender, receiver)))
-            base[key] = base.get(key, 0) + mass
-    sizes: dict = {}
-    for (o, _), mass in base.items():
-        size = sizes.get(o)
-        if size is None:
-            size = math.factorial(code.actions)
-            for _, m in counts[o]:
-                size //= math.factorial(m)
-            sizes[o] = size
-        if mass * size != orbit_mass[o]:
-            return False
-    return True
+    return instance.coding.symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +508,35 @@ class SingleCoding:
             of.append(o)
             mass[o] += m
         return tuple(of), tuple(counts), tuple(mass)
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """model.is_symmetric's verdict, found on first use and kept.
+
+        Payoff profiles are aggregated into a map (sender vector,
+        receiver vector) -> total mass, and the map must be unchanged
+        when action coordinates are permuted.  That holds iff every key
+        with positive mass carries its orbit's mass (orbits) divided by
+        the orbit's size, n! / prod(m!) keys with m running over the
+        multiplicities of its pairs: the keys present then fill the orbit.
+        """
+        of, counts, orbit_mass = self.orbits
+        base: dict = {}
+        for o, mass, sender, receiver in zip(of, self.mass, self.sender, self.receiver):
+            if mass:
+                key = (o, tuple(zip(sender, receiver)))
+                base[key] = base.get(key, 0) + mass
+        sizes: dict = {}
+        for (o, _), mass in base.items():
+            size = sizes.get(o)
+            if size is None:
+                size = math.factorial(self.actions)
+                for _, m in counts[o]:
+                    size //= math.factorial(m)
+                sizes[o] = size
+            if mass * size != orbit_mass[o]:
+                return False
+        return True
 
 
 @record

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import lp, model
-from ._record import record, replace
+from ._record import record
 from .errors import (
     InconsistentPayments,
     SizeLimitExceeded,
@@ -51,37 +51,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
-# Variable/row layout and result containers
-
-
-@record
-class MultiVarMap:
-    """Column and row indexing for the subset LP."""
-
-    receivers: int
-    num_states: int
-    payment_model: PaymentModel
-
-    @property
-    def num_subsets(self) -> int:
-        return 1 << self.receivers
-
-    def phi(self, t: int, subset: int) -> int:
-        return t * self.num_subsets + subset
-
-    @property
-    def _q_base(self) -> int:
-        return self.num_states * self.num_subsets
-
-    def q_one(self, i: int) -> int:
-        return self._q_base + i
-
-    def q_zero(self, i: int) -> int:
-        return self._q_base + self.receivers + i
-
-    @property
-    def budget_row(self) -> int:
-        return 2 * self.receivers + self.num_states
+# Result containers
 
 
 @record
@@ -271,16 +241,19 @@ def total_payments(scheme: MultiAgentScheme) -> Fraction:
 
 def build_lp_binary(
     instance: MultiAgentInstance, payment_model: PaymentModel
-) -> tuple:
+) -> lp.LpProblem:
     """LP over per-state subset probabilities and expected payments.
 
-    Columns are phi[theta][S] over all bitmasks plus Q_i(1), Q_i(0)
-    unless payments are disallowed.  Rows per receiver: a
-    keep-playing-1 row (expected marginal of the 1-recommendation plus
-    Q_i(1) at least 0) and a keep-playing-0 row (expected switching gain
-    of the 0-recommendation minus Q_i(0) at most 0); then one
-    distribution row per state; under budget balance, one row forcing
-    total expected payments to zero.
+    Its layout, which _claim writes and solve_lp and _read_dual read:
+    column t * 2^N + S is the probability that state t recommends set S;
+    then, unless payments are disallowed, Q_i(1) at m * 2^N + i and
+    Q_i(0) at m * 2^N + N + i.  The rows are every receiver's
+    keep-playing-1 row follow1[i] (expected marginal of the
+    1-recommendation plus Q_i(1) at least 0), then every receiver's
+    keep-playing-0 row follow0[i] (expected switching gain of the
+    0-recommendation minus Q_i(0) at most 0); then one distribution row
+    per state; under budget balance, last, one row forcing total
+    expected payments to zero.
     """
     model.ensure_valid(instance)
     nsub = instance.num_subsets
@@ -293,7 +266,6 @@ def build_lp_binary(
             f"{cols} scheme columns exceed the configured limit {limit}"
         )
     with_pay = payment_model is not PaymentModel.ZERO
-    vmap = MultiVarMap(receivers=n, num_states=m, payment_model=payment_model)
 
     # Stated in ints over code.unit: masses times payoffs (or payoff
     # differences), and +-unit where the LP has +-1.
@@ -315,14 +287,14 @@ def build_lp_binary(
         for t, (mass, gains) in enumerate(zip(code.mass, code.gain)):
             if not mass:
                 continue
-            base = vmap.phi(t, 0)
+            base = t * nsub
             for subset, g in enumerate(gains[i]):
                 if g:
                     coeff = (base + subset, mass * g)
                     (one if subset & bit else zero).append(coeff)
         if with_pay:
-            one.append((vmap.q_one(i), unit))
-            zero.append((vmap.q_zero(i), -unit))
+            one.append((cols + i, unit))
+            zero.append((cols + n + i, -unit))
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple(one), rel=lp.GE, rhs=0, name=f"follow1[{i}]"
@@ -335,7 +307,7 @@ def build_lp_binary(
         )
     constraints += follow_zero
     for t in range(m):
-        base = vmap.phi(t, 0)
+        base = t * nsub
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple([(base + subset, unit) for subset in range(nsub)]),
@@ -345,50 +317,44 @@ def build_lp_binary(
             )
         )
     if payment_model is PaymentModel.BUDGET_BALANCED:
-        coeffs = [(vmap.q_one(i), unit) for i in range(n)]
-        coeffs += [(vmap.q_zero(i), unit) for i in range(n)]
+        coeffs = [(cols + k, unit) for k in range(2 * n)]
         constraints.append(
             lp.LinearConstraint(
                 coeffs=tuple(coeffs), rel=lp.EQ, rhs=0, name="budget"
             )
         )
 
-    problem = lp.LpProblem(
+    return lp.LpProblem(
         objective=tuple(objective),
         free=tuple(free),
         constraints=tuple(constraints),
         den=unit,
     )
-    return problem, vmap
 
 
 def solve_lp(
     instance: MultiAgentInstance, payment_model: PaymentModel
 ) -> MultiLpResult:
     """Solve the subset LP exactly and attach the certified dual."""
-    problem, vmap = build_lp_binary(instance, payment_model)
+    problem = build_lp_binary(instance, payment_model)
     solution = lp.certified_solve(problem)
 
+    # build_lp_binary's columns: the sets state by state, then Q(1), Q(0).
     nsub, m, n = instance.num_subsets, instance.num_states, instance.receivers
+    cols = nsub * m
     primal, duals = solution.primal, solution.dual
-    distribution = tuple(
-        [
-            tuple([primal[vmap.phi(t, subset)] for subset in range(nsub)])
-            for t in range(m)
-        ]
-    )
+    distribution = tuple([primal[k : k + nsub] for k in range(0, cols, nsub)])
     if payment_model is PaymentModel.ZERO:
         q_one = q_zero = (ZERO,) * n
     else:
-        q_one = tuple([primal[vmap.q_one(i)] for i in range(n)])
-        q_zero = tuple([primal[vmap.q_zero(i)] for i in range(n)])
+        q_one, q_zero = primal[cols : cols + n], primal[cols + n : cols + 2 * n]
     scheme = MultiAgentScheme(distribution=distribution, q_one=q_one, q_zero=q_zero)
 
     if payment_model is PaymentModel.BUDGET_BALANCED:
-        # The objective charges each payment column -1 and the budget row
-        # adds its dual to the same column, so the weight the dual prices
-        # marginal utilities at is one plus the raw budget dual.
-        gamma: Fraction | None = ONE + duals[vmap.budget_row]
+        # The objective charges each payment column -1 and the budget row,
+        # the last, adds its dual to the same column, so the weight the
+        # dual prices marginal utilities at is one plus the raw budget dual.
+        gamma: Fraction | None = ONE + duals[-1]
     elif payment_model is PaymentModel.ARBITRARY:
         gamma = ONE
     else:
@@ -409,10 +375,9 @@ def solve_lp(
 def _read_dual(duals, n: int, m: int, gamma) -> MultiDual:
     """The multipliers of a dual of build_lp_binary's LP, with weight gamma.
 
-    Its rows are follow1[i] for every receiver i, then follow0[i], then
-    one per state.
-    >=-rows carry non-positive duals in max convention, <=-rows
-    non-negative ones; alpha and beta are the non-negative multipliers.
+    Its follow1 rows are >=-rows, with non-positive duals in max
+    convention, and its follow0 rows <=-rows, with non-negative ones;
+    alpha and beta are the non-negative multipliers.
     """
     return MultiDual(
         alpha=tuple([-d for d in duals[:n]]),
@@ -422,6 +387,27 @@ def _read_dual(duals, n: int, m: int, gamma) -> MultiDual:
     )
 
 
+def _claim(
+    payment_model: PaymentModel,
+    scheme: MultiAgentScheme,
+    utility: Fraction,
+    dual: MultiDual,
+) -> lp.LpSolution:
+    """An answer written in build_lp_binary's layout as an optimal pair.
+
+    The primal is the scheme state by state, then Q(1) and Q(0) unless
+    payments are disallowed.  The rows carry -alpha, beta, y and, under
+    budget balance, gamma - 1: _read_dual undone.
+    """
+    primal = [p for row in scheme.distribution for p in row]
+    if payment_model is not PaymentModel.ZERO:
+        primal += scheme.q_one + scheme.q_zero
+    duals = [-a for a in dual.alpha] + list(dual.beta) + list(dual.y)
+    if payment_model is PaymentModel.BUDGET_BALANCED:
+        duals.append(dual.gamma - ONE)
+    return lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
+
+
 def lift(
     instance: MultiAgentInstance,
     payment_model: PaymentModel,
@@ -429,20 +415,9 @@ def lift(
     utility: Fraction,
     dual: MultiDual,
 ) -> tuple:
-    """build_lp_binary's LP, and a fast path's answer claimed as its optimum.
-
-    The rows carry -alpha, beta, y and, under budget balance, gamma - 1:
-    solve_lp's read-out undone.
-    """
-    problem, _ = build_lp_binary(instance, payment_model)
-    primal = [p for row in scheme.distribution for p in row]
-    if payment_model is not PaymentModel.ZERO:
-        primal += scheme.q_one + scheme.q_zero
-    duals = [-a for a in dual.alpha] + list(dual.beta) + list(dual.y)
-    if payment_model is PaymentModel.BUDGET_BALANCED:
-        duals.append(dual.gamma - ONE)
-    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
-    return problem, claim
+    """build_lp_binary's LP, and a fast path's answer claimed as its optimum."""
+    problem = build_lp_binary(instance, payment_model)
+    return problem, _claim(payment_model, scheme, utility, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +567,7 @@ def solve_budget_balanced(instance: MultiAgentInstance) -> BudgetBalancedResult:
         )
         via = "lp_support"
 
-    primal = [p for row in scheme.distribution for p in row]
-    primal += scheme.q_one + scheme.q_zero
-    claim = replace(ref.solution, primal=tuple(primal))
+    claim = _claim(PaymentModel.BUDGET_BALANCED, scheme, target, ref.dual)
     lp.require_claim(ref.problem, claim, f"budget-balanced scheme via {via}")
     return BudgetBalancedResult(
         instance=instance,

@@ -110,27 +110,6 @@ def _require_reducible(instance: MultiAgentInstance) -> None:
 
 
 @record
-class DroppedMap:
-    """Column and row indexing for the reduced zero-payment LP."""
-
-    receivers: int
-    num_states: int
-
-    @property
-    def num_subsets(self) -> int:
-        return 1 << self.receivers
-
-    def phi(self, t: int, subset: int) -> int:
-        return t * self.num_subsets + subset
-
-    def follow_row(self, i: int) -> int:
-        return i
-
-    def dist_row(self, t: int) -> int:
-        return self.receivers + t
-
-
-@record
 class DroppedLpResult:
     """Certified solve of the reduced program."""
 
@@ -141,38 +120,35 @@ class DroppedLpResult:
     solution: lp.LpSolution
 
 
-def build_lp_dropped(instance: MultiAgentInstance) -> tuple:
+def build_lp_dropped(instance: MultiAgentInstance) -> lp.LpProblem:
     """Zero-payment subset LP without the keep-playing-0 rows.
 
-    Refuses instances lacking positive externalities or a monotone
-    sender, since only those guarantee the dropped rows are free.
+    multi.build_lp_binary's layout less its follow0 rows: column
+    t * 2^N + S, then the follow1 rows, then one distribution row per
+    state.  Refuses instances lacking positive externalities or a
+    monotone sender, since only those guarantee the dropped rows are
+    free.
     """
     _require_reducible(instance)
-    full, _ = multi.build_lp_binary(instance, model.PaymentModel.ZERO)
+    full = multi.build_lp_binary(instance, model.PaymentModel.ZERO)
     kept = tuple(
         c for c in full.constraints if not c.name.startswith("follow0")
     )
-    problem = lp.LpProblem(
+    return lp.LpProblem(
         objective=full.objective,
         free=full.free,
         constraints=kept,
         den=full.den,
     )
-    dmap = DroppedMap(receivers=instance.receivers, num_states=instance.num_states)
-    return problem, dmap
 
 
 def solve_dropped(instance: MultiAgentInstance) -> DroppedLpResult:
     """Solve the reduced program exactly with a certified optimum."""
-    problem, dmap = build_lp_dropped(instance)
+    problem = build_lp_dropped(instance)
     solution = lp.certified_solve(problem)
     nsub = instance.num_subsets
-    distribution = tuple(
-        [
-            tuple([solution.primal[dmap.phi(t, subset)] for subset in range(nsub)])
-            for t in range(instance.num_states)
-        ]
-    )
+    primal = solution.primal
+    distribution = tuple([primal[k : k + nsub] for k in range(0, len(primal), nsub)])
     zeros = (ZERO,) * instance.receivers
     scheme = MultiAgentScheme(distribution=distribution, q_one=zeros, q_zero=zeros)
     return DroppedLpResult(

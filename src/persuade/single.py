@@ -71,23 +71,6 @@ ONE = Fraction(1)
 
 
 @record
-class SingleVarMap:
-    """Column and row layout of the single-receiver LP."""
-
-    actions: int
-    num_states: int
-    payment_model: PaymentModel
-
-    def phi(self, theta: int, i: int) -> int:
-        return theta * self.actions + i
-
-    def payment(self, i: int) -> int | None:
-        if self.payment_model is PaymentModel.ZERO:
-            return None
-        return self.num_states * self.actions + i
-
-
-@record
 class SingleDual:
     """Follow-row multipliers as an n x n matrix with a zero diagonal."""
 
@@ -171,8 +154,15 @@ def _as_instance(
 
 def build_lp(
     instance: PersuasionInstance, payment_model: PaymentModel
-) -> tuple:
+) -> lp.LpProblem:
     """LP over scheme probabilities and (unless zero) expected payments.
+
+    Its layout, which _claim writes and solve_optimal and _follow_dual
+    read: column t * n + i is the probability that state t recommends
+    action i, and column n * m + i, unless payments are zero, the
+    expected payment of recommendation i.  The rows are the n(n-1)
+    follow rows, ordered (0,1), (0,2), ..., (1,0), (1,2), ...; then one
+    simplex row per state; then, under budget balance, the budget row.
 
     Raises SizeLimitExceeded, before anything is coded or allocated, when
     actions times states (the scheme columns) or the follow rows exceed
@@ -181,7 +171,6 @@ def build_lp(
     n = instance.actions
     m = instance.num_states
     _require_size(n, m)
-    vmap = SingleVarMap(actions=n, num_states=m, payment_model=payment_model)
     with_pay = payment_model is not PaymentModel.ZERO
 
     # Stated in ints over code.unit: masses times payoffs (or payoff
@@ -189,7 +178,6 @@ def build_lp(
     code = instance.coding
     unit = code.unit
 
-    # Columns phi(t, i) = t * n + i, then the payments.
     objective = [
         mass * s for mass, sender in zip(code.mass, code.sender) for s in sender
     ]
@@ -207,9 +195,9 @@ def build_lp(
             for t, (mass, receiver) in enumerate(zip(code.mass, code.receiver)):
                 diff = mass * (receiver[i] - receiver[j])
                 if diff:
-                    coeffs.append((vmap.phi(t, i), diff))
+                    coeffs.append((t * n + i, diff))
             if with_pay:
-                coeffs.append((vmap.payment(i), unit))
+                coeffs.append((n * m + i, unit))
             constraints.append(
                 lp.LinearConstraint(
                     coeffs=tuple(coeffs),
@@ -221,7 +209,7 @@ def build_lp(
     for t in range(m):
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple([(vmap.phi(t, i), unit) for i in range(n)]),
+                coeffs=tuple([(t * n + i, unit) for i in range(n)]),
                 rel=lp.EQ,
                 rhs=unit,
                 name=f"simplex[{t}]",
@@ -230,20 +218,19 @@ def build_lp(
     if payment_model is PaymentModel.BUDGET_BALANCED:
         constraints.append(
             lp.LinearConstraint(
-                coeffs=tuple([(vmap.payment(i), unit) for i in range(n)]),
+                coeffs=tuple([(n * m + i, unit) for i in range(n)]),
                 rel=lp.EQ,
                 rhs=0,
                 name="budget",
             )
         )
 
-    problem = lp.LpProblem(
+    return lp.LpProblem(
         objective=tuple(objective),
         free=tuple(free),
         constraints=tuple(constraints),
         den=unit,
     )
-    return problem, vmap
 
 
 def solve_optimal(
@@ -269,10 +256,10 @@ def solve_optimal(
     if isinstance(instance, TypedInstance) and n >= 2 and model.is_symmetric(instance):
         problem, solution = _solve_orbits(inst, payment_model)
     else:
-        problem, _ = build_lp(inst, payment_model)
+        problem = build_lp(inst, payment_model)
         solution = lp.certified_solve(problem)
 
-    # Columns phi(t, i) = t * n + i, then the payments (see SingleVarMap).
+    # build_lp's columns: the scheme row by row, then the payments.
     primal = solution.primal
     distribution = tuple([primal[k : k + n] for k in range(0, n * m, n)])
     if payment_model is PaymentModel.ZERO:
@@ -293,11 +280,10 @@ def solve_optimal(
 
 
 def _follow_dual(n: int, duals) -> SingleDual:
-    """The multipliers of a dual of build_lp's LP.
+    """The multipliers of a dual of build_lp's LP, read off its follow rows.
 
-    Its first n(n-1) rows are the follow rows, ordered (0,1), (0,2), ...,
-    (1,0), (1,2), ...  They are >=-rows; in max convention their duals
-    are <= 0 and the multipliers are their negatives.
+    They are >=-rows; in max convention their duals are <= 0 and the
+    multipliers are their negatives.
     """
     follow = iter(duals)
     return SingleDual(
@@ -366,11 +352,11 @@ def _solve_orbits(inst: PersuasionInstance, payment_model: PaymentModel) -> tupl
     keeps it optimal, so the orbit LP (_orbit_lp) has the full LP's
     optimum.  Its optimal pair is lifted to build_lp's LP.  The primal:
     x(t, i) = y[o][tau_i] / m_tau, m_tau the multiplicity of pair tau_i
-    in state t, and P on every payment column.  The dual: the follow
-    row's on every follow row (-lambda, lambda the paper's scalar),
-    mass_t / mu_o times orbit o's row dual on state t's simplex row,
-    which at an orbit optimum is lift's mass_t * max_i (s_i + lambda *
-    (n r_i - R_o)), and (n-1) lambda - 1 on the budget row.  The lifted
+    in state t, and P on every payment column.  The dual: lambda, the
+    paper's scalar and minus the follow row's dual, as every follow
+    multiplier, and mass_t / mu_o times orbit o's row dual on state t's
+    simplex row, which at an orbit optimum is lift's mass_t * max_i
+    (s_i + lambda * (n r_i - R_o)); _claim writes both.  The lifted
     pair is checked on the full LP by lp.check_fast_path, which solves
     it only where the pair fails; the pair returned counts the orbit
     LP's pivots.
@@ -389,21 +375,25 @@ def _solve_orbits(inst: PersuasionInstance, payment_model: PaymentModel) -> tupl
             {pair: y[j] if m == 1 else y[j] / m for j, (pair, m) in enumerate(pairs, k)}
         )
         k += len(pairs)
-    primal = [
-        shares[o][pair]
-        for o, sender, receiver in zip(of, code.sender, code.receiver)
-        for pair in zip(sender, receiver)
-    ]
-    duals = [follow] * (n * (n - 1))
+    distribution = tuple(
+        [
+            tuple([shares[o][pair] for pair in zip(sender, receiver)])
+            for o, sender, receiver in zip(of, code.sender, code.receiver)
+        ]
+    )
+    scheme = SignalingScheme(
+        distribution=distribution, payments=(y[k] if k < len(y) else ZERO,) * n
+    )
     scale = [v / mu if mu else ZERO for v, mu in zip(w, mass)]
-    duals += [scale[o] * m for o, m in zip(of, code.mass)]
-    if payment_model is not PaymentModel.ZERO:
-        primal += [y[k] if k < len(y) else ZERO] * n
-    if payment_model is PaymentModel.BUDGET_BALANCED:
-        duals.append(-(n - 1) * follow - 1)
-    problem, _ = build_lp(inst, payment_model)
-    claim = lp.LpSolution(
-        lp.OPTIMAL, orbit.objective, tuple(primal), tuple(duals), orbit.iterations
+    simplex = [scale[o] * m for o, m in zip(of, code.mass)]
+    problem = build_lp(inst, payment_model)
+    claim = _claim(
+        payment_model,
+        scheme,
+        orbit.objective,
+        _constant_dual(n, -follow),
+        simplex,
+        orbit.iterations,
     )
     return problem, lp.check_fast_path(problem, claim, "orbit LP optimum")
 
@@ -737,6 +727,33 @@ def _constant_dual(n: int, value: Fraction) -> SingleDual:
     return SingleDual(lam=lam)
 
 
+def _claim(
+    payment_model: PaymentModel,
+    scheme: SignalingScheme,
+    utility: Fraction,
+    dual: SingleDual,
+    simplex_duals,
+    iterations: int = 0,
+) -> lp.LpSolution:
+    """An answer written in build_lp's layout as an optimal pair.
+
+    The primal is the scheme row by row, then its payments unless they
+    are zero.  The dual is -lam[i][j] on follow row (i, j), simplex_duals
+    on the simplex rows and, under budget balance, sum_j lam[0][j] - 1
+    ((n-1) lambda - 1 for a constant lambda) on the budget row, which
+    prices each free payment column at 0 when every action's
+    multipliers sum alike.
+    """
+    primal = [p for row in scheme.distribution for p in row]
+    if payment_model is not PaymentModel.ZERO:
+        primal += scheme.payments
+    duals = [-v for i, row in enumerate(dual.lam) for j, v in enumerate(row) if i != j]
+    duals += simplex_duals
+    if payment_model is PaymentModel.BUDGET_BALANCED:
+        duals.append(sum(dual.lam[0], ZERO) - 1)
+    return lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), iterations)
+
+
 def lift(
     inst: PersuasionInstance,
     payment_model: PaymentModel,
@@ -746,25 +763,14 @@ def lift(
 ) -> tuple:
     """build_lp's LP, and a fast path's answer claimed as its optimum.
 
-    Follow row (i, j) carries -lam[i][j], state t's simplex row
-    mass_t * max_i (s_i + sum_j lam[i][j] (r_i - r_j)), computed in ints,
-    and the budget row, under budget balance, sum_j lam[0][j] - 1
-    ((n-1) lambda - 1 for a constant lambda), which prices each free
-    payment column at 0 when every action's multipliers sum alike.
+    State t's simplex row carries mass_t * max_i (s_i + sum_j lam[i][j]
+    (r_i - r_j)), computed in ints; _claim writes the rest.
     """
     code = inst.coding
-    problem, _ = build_lp(inst, payment_model)
+    problem = build_lp(inst, payment_model)
     values, _, lam_den = _adjusted(code, dual)
     y = [Fraction(m * max(v), code.unit * lam_den) for m, v in zip(code.mass, values)]
-    follow = [-v for i, row in enumerate(dual.lam) for j, v in enumerate(row) if i != j]
-    primal = [p for row in scheme.distribution for p in row]
-    if payment_model is not PaymentModel.ZERO:
-        primal += scheme.payments
-    duals = follow + y
-    if payment_model is PaymentModel.BUDGET_BALANCED:
-        duals.append(sum(dual.lam[0], ZERO) - 1)
-    claim = lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
-    return problem, claim
+    return problem, _claim(payment_model, scheme, utility, dual, y)
 
 
 def _certify(

@@ -297,7 +297,7 @@ def test_build_lp_matches_oracle(seed, actions, states, typed):
     else:
         inst = model.random_instance(seed, actions=actions, states=states)
     for pm in _MODELS:
-        problem, _ = single.build_lp(inst, pm)
+        problem = single.build_lp(inst, pm)
         assert fraction_view(problem) == oracle_build_lp(inst, pm)
         # The builder writes the ints of its coding, over code.unit.
         assert problem.den == inst.coding.unit
@@ -350,13 +350,13 @@ def _built_problems(seed):
     )
     minst = model.random_multi_instance(seed, receivers=2, states=3)
     for pm in _MODELS:
-        yield single.build_lp(inst, pm)[0]
-        yield single.build_lp(typed, pm)[0]
-        yield multi.build_lp_binary(minst, pm)[0]
+        yield single.build_lp(inst, pm)
+        yield single.build_lp(typed, pm)
+        yield multi.build_lp_binary(minst, pm)
     rinst = model.random_multi_instance(
         seed, receivers=2, states=3, positive_externalities=True, monotone_sender=True
     )
-    yield reduction.build_lp_dropped(rinst)[0]
+    yield reduction.build_lp_dropped(rinst)
     rows = [(t, subset) for t in range(3) for subset in range(4)]
     yield reduction._restricted_dual(rinst.coding, rows)
 
@@ -506,7 +506,7 @@ def _break_certificate(monkeypatch):
 
 def test_certified_solve_raises_on_a_tampered_answer(monkeypatch):
     inst = model.random_instance(3, actions=3, states=3)
-    problem, _ = single.build_lp(inst, PaymentModel.NONNEGATIVE)
+    problem = single.build_lp(inst, PaymentModel.NONNEGATIVE)
     assert not lp.certify_report(problem, lp.certified_solve(problem))
     _break_certificate(monkeypatch)
     with pytest.raises(CertificateFailed, match="optimality certificate failed"):

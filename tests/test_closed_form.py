@@ -439,7 +439,7 @@ def test_fast_paths_report_the_dual_that_certified(
     typed = _symmetric(4)
     inst = typed.expanded
     solved = single._follow_dual(
-        inst.actions, lp.solve(single.build_lp(inst, pm)[0]).dual
+        inst.actions, lp.solve(single.build_lp(inst, pm)).dual
     )
     assert (solved.symmetric_value is None) is (pm is PaymentModel.ZERO)
     certifies = _single_certifies  # through the unpatched lift

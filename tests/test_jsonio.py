@@ -283,3 +283,37 @@ def test_cli_solve_maps_malformed_documents_to_exit_codes():
             assert code in exit_codes
 
         check()
+
+        # Files json cannot read: invalid UTF-8, nesting past the
+        # recursion limit, an integer past the digit limit.
+        unreadable = (
+            b"\xff\xfe{}",
+            b"[" * 100_000,
+            b'{"kind": "multi", "receivers": ' + b"9" * 5_000 + b"}",
+        )
+        for raw in unreadable:
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                err
+            ):
+                assert cli.main(["solve", path]) == cli.EXIT_INVALID_INPUT
+            assert "is not valid JSON" in err.getvalue()
+
+
+@pytest.mark.parametrize("receivers", [2_000, 20_000])
+def test_cli_solve_sizes_the_receiver_count_before_building_the_subsets(
+    tmp_path, capsys, receivers
+):
+    doc = {
+        "kind": "multi",
+        "receivers": receivers,
+        "states": [{"prob": "1", "sender": ["0", "1"], "receivers": [["0", "0"]]}],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["solve", str(path)]) == cli.EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert f"expected 2**{receivers} subset payoffs, got 2" in err
+    assert len(err) < 400

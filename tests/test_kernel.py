@@ -439,9 +439,9 @@ def _sample_problems():
     problems = []
     for seed in (1, 2, 3):
         inst = model.random_instance(seed, actions=3, states=3)
-        problems.append(single.build_lp(inst, PaymentModel.ARBITRARY)[0])
+        problems.append(single.build_lp(inst, PaymentModel.ARBITRARY))
     minst = model.random_multi_instance(4, receivers=2, states=3)
-    problems.append(multi.build_lp_binary(minst, PaymentModel.BUDGET_BALANCED)[0])
+    problems.append(multi.build_lp_binary(minst, PaymentModel.BUDGET_BALANCED))
     return problems
 
 
@@ -479,7 +479,7 @@ def test_kernels_produce_identical_solutions():
     # A 16-state action-symmetric LP: 4 actions, 2 iid types.
     typed = model.random_instance(5, actions=4, symmetric=True, types=2)
     problems.append(
-        single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)[0]
+        single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)
     )
     # Phase 1 ends with the artificial of row 0 basic at zero; driving it
     # out pivots on a negative entry, and phase 2 pivots after that.
@@ -547,7 +547,7 @@ def test_degenerate_lp_reaches_a_certified_optimum(degenerate_run):
 def test_seed_108_lp_takes_few_pivots():
     # 81 states, 93 rows: 1,326 pivots under Bland's rule alone.
     typed = model.random_instance(108, actions=4, symmetric=True, types=3)
-    problem = single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)[0]
+    problem = single.build_lp(model.expand_typed(typed), PaymentModel.ARBITRARY)
     solution = lp.solve(problem)
     assert solution.iterations <= 200
     assert not lp.certify_report(problem, solution)
@@ -602,7 +602,7 @@ def test_single_receiver_lps_start_feasible(payment_model):
     # under budget balance, where phase 1 prices the budget row alone.
     expected = ["budget"] if payment_model is PaymentModel.BUDGET_BALANCED else []
     for instance in _single_receiver_instances():
-        problem = single.build_lp(instance, payment_model)[0]
+        problem = single.build_lp(instance, payment_model)
         _, _, keys = _initial_tableau(problem)
         assert len(keys) == instance.num_states
         explicit = [

@@ -199,6 +199,23 @@ def test_symmetry_detection():
     assert model.is_symmetric(sym)
 
 
+def test_symmetry_verdict_is_kept_with_the_coding():
+    # The verdict is found once per coding and read back on later calls.
+    joint = model.random_instance(4, actions=3, symmetric=True, types=2, joint=True)
+    swapped = PersuasionInstance(
+        actions=2,
+        states=(State(prob=F(1), sender=(F(1), F(0)), receiver=(F(0), F(1))),),
+    )
+    for instance, verdict in ((joint, True), (swapped, False)):
+        code = (
+            instance.expanded if isinstance(instance, TypedInstance) else instance
+        ).coding
+        assert "symmetric" not in vars(code)
+        assert model.is_symmetric(instance) is verdict
+        assert vars(code)["symmetric"] is verdict
+        assert model.is_symmetric(instance) is verdict
+
+
 def _symmetric_by_permutations(inst):
     """The definition: no permutation of actions changes the aggregated prior."""
     base = {}

@@ -128,9 +128,19 @@ def test_marginal_additive_utilities_give_constant_weight():
             assert multi._marginal(inst.states[0], i, subset) == expected
 
 
+@pytest.mark.parametrize("pm", list(PaymentModel), ids=lambda pm: pm.value)
+def test_claim_writes_the_layout_solve_lp_reads(pm):
+    for seed in range(1, 6):
+        inst = model.random_multi_instance(seed, receivers=2, states=3)
+        result = multi.solve_lp(inst, pm)
+        claim = multi._claim(pm, result.scheme, result.utility, result.dual)
+        assert claim.primal == result.solution.primal
+        assert claim.dual == result.solution.dual
+
+
 def test_lp_shape_two_receivers_two_states_zero_model():
     inst = model.random_multi_instance(1, receivers=2, states=2)
-    problem, vmap = multi.build_lp_binary(inst, PaymentModel.ZERO)
+    problem = multi.build_lp_binary(inst, PaymentModel.ZERO)
     assert len(problem.objective) == 8
     follow = [c for c in problem.constraints if c.name.startswith("follow")]
     dist = [c for c in problem.constraints if c.name.startswith("dist")]

@@ -98,16 +98,26 @@ def oracle_sender_value(inst, scheme):
 def oracle_build_lp_binary(inst, payment_model):
     nsub, m, n = inst.num_subsets, inst.num_states, inst.receivers
     with_pay = payment_model is not PaymentModel.ZERO
-    vmap = multi.MultiVarMap(receivers=n, num_states=m, payment_model=payment_model)
     cols = nsub * m
+
+    # Column t * 2^N + S for set S in state t, then Q_i(1), then Q_i(0).
+    def phi(t, subset):
+        return t * nsub + subset
+
+    def q_one(i):
+        return cols + i
+
+    def q_zero(i):
+        return cols + n + i
+
     objective = [ZERO] * (cols + (2 * n if with_pay else 0))
     for t, state in enumerate(inst.states):
         for subset in range(nsub):
-            objective[vmap.phi(t, subset)] = state.prob * state.sender[subset]
+            objective[phi(t, subset)] = state.prob * state.sender[subset]
     free = [False] * cols
     if with_pay:
         for i in range(n):
-            objective[vmap.q_one(i)] = objective[vmap.q_zero(i)] = -ONE
+            objective[q_one(i)] = objective[q_zero(i)] = -ONE
         free += [payment_model is not PaymentModel.NONNEGATIVE] * (2 * n)
     constraints = []
     for i in range(n):
@@ -117,9 +127,9 @@ def oracle_build_lp_binary(inst, payment_model):
                 if (subset >> i) & 1:
                     g = state.prob * _marginal(state, i, subset)
                     if g:
-                        coeffs.append((vmap.phi(t, subset), g))
+                        coeffs.append((phi(t, subset), g))
         if with_pay:
-            coeffs.append((vmap.q_one(i), ONE))
+            coeffs.append((q_one(i), ONE))
         constraints.append(
             lp.LinearConstraint(tuple(coeffs), lp.GE, ZERO, f"follow1[{i}]")
         )
@@ -130,21 +140,21 @@ def oracle_build_lp_binary(inst, payment_model):
                 if not (subset >> i) & 1:
                     g = state.prob * _marginal(state, i, subset | (1 << i))
                     if g:
-                        coeffs.append((vmap.phi(t, subset), g))
+                        coeffs.append((phi(t, subset), g))
         if with_pay:
-            coeffs.append((vmap.q_zero(i), -ONE))
+            coeffs.append((q_zero(i), -ONE))
         constraints.append(
             lp.LinearConstraint(tuple(coeffs), lp.LE, ZERO, f"follow0[{i}]")
         )
     for t in range(m):
-        coeffs = tuple((vmap.phi(t, subset), ONE) for subset in range(nsub))
+        coeffs = tuple((phi(t, subset), ONE) for subset in range(nsub))
         constraints.append(lp.LinearConstraint(coeffs, lp.EQ, ONE, f"dist[{t}]"))
     if payment_model is PaymentModel.BUDGET_BALANCED:
-        coeffs = tuple((vmap.q_one(i), ONE) for i in range(n)) + tuple(
-            (vmap.q_zero(i), ONE) for i in range(n)
+        coeffs = tuple((q_one(i), ONE) for i in range(n)) + tuple(
+            (q_zero(i), ONE) for i in range(n)
         )
         constraints.append(lp.LinearConstraint(coeffs, lp.EQ, ZERO, "budget"))
-    return (tuple(objective), tuple(free), tuple(constraints)), vmap
+    return tuple(objective), tuple(free), tuple(constraints)
 
 
 def oracle_gamma_candidates(inst):
@@ -315,10 +325,8 @@ CAMPAIGN = settings(max_examples=150, deadline=None, derandomize=True)
 @given(_instance())
 def test_lp_matches_oracle(inst):
     for pm in PaymentModel:
-        problem, vmap = multi.build_lp_binary(inst, pm)
-        assert repr((fraction_view(problem), vmap)) == repr(
-            oracle_build_lp_binary(inst, pm)
-        )
+        problem = multi.build_lp_binary(inst, pm)
+        assert repr(fraction_view(problem)) == repr(oracle_build_lp_binary(inst, pm))
 
 
 @CAMPAIGN
@@ -423,7 +431,5 @@ def test_sweep_tries_each_allocation_once(monkeypatch):
 @pytest.mark.parametrize("pm", list(PaymentModel), ids=lambda pm: pm.value)
 def test_lp_of_the_zero_sum_fixture_matches_oracle(pm):
     inst = examples.zero_sum_single_receiver_multi()
-    problem, vmap = multi.build_lp_binary(inst, pm)
-    assert repr((fraction_view(problem), vmap)) == repr(
-        oracle_build_lp_binary(inst, pm)
-    )
+    problem = multi.build_lp_binary(inst, pm)
+    assert repr(fraction_view(problem)) == repr(oracle_build_lp_binary(inst, pm))

@@ -121,8 +121,8 @@ def test_reduced_lp_refuses_unqualified_instances():
 
 def test_reduced_lp_drops_exactly_the_keep_playing_zero_rows():
     inst = seeded(4, 2, 2)
-    full, _ = multi.build_lp_binary(inst, model.PaymentModel.ZERO)
-    dropped, dmap = reduction.build_lp_dropped(inst)
+    full = multi.build_lp_binary(inst, model.PaymentModel.ZERO)
+    dropped = reduction.build_lp_dropped(inst)
     assert len(dropped.constraints) == len(full.constraints) - inst.receivers
     assert [c.name for c in dropped.constraints] == [
         "follow1[0]",
@@ -131,9 +131,8 @@ def test_reduced_lp_drops_exactly_the_keep_playing_zero_rows():
         "dist[1]",
     ]
     assert dropped.objective == full.objective
-    assert dmap.phi(1, 3) == 1 * 4 + 3
-    assert dmap.follow_row(1) == 1
-    assert dmap.dist_row(1) == 3
+    # State 1's distribution row, the fourth, covers columns 1 * 4 + S.
+    assert [k for k, _ in dropped.constraints[3].coeffs] == [4, 5, 6, 7]
 
 
 def test_reduced_optimum_equals_full_optimum_on_random_instances():

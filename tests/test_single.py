@@ -23,7 +23,7 @@ def full_lp_optimum(typed, payment_model):
     The fast paths' oracle: solve_optimal solves a symmetric typed
     instance on its orbit LP, which shares their symmetry argument.
     """
-    problem, _ = single.build_lp(typed.expanded, payment_model)
+    problem = single.build_lp(typed.expanded, payment_model)
     return lp.certified_solve(problem).objective
 
 
@@ -389,6 +389,23 @@ def test_solver_is_deterministic():
     assert a.solution.dual == b.solution.dual
 
 
+@pytest.mark.parametrize("pm", list(PaymentModel), ids=lambda pm: pm.value)
+def test_claim_writes_the_layout_solve_optimal_reads(pm):
+    # The encoder undoes the read-out: the scheme, the follow multipliers
+    # and the solution's own simplex duals give back its primal and dual.
+    explicit = model.random_instance(5, actions=3, states=4)
+    typed = model.random_instance(5, actions=3, symmetric=True, types=2, joint=True)
+    for instance in (explicit, typed):
+        result = single.solve_optimal(instance, pm)
+        n, m = result.instance.actions, result.instance.num_states
+        solution = result.solution
+        simplex = solution.dual[n * (n - 1) : n * (n - 1) + m]
+        claim = single._claim(
+            pm, result.scheme, result.utility, result.dual, simplex, solution.iterations
+        )
+        assert claim == solution
+
+
 def test_solve_optimal_builds_through_build_lp(monkeypatch):
     # A wrapper on the public builder, as a tracer installs one, sees
     # every LP solve_optimal states.
@@ -406,7 +423,7 @@ def test_solve_optimal_builds_through_build_lp(monkeypatch):
             calls.clear()
             result = single.solve_optimal(instance, pm)
             assert calls == [pm]
-            assert result.problem == real(result.instance, pm)[0]
+            assert result.problem == real(result.instance, pm)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +468,7 @@ def test_orbit_route_matches_the_full_lp(full_solves, actions, types, joint):
             assert full_solves == []
             assert result.utility == full_lp_optimum(typed, pm)
             full_solves.clear()
-            assert result.problem == single.build_lp(typed.expanded, pm)[0]
+            assert result.problem == single.build_lp(typed.expanded, pm)
             assert lp.certify_report(result.problem, result.solution) == []
             assert model.is_persuasive(result.instance, result.scheme)
             assert result.dual.symmetric_value is not None
