@@ -10,18 +10,19 @@ Every flag in the solve report is a check that reads "yes" on a correct
 answer.  persuasive and budget_balanced are recomputed from the returned
 scheme.  Under the nonnegative and arbitrary models budget balance is no
 check (payments need not sum to zero there), so it is printed on a
-"properties:" line instead.  Each fast-path and cutting-plane answer is
-certified once, by the function that makes it, and the CLI does not
-check it again: dual_certified reads yes when that function returned
-with its certificate on.  --no-verify turns the single-receiver fast
-paths' certificate off, and drops their flag; the multi-receiver fast
-paths and the cutting plane always certify, so it changes nothing
-there.  Exit codes: 0 success, 2 unreadable or invalid input (including
-a PERSUADE_SIZE_LIMIT that is not a positive integer), 3 method or model
-precondition unmet, 4 a characterization failed its check, 5 instance
-above the size cap, 6 a solver exceeded its iteration limit, 7 an answer
-failed its optimality certificate; "verify" exits 1 when any property
-fails.
+"properties:" line instead.  Every answer is certified once, by the
+function that makes it, and the CLI does not check it again: an LP
+answer by its certified solve, a fast-path answer by a dual checked on
+the full LP, a cutting-plane answer by its exhaustive row check.  Each
+raises when its certificate fails, so dual_certified reads yes on every
+report.  Each receiver kind writes its dual one way: a single-receiver
+answer its lambda matrix, a multi-receiver answer its multipliers.  Exit
+codes: 0 success, 2 unreadable or invalid input (including a
+PERSUADE_SIZE_LIMIT that is not a positive integer, and a verify --seeds
+below 1), 3 method or model precondition unmet, 4 a characterization
+failed its check, 5 instance above the size cap, 6 a solver exceeded its
+iteration limit, 7 an answer failed its optimality certificate; "verify"
+exits 1 when any property fails.
 
 Every module past model and jsonio is imported only where it is used:
 the single-receiver solver by a single-receiver solve, the
@@ -101,62 +102,41 @@ def _lambda_section(dual) -> dict:
     return section
 
 
-def _scalar_section(dual, value) -> dict:
-    """{"symmetric_lambda": value} when dual is value on every follow row,
-    as a fast path's own dual is; otherwise the full matrix, as for the
-    LP's dual where the fast path's failed its certificate."""
-    n = len(dual.lam)
-    if all(dual.lam[i][j] == value for i in range(n) for j in range(n) if i != j):
-        return {"symmetric_lambda": format_rational(value)}
-    return _lambda_section(dual)
-
-
-def _single_fast(instance, inst, payment_model: PaymentModel, verify: bool):
-    """Fast-path dispatch: (result, dual section, extra report lines)."""
+def _single_fast(instance, payment_model: PaymentModel):
+    """Fast-path dispatch: (result, extra report lines)."""
     from . import single
 
     if payment_model is PaymentModel.ZERO:
-        sweep = single.find_lambda_star(instance, cross_check=verify)
-        dual = _scalar_section(sweep.dual, sweep.lambda_star)
-        return sweep, dual, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
+        sweep = single.find_lambda_star(instance)
+        return sweep, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
     if payment_model is PaymentModel.ARBITRARY:
-        if inst.actions == 2:
-            result = single.canonical_two_action_scheme(instance, verify=verify)
-        else:
-            result = single.canonical_symmetric_scheme(instance, verify=verify)
-        return result, _lambda_section(result.dual), []
+        if instance.actions == 2:
+            return single.canonical_two_action_scheme(instance), []
+        return single.canonical_symmetric_scheme(instance), []
     if payment_model is PaymentModel.NONNEGATIVE:
-        outcome = single.nonnegative_dichotomy(instance, verify=verify)
-        result = outcome.result
-        dual = _scalar_section(result.dual, result.dual.symmetric_value)
+        outcome = single.nonnegative_dichotomy(instance)
         extra = [
             f"dichotomy branch: {outcome.branch} "
             f"(smallest persuasive weight {format_rational(outcome.lambda_star)}; "
             f"payment-free {format_rational(outcome.no_payment_utility)}, "
             f"with payments {format_rational(outcome.canonical_utility)})"
         ]
-        return result, dual, extra
+        return outcome.result, extra
     raise UnsupportedMethod(
         "no closed-form fast path for budget-balanced single-receiver "
         "instances; use --method lp"
     )
 
 
-def _solve_single(instance, payment_model, method, no_verify):
+def _solve_single(instance, payment_model, method):
     from . import single
 
     inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
-    certified: bool | None = None
     if method == "lp":
         result = single.solve_optimal(instance, payment_model)
-        dual = _lambda_section(result.dual)
     elif method == "fast":
-        result, dual, extra = _single_fast(
-            instance, inst, payment_model, verify=not no_verify
-        )
-        if not no_verify:
-            certified = True
+        result, extra = _single_fast(instance, payment_model)
     else:
         raise UnsupportedMethod(
             "cutting-plane applies to multi-receiver instances only"
@@ -167,8 +147,6 @@ def _solve_single(instance, payment_model, method, no_verify):
         "persuasive": model.is_persuasive(inst, scheme),
         "budget_balanced": sum(scheme.payments, Fraction(0)) == 0,
     }
-    if certified is not None:
-        flags["dual_certified"] = certified
 
     lines = [f"objective: {_rat(utility)}"] + extra
     lines.append("scheme:")
@@ -192,16 +170,17 @@ def _solve_single(instance, payment_model, method, no_verify):
             )
         except InconsistentPayments:
             pass
-    doc = jsonio.scheme_to_json(scheme, sender_utility=utility, dual=dual)
+    doc = jsonio.scheme_to_json(
+        scheme, sender_utility=utility, dual=_lambda_section(result.dual)
+    )
     return doc, lines, flags
 
 
-def _multi_dual_section(dual) -> dict:
-    section = {}
-    if dual.gamma is not None:
-        section["gamma_star"] = format_rational(dual.gamma)
-    section["alpha"] = [format_rational(v) for v in dual.alpha]
-    section["beta"] = [format_rational(v) for v in dual.beta]
+def _multi_dual_section(gamma, **multipliers) -> dict:
+    """gamma_star where the LP has a budget row, then each named vector."""
+    section = {} if gamma is None else {"gamma_star": format_rational(gamma)}
+    for name, values in multipliers.items():
+        section[name] = [format_rational(v) for v in values]
     return section
 
 
@@ -214,51 +193,44 @@ def _solve_multi(instance, payment_model, method):
     from . import multi, reduction
 
     extra: list = []
-    if method == "lp":
-        result = multi.solve_lp(instance, payment_model)
-        scheme, utility = result.scheme, result.utility
-        dual = _multi_dual_section(result.dual)
-    elif method == "fast":
-        if payment_model is PaymentModel.BUDGET_BALANCED:
-            outcome = multi.solve_budget_balanced(instance)
-            dual = _multi_dual_section(outcome.dual)
-            via = outcome.via
-            if via == "gamma_sweep":
-                via += f" at gamma {format_rational(outcome.gamma_star)}"
-            extra = [f"scheme reconstruction: {via}"]
-        elif payment_model is PaymentModel.ARBITRARY:
-            outcome = multi.solve_arbitrary(instance)
-            dual = {"gamma_star": "1"}
-        else:
-            raise UnsupportedMethod(
-                f"no closed-form fast path for the {payment_model.value} "
-                "model with multiple receivers; use --method lp"
-            )
-        scheme, utility = outcome.scheme, outcome.utility
-    else:
+    if method == "cutting-plane":
         if payment_model is not PaymentModel.ZERO:
             raise UnsupportedMethod(
                 "cutting-plane solves the zero-payment model only"
             )
         outcome = reduction.cutting_plane_solve(instance)
         scheme, utility = outcome.scheme, outcome.objective
-        dual = {
-            "alpha": [format_rational(v) for v in outcome.alpha],
-            "y": [format_rational(v) for v in outcome.y],
-        }
+        dual = _multi_dual_section(None, alpha=outcome.alpha, y=outcome.y)
         extra = [
             f"generated rows: {len(outcome.generated)} of "
             f"{instance.num_states * instance.num_subsets} possible in "
             f"{outcome.rounds} rounds"
         ]
+    else:
+        if method == "lp":
+            result = multi.solve_lp(instance, payment_model)
+        elif payment_model is PaymentModel.BUDGET_BALANCED:
+            result = multi.solve_budget_balanced(instance)
+            via = result.via
+            if via == "gamma_sweep":
+                via += f" at gamma {format_rational(result.gamma_star)}"
+            extra = [f"scheme reconstruction: {via}"]
+        elif payment_model is PaymentModel.ARBITRARY:
+            result = multi.solve_arbitrary(instance)
+        else:
+            raise UnsupportedMethod(
+                f"no closed-form fast path for the {payment_model.value} "
+                "model with multiple receivers; use --method lp"
+            )
+        scheme, utility = result.scheme, result.utility
+        dual = _multi_dual_section(
+            result.dual.gamma, alpha=result.dual.alpha, beta=result.dual.beta
+        )
 
     flags = {
         "persuasive": multi.is_persuasive(instance, scheme),
         "budget_balanced": multi.total_payments(scheme) == 0,
     }
-    if method != "lp":
-        # Both paths certify every answer they return.
-        flags["dual_certified"] = True
 
     lines = [f"objective: {_rat(utility)}"] + extra
     lines.append("scheme:")
@@ -330,13 +302,13 @@ def cmd_solve(args) -> int:
     if isinstance(instance, MultiAgentInstance):
         doc, lines, flags = _solve_multi(instance, payment_model, args.method)
     else:
-        doc, lines, flags = _solve_single(
-            instance, payment_model, args.method, args.no_verify
-        )
+        doc, lines, flags = _solve_single(instance, payment_model, args.method)
     elapsed = time.perf_counter() - start
     properties = {}
     if payment_model in (PaymentModel.NONNEGATIVE, PaymentModel.ARBITRARY):
         properties["budget_balanced"] = flags.pop("budget_balanced")
+    # Every solver above raised unless its answer passed its certificate.
+    flags["dual_certified"] = True
 
     report = [
         _describe(instance, args.input),
@@ -434,6 +406,14 @@ def _suite_name(name: str) -> str:
     return name
 
 
+def _seed_count(text: str) -> int:
+    """The --seeds value: at least one seed, so every campaign runs."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="persuade",
@@ -454,15 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--method", choices=METHODS, default="lp")
     solve.add_argument("--out", default=None, help="write scheme JSON here")
-    solve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help=(
-            "skip certifying single-receiver fast-path results on the full "
-            "LP and omit their dual_certified (multi-receiver fast paths "
-            "always certify)"
-        ),
-    )
     solve.set_defaults(func=cmd_solve)
 
     examples_cmd = sub.add_parser(
@@ -481,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="one suite of campaigns, or all (the default)",
     )
-    verify_cmd.add_argument("--seeds", type=int, default=50)
+    verify_cmd.add_argument("--seeds", type=_seed_count, default=50)
     verify_cmd.add_argument("--max-actions", type=int, default=3)
     verify_cmd.add_argument("--max-states", type=int, default=3)
     verify_cmd.add_argument("--max-receivers", type=int, default=3)

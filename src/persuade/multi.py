@@ -239,6 +239,18 @@ def total_payments(scheme: MultiAgentScheme) -> Fraction:
 # The explicit LP
 
 
+def _require_size(instance: MultiAgentInstance) -> None:
+    """Validate the instance and raise SizeLimitExceeded, before it is
+    coded, when its subset LP's scheme columns exceed model.size_limit()."""
+    model.ensure_valid(instance)
+    cols = instance.num_subsets * instance.num_states
+    limit = model.size_limit()
+    if cols > limit:
+        raise SizeLimitExceeded(
+            f"{cols} scheme columns exceed the configured limit {limit}"
+        )
+
+
 def build_lp_binary(
     instance: MultiAgentInstance, payment_model: PaymentModel
 ) -> lp.LpProblem:
@@ -255,16 +267,11 @@ def build_lp_binary(
     per state; under budget balance, last, one row forcing total
     expected payments to zero.
     """
-    model.ensure_valid(instance)
+    _require_size(instance)
     nsub = instance.num_subsets
     m = instance.num_states
     n = instance.receivers
     cols = nsub * m
-    limit = model.size_limit()
-    if cols > limit:
-        raise SizeLimitExceeded(
-            f"{cols} scheme columns exceed the configured limit {limit}"
-        )
     with_pay = payment_model is not PaymentModel.ZERO
 
     # Stated in ints over code.unit: masses times payoffs (or payoff
@@ -590,7 +597,7 @@ def solve_arbitrary(instance: MultiAgentInstance) -> ArbitraryResult:
     value, certified on the LP by alpha = beta = gamma = 1 (see lift);
     where that dual fails, the dual of the one LP solve is reported.
     """
-    model.ensure_valid(instance)
+    _require_size(instance)
     code = instance.coding
     distribution = _allocation_rows(instance, _argmax(code, ONE))
     sender, follow_one, switch_zero, den = _evaluate(code, distribution)

@@ -11,18 +11,27 @@ their scalar-weight sweeps.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedRational
 
 
+def _digit_limit() -> int:
+    """The interpreter's integer-string digit limit, or 4300 (its default)
+    where it has none: before Python 3.10.7, or switched off."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
 def parse_rational(value) -> Fraction:
     """Convert a JSON-level number into an exact Fraction.
 
     Accepts int, Fraction, or a string holding either a ratio "p/q" or a
-    decimal literal.  Floats and anything unparsable raise
-    MalformedRational.
+    decimal literal.  Floats, anything unparsable, and a string whose
+    exponent, numerator or denominator runs past the interpreter's
+    integer-string digit limit raise MalformedRational; the exponent is
+    checked before the number is built.
     """
     if isinstance(value, Fraction):
         return value
@@ -35,10 +44,19 @@ def parse_rational(value) -> Fraction:
             f"floats are inexact, write the value as a string: {value!r}"
         )
     if isinstance(value, str):
+        text = value.strip()
+        _, sep, exponent = text.upper().partition("E")
         try:
-            return Fraction(value.strip())
+            # Fraction builds 10**exponent unbounded, so the exponent is
+            # bounded first; str raises on a numerator or denominator past
+            # the digit limit.
+            if sep and abs(int(exponent)) > _digit_limit():
+                raise ValueError("exponent past the digit limit")
+            parsed = Fraction(text)
+            str(parsed)
         except (ValueError, ZeroDivisionError) as exc:
             raise MalformedRational(f"cannot parse rational from {value!r}") from exc
+        return parsed
     raise MalformedRational(f"cannot parse rational from {value!r}")
 
 

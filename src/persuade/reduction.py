@@ -362,9 +362,10 @@ def cutting_plane_solve(
     exhaustively; any violation there, or an oracle value that
     disagrees with direct evaluation, raises OracleUnsound.
     """
-    _require_reducible(instance)
     if oracle is None:
+        # Validates and sizes the instance before anything codes it.
         oracle = brute_force_oracle(instance)
+    _require_reducible(instance)
     n, m = instance.receivers, instance.num_states
     nsub = instance.num_subsets
     full_mask = nsub - 1

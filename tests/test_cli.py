@@ -277,17 +277,35 @@ def test_follow_rows_size_limit_exits_5(tmp_path, capsys, monkeypatch):
 
 
 def test_unverified_fast_path_size_limit_exits_5(tmp_path, capsys, monkeypatch):
-    # 2 actions times 4 states: 8 scheme columns, over a cap of 4, with
-    # the fast path's LP check on and off.
+    # 2 actions times 4 states: 8 scheme columns, over a cap of 4.
     monkeypatch.setenv(model.SIZE_LIMIT_ENV, "4")
     instance = model.random_instance(5, actions=2, states=4)
     path = write_instance(tmp_path, instance)
     argv = ["solve", path, "--model", "arbitrary", "--method", "fast"]
-    for extra in ([], ["--no-verify"]):
-        assert cli.main(argv + extra) == 5
-        assert "scheme columns" in capsys.readouterr().err
+    assert cli.main(argv) == 5
+    assert "scheme columns" in capsys.readouterr().err
     monkeypatch.undo()
-    assert cli.main(argv + ["--no-verify"]) == 0
+    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "model_name, method", [("arbitrary", "fast"), ("zero", "cutting-plane")]
+)
+def test_multi_size_limit_exits_5_before_coding(
+    tmp_path, capsys, monkeypatch, model_name, method
+):
+    # 3 receivers: 8 subsets and 16 scheme columns, over a cap of 4.  The
+    # instance need not be reducible: its size is checked first.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "4")
+    instance = model.random_multi_instance(2, receivers=3, states=2)
+    path = write_instance(tmp_path, instance)
+
+    def never_code(*args):
+        raise AssertionError("the instance was coded past the size cap")
+
+    monkeypatch.setattr(model, "_multi_coding", never_code)
+    assert cli.main(["solve", path, "--model", model_name, "--method", method]) == 5
+    assert "exceed the configured limit 4" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -408,6 +426,16 @@ def test_unknown_suite_is_a_usage_error(capsys):
     assert "invalid choice: 'no-such-suite'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_seed_count_below_one_is_a_usage_error(capsys, monkeypatch, seeds):
+    def never_run(*args, **kwargs):
+        raise AssertionError("a campaign ran with no seeds")
+
+    monkeypatch.setattr(verify, "run_all", never_run)
+    assert cli.main(["verify", "--seeds", seeds]) == 2
+    assert f"must be at least 1, got {seeds}" in capsys.readouterr().err
+
+
 def test_iteration_limit_exits_6(tmp_path, capsys, monkeypatch):
     path = write_instance(tmp_path, examples.zero_sum_two_state_instance())
     def out_of_pivots(tab, basis, enterable, max_iter):
@@ -465,42 +493,52 @@ def test_failed_repair_exits_4(tmp_path, capsys, monkeypatch):
     assert "error: repair exceeded its structural move bound" in capsys.readouterr().err
 
 
-def test_no_verify_skips_the_cross_check(tmp_path, capsys):
+def test_no_verify_is_not_an_option(tmp_path, capsys):
     path = write_instance(tmp_path, examples.two_action_type_instance())
-    code = cli.main(
-        [
-            "solve",
-            path,
-            "--model",
-            "arbitrary",
-            "--method",
-            "fast",
-            "--no-verify",
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "dual_certified" not in out
+    argv = ["solve", path, "--model", "arbitrary", "--method", "fast"]
+    assert cli.main(argv + ["--no-verify"]) == 2
+    assert "unrecognized arguments: --no-verify" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "model_name, method",
-    [("arbitrary", "fast"), ("budget_balanced", "fast"), ("zero", "cutting-plane")],
-)
-def test_no_verify_keeps_the_flag_of_paths_that_always_certify(
-    tmp_path, capsys, model_name, method
-):
-    instance = model.random_multi_instance(
-        3, receivers=2, states=3, positive_externalities=True, monotone_sender=True
+def _instance_of_kind(kind):
+    if kind == "multi":
+        return model.random_multi_instance(
+            3, receivers=2, states=3, positive_externalities=True, monotone_sender=True
+        )
+    typed = model.random_instance(
+        3, actions=3, symmetric=True, types=2, joint=kind == "joint"
     )
-    path = write_instance(tmp_path, instance)
-    args = ["solve", path, "--model", model_name, "--method", method]
-    assert cli.main(args) == 0
-    checked = capsys.readouterr().out
-    assert cli.main(args + ["--no-verify"]) == 0
-    unchecked = capsys.readouterr().out
-    assert report_line(checked, "flags")["dual_certified"] == "yes"
-    assert report_line(unchecked, "flags") == report_line(checked, "flags")
+    return model.expand_typed(typed) if kind == "explicit" else typed
+
+
+def _methods_that_apply(kind, payment_model):
+    if kind == "multi":
+        fast = payment_model in ("budget_balanced", "arbitrary")
+        return ["lp"] + ["fast"] * fast + ["cutting-plane"] * (payment_model == "zero")
+    return ["lp"] + ["fast"] * (payment_model != "budget_balanced")
+
+
+@pytest.mark.parametrize("payment_model", cli.MODELS)
+@pytest.mark.parametrize("kind", ["explicit", "iid", "joint", "multi"])
+def test_every_solve_reports_dual_certified(tmp_path, capsys, kind, payment_model):
+    path = write_instance(tmp_path, _instance_of_kind(kind))
+    for method in _methods_that_apply(kind, payment_model):
+        argv = ["solve", path, "--model", payment_model, "--method", method]
+        assert cli.main(argv) == 0, method
+        flags = report_line(capsys.readouterr().out, "flags")
+        assert flags["dual_certified"] == "yes", method
+
+
+@pytest.mark.parametrize("payment_model", ["zero", "nonnegative", "arbitrary"])
+def test_lp_and_fast_write_the_same_dual_keys(tmp_path, payment_model):
+    path = write_instance(tmp_path, examples.two_action_type_instance())
+    keys = []
+    for method in ("lp", "fast"):
+        out = tmp_path / f"{method}.json"
+        argv = ["solve", path, "--model", payment_model, "--method", method]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        keys.append(list(json.loads(out.read_text(encoding="utf-8"))["dual"]))
+    assert keys[0] == keys[1] == ["lambda", "symmetric_lambda"]
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):

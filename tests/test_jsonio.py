@@ -284,6 +284,22 @@ def test_cli_solve_maps_malformed_documents_to_exit_codes():
 
         check()
 
+        # A decimal whose exponent runs past the integer digit limit is
+        # refused while parsing, before any number is built.
+        doc = {
+            "kind": "single",
+            "actions": 2,
+            "states": [
+                {"prob": "1", "sender": ["1e100000", "0"], "receiver": ["0", "1"]}
+            ],
+        }
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["solve", path]) == cli.EXIT_INVALID_INPUT
+        assert "cannot parse rational from '1e100000'" in err.getvalue()
+
         # Files json cannot read: invalid UTF-8, nesting past the
         # recursion limit, an integer past the digit limit.
         unreadable = (

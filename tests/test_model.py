@@ -67,6 +67,17 @@ def test_parse_rational_rejects(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text", ["1e1000000000", "1e-1000000000", "1" * 4000 + "e4000", "1e4300"]
+)
+def test_parse_rational_bounds_the_digits_before_building_the_number(text):
+    # A bound checked after Fraction("1e1000000000") would never be reached:
+    # building 10**exponent alone runs for minutes.
+    with pytest.raises(MalformedRational, match="cannot parse rational"):
+        parse_rational(text)
+    assert format_rational(parse_rational("1e4299")) == "1" + "0" * 4299
+
+
 def test_validate_catches_everything_at_once():
     inst = PersuasionInstance(
         actions=2,

@@ -181,15 +181,20 @@ def test_cached_property_stays_out_of_eq_hash_and_repr(instance, cached):
     assert f"{cached}=" not in repr(instance)
 
 
-def test_no_module_imports_dataclasses():
+def _package_trees():
+    """(file name, parsed module) for every module of the package."""
     package = os.path.join(SRC, "persuade")
-    found = []
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(package, name)
         with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
+            yield name, ast.parse(handle.read(), filename=path)
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -199,4 +204,15 @@ def test_no_module_imports_dataclasses():
                 continue
             if any(m.split(".")[0] in ("dataclasses", "typing") for m in modules):
                 found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_module_checks_with_assert():
+    # python -O strips assert statements; every check raises a typed error.
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
