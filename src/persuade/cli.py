@@ -18,9 +18,11 @@ raises when its certificate fails, so dual_certified reads yes on every
 report.  Each receiver kind writes its dual one way: a single-receiver
 answer its lambda matrix, a multi-receiver answer its multipliers.  Exit
 codes: 0 success, 2 unreadable or invalid input (including a
-PERSUADE_SIZE_LIMIT that is not a positive integer, and a verify --seeds
-below 1), 3 method or model precondition unmet, 4 a characterization
-failed its check, 5 instance above the size cap, 6 a solver exceeded its
+PERSUADE_SIZE_LIMIT that is not a positive integer, and a verify option
+below its least value), 3 method or model precondition unmet, 4 a
+characterization failed its check, 5 instance above the size cap (for
+an iid typed instance solved by lp, above the orbit LP's cap, since
+past its expansion's it is written in orbit form), 6 a solver exceeded its
 iteration limit, 7 an answer failed its optimality certificate; "verify"
 exits 1 when any property fails.
 
@@ -59,6 +61,7 @@ from .errors import (
 )
 from .model import (
     MultiAgentInstance,
+    OrbitScheme,
     PaymentModel,
     PersuasionInstance,
     TypedInstance,
@@ -131,39 +134,57 @@ def _single_fast(instance, payment_model: PaymentModel):
 def _solve_single(instance, payment_model, method):
     from . import single
 
-    inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     extra: list = []
     if method == "lp":
         result = single.solve_optimal(instance, payment_model)
+        inst = result.instance
     elif method == "fast":
         result, extra = _single_fast(instance, payment_model)
+        inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     else:
         raise UnsupportedMethod(
             "cutting-plane applies to multi-receiver instances only"
         )
     scheme, utility = result.scheme, result.utility
 
+    lines = [f"objective: {_rat(utility)}"] + extra
+    if isinstance(scheme, OrbitScheme):
+        persuasive = model.orbit_is_persuasive(inst, scheme)
+        lines.append(
+            "scheme, per multiset of types (some action of each type, "
+            "uniform over that type's actions):"
+        )
+        for counts, row in zip(scheme.orbits, scheme.distribution):
+            multiset = ", ".join(f"{t}: {m}" for t, m in enumerate(counts) if m)
+            parts = [
+                f"type {t} w.p. {format_rational(p)}" for t, p in enumerate(row) if p
+            ]
+            lines.append(f"  types {{{multiset}}}: " + ", ".join(parts))
+    else:
+        persuasive = model.is_persuasive(inst, scheme)
+        lines.append("scheme:")
+        for t, row in enumerate(scheme.distribution):
+            parts = [
+                f"action {i} w.p. {format_rational(p)}"
+                for i, p in enumerate(row)
+                if p
+            ]
+            lines.append(f"  state {t}: " + ", ".join(parts))
     flags = {
-        "persuasive": model.is_persuasive(inst, scheme),
+        "persuasive": persuasive,
         "budget_balanced": sum(scheme.payments, Fraction(0)) == 0,
     }
-
-    lines = [f"objective: {_rat(utility)}"] + extra
-    lines.append("scheme:")
-    for t, row in enumerate(scheme.distribution):
-        parts = [
-            f"action {i} w.p. {format_rational(p)}"
-            for i, p in enumerate(row)
-            if p
-        ]
-        lines.append(f"  state {t}: " + ", ".join(parts))
     if any(scheme.payments):
         rendered = ", ".join(
             f"P({i})={format_rational(p)}" for i, p in enumerate(scheme.payments)
         )
         lines.append(f"expected payments: {rendered}")
         try:
-            per = model.per_recommendation_payments(inst, scheme)
+            if isinstance(scheme, OrbitScheme):
+                # Each action is recommended with probability 1/n.
+                per = [p * inst.actions for p in scheme.payments]
+            else:
+                per = model.per_recommendation_payments(inst, scheme)
             lines.append(
                 "per-recommendation payments: "
                 + ", ".join(format_rational(p) for p in per)
@@ -406,12 +427,22 @@ def _suite_name(name: str) -> str:
     return name
 
 
-def _seed_count(text: str) -> int:
-    """The --seeds value: at least one seed, so every campaign runs."""
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
-    return count
+def _at_least(low: int):
+    """An argparse type for an int option of at least low.
+
+    Each verify option's low is the least value every campaign can draw
+    an instance from: at least one seed and one state, and at least two
+    actions, receivers and multi-receiver states.
+    """
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its errors
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,11 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="one suite of campaigns, or all (the default)",
     )
-    verify_cmd.add_argument("--seeds", type=_seed_count, default=50)
-    verify_cmd.add_argument("--max-actions", type=int, default=3)
-    verify_cmd.add_argument("--max-states", type=int, default=3)
-    verify_cmd.add_argument("--max-receivers", type=int, default=3)
-    verify_cmd.add_argument("--max-multi-states", type=int, default=6)
+    for option, low, default in (
+        ("--seeds", 1, 50),
+        ("--max-actions", 2, 3),
+        ("--max-states", 1, 3),
+        ("--max-receivers", 2, 3),
+        ("--max-multi-states", 2, 6),
+    ):
+        verify_cmd.add_argument(option, type=_at_least(low), default=default)
     verify_cmd.add_argument("--counterexample-dir", default=".")
     verify_cmd.set_defaults(func=cmd_verify)
     return parser

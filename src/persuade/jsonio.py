@@ -8,7 +8,9 @@ draws (iid marginal or explicit joint), and "multi" for binary-action
 multi-receiver instances whose vectors are indexed by subset bitmask
 with receiver 0 at the least significant bit.  Scheme documents mirror
 the corresponding scheme records plus a sender_utility field and a
-dual section, and round-trip losslessly.
+dual section, and round-trip losslessly: "single_scheme" per state,
+"orbit_scheme" per multiset of types (model.OrbitScheme: "orbits" holds
+each multiset as an integer count per type) and "multi_scheme".
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .model import (
     MultiAgentInstance,
     MultiAgentScheme,
     MultiState,
+    OrbitScheme,
     PaymentModel,
     PersuasionInstance,
     SignalingScheme,
@@ -32,7 +35,7 @@ from .model import (
 from .rationals import format_rational, parse_rational
 
 Instance = PersuasionInstance | TypedInstance | MultiAgentInstance
-Scheme = SignalingScheme | MultiAgentScheme
+Scheme = SignalingScheme | OrbitScheme | MultiAgentScheme
 
 
 def _fail(message: str) -> ValidationFailed:
@@ -244,6 +247,13 @@ def scheme_to_json(
             "distribution": [_strings(row) for row in scheme.distribution],
             "payments": _strings(scheme.payments),
         }
+    elif isinstance(scheme, OrbitScheme):
+        doc = {
+            "kind": "orbit_scheme",
+            "orbits": [list(counts) for counts in scheme.orbits],
+            "distribution": [_strings(row) for row in scheme.distribution],
+            "payments": _strings(scheme.payments),
+        }
     elif isinstance(scheme, MultiAgentScheme):
         doc = {
             "kind": "multi_scheme",
@@ -273,6 +283,16 @@ def scheme_from_json(data: dict) -> Scheme:
     kind = data.get("kind")
     if kind == "single_scheme":
         return SignalingScheme(
+            distribution=_rows(data),
+            payments=_vector(_require(data, "payments")),
+        )
+    if kind == "orbit_scheme":
+        orbits = _array(_require(data, "orbits"), "orbits")
+        return OrbitScheme(
+            orbits=tuple(
+                tuple(_integer(m, "orbit count") for m in _array(row, "orbit"))
+                for row in orbits
+            ),
             distribution=_rows(data),
             payments=_vector(_require(data, "payments")),
         )

@@ -29,6 +29,9 @@ only the problem and the claimed pair, never the tableau or solve()'s
 row scaling, so it trusts nothing the solver did.
 certified_solve() is the one boundary the package solves through: it
 returns an optimum whose certificate holds or raises CertificateFailed.
+That holds for a quotient LP too, such as the orbit LP of a symmetric
+instance, whose certificate lifts to one of the full LP without the
+full LP being built (see single._solve_orbits).
 check_fast_path() checks a closed-form answer with its own dual, lifted
 to the full problem, solves only where that dual fails, and returns the
 pair that certified;

@@ -115,6 +115,11 @@ class TypedInstance:
         """expand_typed(self), built on first use and kept with the instance."""
         return expand_typed(self)
 
+    @functools.cached_property
+    def iid_orbits(self) -> tuple:
+        """_iid_orbits(self), built on first use and kept with the instance."""
+        return _iid_orbits(self)
+
 
 @record
 class SignalingScheme:
@@ -125,6 +130,23 @@ class SignalingScheme:
     attached to recommendation i (positive means sender pays receiver).
     """
 
+    distribution: tuple
+    payments: tuple
+
+
+@record
+class OrbitScheme:
+    """A scheme of an iid typed instance that treats the actions alike.
+
+    The states are grouped by their multiset of types, and orbits[o]
+    gives orbit o's as a count per type; a type whose payoffs equal an
+    earlier type's counts as that earlier type.  distribution[o][tau] is
+    the probability, in any state of orbit o, of recommending some
+    action of type tau, spread uniformly over the actions of that type;
+    payments[i] is as in SignalingScheme.
+    """
+
+    orbits: tuple
     distribution: tuple
     payments: tuple
 
@@ -415,16 +437,8 @@ def expand_typed(instance: TypedInstance) -> PersuasionInstance:
     ensure_valid(instance)
     n = instance.actions
     limit = size_limit()
-    if instance.iid_marginal is not None:
-        k = len(instance.types)
-        # k**n profiles; past limit.bit_length() actions 2**n alone
-        # exceeds the limit, so the exponent is clipped there.
-        profiles = k ** min(n, limit.bit_length())
-        count = f"{k}**{n}"
-    else:
-        profiles = len(instance.joint)
-        count = str(profiles)
-    if n * profiles > limit:
+    columns, count = _expanded_columns(instance, limit)
+    if columns > limit:
         raise SizeLimitExceeded(
             f"{n} actions times {count} type profiles exceed the configured "
             f"limit of {limit} scheme columns"
@@ -442,6 +456,121 @@ def expand_typed(instance: TypedInstance) -> PersuasionInstance:
     return PersuasionInstance(
         actions=n, states=tuple(states), default_model=instance.default_model
     )
+
+
+def _expanded_columns(instance: TypedInstance, limit: int) -> tuple:
+    """The expanded LP's scheme columns, exact up to past limit, and a
+    text counting its profiles."""
+    n = instance.actions
+    if instance.iid_marginal is not None:
+        k = len(instance.types)
+        # k**n profiles; past limit.bit_length() actions 2**n alone
+        # exceeds the limit, so the exponent is clipped there.
+        return n * k ** min(n, limit.bit_length()), f"{k}**{n}"
+    return n * len(instance.joint), str(len(instance.joint))
+
+
+def expands_within_limit(instance: TypedInstance) -> bool:
+    """Whether expand_typed(instance) stays within size_limit().
+
+    Validates the instance first, and raises ValidationFailed as
+    expand_typed does; enumerates nothing.
+    """
+    ensure_valid(instance)
+    limit = size_limit()
+    return _expanded_columns(instance, limit)[0] <= limit
+
+
+def _multiset_count(n: int, k: int, limit: int) -> int:
+    """C(n + k - 1, k - 1), the multisets of n out of k types, exact up
+    to the first value past limit."""
+    count = 1
+    for i in range(1, k):
+        count = count * (n + i) // i  # C(n + i, i), growing with i
+        if count > limit:
+            break
+    return count
+
+
+def _iid_orbits(instance: TypedInstance) -> tuple:
+    """The orbits of an iid instance's states, without expanding it.
+
+    Returns (types, coding).  coding is the OrbitCoding that
+    expand_typed(instance).coding.orbits gives, equal to it field for
+    field: one orbit per multiset of payoff pairs, in the order
+    expand_typed's profiles first reach them, with mass multinomial(n;
+    m) * prod q_tau**m_tau in ints over the same unit.  types[o][j] is
+    the type of coding.counts[o][j]'s pair, the lowest-indexed type with
+    those payoffs: types with equal payoffs are merged into it.
+
+    Validates the instance, and raises SizeLimitExceeded, before
+    anything is enumerated, when the multisets of types, C(n+k-1, k-1),
+    or the orbit LP's columns exceed size_limit().
+    """
+    ensure_valid(instance)
+    if instance.iid_marginal is None:
+        raise ValueError("iid_orbits needs an iid prior")
+    n, types = instance.actions, instance.types
+    k = len(types)
+    limit = size_limit()
+    first: dict = {}
+    merged = [first.setdefault((t.sender, t.receiver), i) for i, t in enumerate(types)]
+    classes = len(first)
+    multisets = _multiset_count(n, k, limit)
+    if multisets > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions over {k} iid types give C({n + k - 1}, {k - 1}) type "
+            f"multisets, over the configured limit of {limit} scheme columns"
+        )
+    # An orbit with j distinct pairs has j columns, and C(c, j) * C(n-1,
+    # j-1) of the orbits over c distinct pairs have j.
+    columns = sum(
+        j * math.comb(classes, j) * math.comb(n - 1, j - 1)
+        for j in range(1, min(n, classes) + 1)
+    )
+    if columns > limit:
+        raise SizeLimitExceeded(
+            f"{n} actions over {k} iid types give {columns} orbit LP columns, "
+            f"over the configured limit of {limit} scheme columns"
+        )
+
+    # A profile's probability depends only on its multiset of types, and
+    # expand_typed's E is the lcm of their denominators.
+    q = instance.iid_marginal
+    weight: dict = {}
+    dens = set()
+    for combo in itertools.combinations_with_replacement(range(k), n):
+        prob = ONE
+        profiles = math.factorial(n)
+        for ty, run in itertools.groupby(combo):
+            m = len(list(run))
+            prob *= q[ty] ** m
+            profiles //= math.factorial(m)
+        dens.add(prob.denominator)
+        key = tuple(sorted([merged[ty] for ty in combo]))
+        weight.setdefault(key, []).append((profiles, prob))
+    e = math.lcm(*dens)
+    d = math.lcm(*{v.denominator for t in types for v in (t.sender, t.receiver)})
+    pair = list(
+        zip(_ints([t.sender for t in types], d), _ints([t.receiver for t in types], d))
+    )
+
+    # A profile's multiset of merged types is first reached at its sorted
+    # self, so the orbits come in sorted order of those multisets.
+    of_types, counts, mass = [], [], []
+    for key in itertools.combinations_with_replacement(sorted(first.values()), n):
+        present = sorted(collections.Counter(key).items(), key=lambda c: pair[c[0]])
+        of_types.append(tuple([ty for ty, _ in present]))
+        counts.append(tuple([(pair[ty], m) for ty, m in present]))
+        mass.append(
+            sum(
+                [p * prob.numerator * (e // prob.denominator) for p, prob in weight[key]]
+            )
+        )
+    coding = OrbitCoding(
+        actions=n, counts=tuple(counts), mass=tuple(mass), unit=e * d
+    )
+    return tuple(of_types), coding
 
 
 def _profile_state(instance: TypedInstance, profile, prob) -> State:
@@ -488,13 +617,11 @@ class SingleCoding:
 
     @functools.cached_property
     def orbits(self) -> tuple:
-        """The states grouped by permuting actions: (of, counts, mass).
+        """The states grouped by permuting actions: (of, OrbitCoding).
 
         A state's orbit is its sorted tuple of per-action (sender,
-        receiver) int pairs.  of[t] is state t's orbit, numbered in order
-        of first appearance; counts[o] holds orbit o's distinct pairs,
-        sorted, each with its multiplicity, as ((pair, m), ...); mass[o]
-        is the sum of its states' masses.  Built on first use and kept.
+        receiver) int pairs, numbered in order of first appearance, and
+        of[t] is state t's.  Built on first use and kept.
         """
         index: dict = {}
         of, counts, mass = [], [], []
@@ -507,7 +634,10 @@ class SingleCoding:
                 mass.append(0)
             of.append(o)
             mass[o] += m
-        return tuple(of), tuple(counts), tuple(mass)
+        coding = OrbitCoding(
+            actions=self.actions, counts=tuple(counts), mass=tuple(mass), unit=self.unit
+        )
+        return tuple(of), coding
 
     @functools.cached_property
     def symmetric(self) -> bool:
@@ -520,7 +650,8 @@ class SingleCoding:
         the orbit's size, n! / prod(m!) keys with m running over the
         multiplicities of its pairs: the keys present then fill the orbit.
         """
-        of, counts, orbit_mass = self.orbits
+        of, orbits = self.orbits
+        counts, orbit_mass = orbits.counts, orbits.mass
         base: dict = {}
         for o, mass, sender, receiver in zip(of, self.mass, self.sender, self.receiver):
             if mass:
@@ -537,6 +668,23 @@ class SingleCoding:
             if mass * size != orbit_mass[o]:
                 return False
         return True
+
+
+@record
+class OrbitCoding:
+    """The orbits of a single-receiver instance's states under permuting
+    the actions, in ints over one common denominator.
+
+    counts[o] holds orbit o's distinct per-action (sender, receiver)
+    pairs, sorted, each with its multiplicity, as ((pair, m), ...), and
+    mass[o] is the orbit's probability; pairs and masses are the ints of
+    the instance's SingleCoding, over the same unit.
+    """
+
+    actions: int
+    counts: tuple
+    mass: tuple
+    unit: int
 
 
 @record
@@ -673,6 +821,40 @@ def is_persuasive(instance: PersuasionInstance, scheme: SignalingScheme) -> bool
         return True
     thresholds = payment_thresholds(instance, scheme.distribution)
     return all(p >= t for p, t in zip(scheme.payments, thresholds, strict=True))
+
+
+def orbit_is_persuasive(instance: TypedInstance, scheme: OrbitScheme) -> bool:
+    """is_persuasive for a scheme in orbit form of an iid instance.
+
+    The scheme treats the actions alike, so the receiver's side of every
+    follow row i -> j is one value: the sum over orbits of the orbit's
+    probability times sum_tau y[tau] * (n * r_tau - R), R the orbit's
+    total receiver payoff, divided by n(n-1).  The scheme is persuasive
+    iff that value plus the least payment is >= 0.  An orbit's
+    probability is multinomial(n; m) * prod Q_tau**m_tau, where Q_tau is
+    the marginal of type tau plus those of the later types it merges.
+    """
+    n = instance.actions
+    if n == 1:
+        return True
+    types = instance.types
+    first: dict = {}
+    share = [ZERO] * len(types)
+    for i, (t, q) in enumerate(zip(types, instance.iid_marginal)):
+        share[first.setdefault((t.sender, t.receiver), i)] += q
+    total = ZERO
+    for counts, row in zip(scheme.orbits, scheme.distribution, strict=True):
+        prob = Fraction(math.factorial(n))
+        receiver = ZERO
+        for ty, m in enumerate(counts):
+            if m:
+                prob *= share[ty] ** m / math.factorial(m)
+                receiver += m * types[ty].receiver
+        total += prob * sum(
+            (p * (n * types[ty].receiver - receiver) for ty, p in enumerate(row) if p),
+            ZERO,
+        )
+    return total / (n * (n - 1)) + min(scheme.payments) >= 0
 
 
 def sender_utility(instance: PersuasionInstance, scheme: SignalingScheme) -> Fraction:

@@ -256,14 +256,9 @@ def oracle_objective(
     return total
 
 
-def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
-    """Exhaustive argmax over all subsets, smallest bitmask on ties.
-
-    Returns a callable taking a state index and non-negative receiver
-    weights and producing (best set, exact objective value).  Scaling
-    all weights and the sender payoff by a common positive factor
-    leaves the returned set unchanged.
-    """
+def _require_size(instance: MultiAgentInstance) -> None:
+    """Validate the instance and raise SizeLimitExceeded, before it is
+    coded, when its subsets exceed model.size_limit()."""
     model.ensure_valid(instance)
     nsub = instance.num_subsets
     limit = model.size_limit()
@@ -272,6 +267,17 @@ def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
             f"{nsub} subsets exceed the configured limit {limit}"
         )
 
+
+def brute_force_oracle(instance: MultiAgentInstance) -> SetFunctionOracle:
+    """Exhaustive argmax over all subsets, smallest bitmask on ties.
+
+    Returns a callable taking a state index and non-negative receiver
+    weights and producing (best set, exact objective value).  Scaling
+    all weights and the sender payoff by a common positive factor
+    leaves the returned set unchanged.
+    """
+    _require_size(instance)
+    nsub = instance.num_subsets
     code = instance.coding
 
     def query(theta: int, alpha: Sequence[Fraction]) -> tuple:
@@ -360,10 +366,12 @@ def cutting_plane_solve(
     its LP dual), then repaired into a solution of the full program.
     The final multipliers are checked against every subset row
     exhaustively; any violation there, or an oracle value that
-    disagrees with direct evaluation, raises OracleUnsound.
+    disagrees with direct evaluation, raises OracleUnsound.  The
+    instance is validated and sized first, whatever the oracle, since
+    that check enumerates every (state, subset) row.
     """
+    _require_size(instance)
     if oracle is None:
-        # Validates and sizes the instance before anything codes it.
         oracle = brute_force_oracle(instance)
     _require_reducible(instance)
     n, m = instance.receivers, instance.num_states

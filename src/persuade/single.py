@@ -11,9 +11,9 @@ The follow rows' dual multipliers reweight the receiver's payoff into a
 dual-adjusted payoff; at an optimal dual the optimal scheme recommends,
 in every state, only actions maximizing sender payoff plus dual-adjusted
 payoff.  Every answer of solve_optimal carries a certificate of the
-full LP, and that certificate already implies the condition: the
-follow rows' duals are -lambda, so a column's reduced cost is its
-state's mass times the
+full LP, directly or through the orbit LP's (below), and that
+certificate already implies the condition: the follow rows' duals are
+-lambda, so a column's reduced cost is its state's mass times the
 action's sender plus dual-adjusted payoff, less the state's simplex
 dual; the certificate makes it at most 0 everywhere and 0 wherever the
 scheme recommends, and makes every priced follow row tight.
@@ -23,10 +23,12 @@ dual matrix, in ints on the instance's coding.
 For action-symmetric instances the dual collapses to a single scalar
 lambda, and the LP collapses the same way: averaging an optimal scheme
 over the permutations of the actions keeps it optimal, so solve_optimal
-solves a symmetric typed instance on its orbit LP (one column per
-distinct payoff pair in each orbit of states, one follow row) and
-certifies the lifted optimum, scheme and scalar dual, on the full LP;
-any other instance it solves on the full LP through lp.certified_solve.
+solves and certifies a symmetric typed instance on its orbit LP (one
+column per distinct payoff pair in each orbit of states, one follow
+row), whose certificate lifts to the full LP's, and writes its scheme
+per state or, for an iid instance past the cap of its expansion, per
+multiset of types (OrbitScheme); any other instance it solves on the
+full LP.  Both go through lp.certified_solve.
 The optimizer of sender payoff + n*lambda*receiver payoff
 (ties uniform) is optimal: at the smallest persuasive lambda for the
 no-payment model, and at lambda = 1/(n-1) with threshold payments for
@@ -51,13 +53,14 @@ from math import lcm
 from . import lp, model
 from ._record import record, replace
 from .errors import (
-    CertificateFailed,
     CharacterizationMismatch,
     NotSymmetric,
     SizeLimitExceeded,
     WrongActionCount,
 )
 from .model import (
+    OrbitCoding,
+    OrbitScheme,
     PaymentModel,
     PersuasionInstance,
     SignalingScheme,
@@ -87,11 +90,18 @@ class SingleDual:
 
 @record
 class SingleResult:
-    """A solved single-receiver instance under one payment model."""
+    """A solved single-receiver instance under one payment model.
 
-    instance: PersuasionInstance
+    problem and solution are the LP solve_optimal solved and its
+    certified optimum: build_lp's LP, or the orbit LP of a symmetric
+    typed instance (see solve_optimal).  instance is the instance solved
+    explicitly, or the TypedInstance itself where the scheme is an
+    OrbitScheme.
+    """
+
+    instance: PersuasionInstance | TypedInstance
     payment_model: PaymentModel
-    scheme: SignalingScheme
+    scheme: SignalingScheme | OrbitScheme
     utility: Fraction
     dual: SingleDual | None
     problem: lp.LpProblem | None = None
@@ -133,6 +143,14 @@ def _require_size(n: int, m: int) -> None:
             f"{n} actions times {m} states exceed the configured limit of "
             f"{limit} scheme columns"
         )
+    _require_follow_rows(n)
+
+
+def _require_follow_rows(n: int) -> None:
+    """Raise SizeLimitExceeded when n actions' n(n-1) follow rows, or the
+    off-diagonal entries of their multiplier matrix, exceed
+    model.size_limit()."""
+    limit = model.size_limit()
     if n * (n - 1) > limit:
         raise SizeLimitExceeded(
             f"{n} actions give {n * (n - 1)} follow rows, over the configured "
@@ -240,11 +258,18 @@ def solve_optimal(
     """Solve the LP to exact optimality and attach the certified dual.
 
     A typed instance with n >= 2 actions and a symmetric prior is solved
-    on its orbit LP (see _solve_orbits), and its answer is certified on
-    build_lp's full LP; any other instance is solved on the full LP.
-    Either way problem is the full LP and solution the pair that
-    certified on it.
+    and certified on its orbit LP (see _solve_orbits), whose certificate
+    is one of build_lp's full LP, which is never built; any other
+    instance is solved on the full LP.  problem and solution are the LP
+    solved and its certified optimum.  An iid typed instance past the
+    size cap of its expansion (model.expands_within_limit) gets its
+    scheme as an OrbitScheme, and is never expanded; every other
+    instance gets a scheme per state of its explicit instance.
     """
+    typed = isinstance(instance, TypedInstance)
+    iid = typed and instance.iid_marginal is not None
+    if iid and not model.expands_within_limit(instance) and instance.actions >= 2:
+        return _solve_orbit_form(instance, payment_model)
     inst = _as_instance(instance)
     n, m = inst.actions, inst.num_states
     if n == 1 and payment_model is PaymentModel.ARBITRARY:
@@ -253,27 +278,96 @@ def solve_optimal(
         raise WrongActionCount(
             "free payments are unbounded with a single action"
         )
-    if isinstance(instance, TypedInstance) and n >= 2 and model.is_symmetric(instance):
-        problem, solution = _solve_orbits(inst, payment_model)
+    if typed and n >= 2 and model.is_symmetric(instance):
+        of, own = inst.coding.orbits
+        orbits = instance.iid_orbits[1] if iid else own
+        problem, solution = _solve_orbits(orbits, payment_model)
+        # Each orbit's shares, per pair, spread over the pair's actions.
+        shares = [
+            {pair: p if mult == 1 else p / mult for (pair, mult), p in zip(pairs, y)}
+            for pairs, y in zip(orbits.counts, _orbit_rows(orbits, solution))
+        ]
+        code = inst.coding
+        distribution = tuple(
+            [
+                tuple([shares[o][pair] for pair in zip(sender, receiver)])
+                for o, sender, receiver in zip(of, code.sender, code.receiver)
+            ]
+        )
+        payments = _orbit_payments(orbits, solution)
+        dual = _constant_dual(n, -solution.dual[0])
     else:
         problem = build_lp(inst, payment_model)
         solution = lp.certified_solve(problem)
-
-    # build_lp's columns: the scheme row by row, then the payments.
-    primal = solution.primal
-    distribution = tuple([primal[k : k + n] for k in range(0, n * m, n)])
-    if payment_model is PaymentModel.ZERO:
-        payments = (ZERO,) * n
-    else:
-        payments = primal[n * m : n * m + n]
-    scheme = SignalingScheme(distribution=distribution, payments=payments)
+        # build_lp's columns: the scheme row by row, then the payments.
+        primal = solution.primal
+        distribution = tuple([primal[k : k + n] for k in range(0, n * m, n)])
+        if payment_model is PaymentModel.ZERO:
+            payments = (ZERO,) * n
+        else:
+            payments = primal[n * m : n * m + n]
+        dual = _follow_dual(n, solution.dual)
 
     return SingleResult(
         instance=inst,
         payment_model=payment_model,
+        scheme=SignalingScheme(distribution=distribution, payments=payments),
+        utility=solution.objective,
+        dual=dual,
+        problem=problem,
+        solution=solution,
+    )
+
+
+def _orbit_rows(orbits: OrbitCoding, solution: lp.LpSolution) -> list:
+    """The orbit LP's scheme columns, one tuple per orbit."""
+    rows, k = [], 0
+    for pairs in orbits.counts:
+        rows.append(solution.primal[k : k + len(pairs)])
+        k += len(pairs)
+    return rows
+
+
+def _orbit_payments(orbits: OrbitCoding, solution: lp.LpSolution) -> tuple:
+    """Every action's payment: the orbit LP's payment column, if it has one."""
+    y = solution.primal
+    k = sum([len(pairs) for pairs in orbits.counts])
+    return (y[k] if k < len(y) else ZERO,) * orbits.actions
+
+
+def _solve_orbit_form(
+    typed: TypedInstance, payment_model: PaymentModel
+) -> SingleResult:
+    """solve_optimal on an iid instance with n >= 2 past its expansion's
+    cap: the orbit LP's optimum as an OrbitScheme.
+
+    Sized before anything is enumerated: the follow rows (their
+    multipliers are the result's dual matrix), then the orbits
+    (TypedInstance.iid_orbits).
+    """
+    n = typed.actions
+    _require_follow_rows(n)
+    types, orbits = typed.iid_orbits
+    problem, solution = _solve_orbits(orbits, payment_model)
+    orbit_counts, distribution = [], []
+    for present, pairs, y in zip(types, orbits.counts, _orbit_rows(orbits, solution)):
+        counts = [0] * len(typed.types)
+        row = [ZERO] * len(typed.types)
+        for ty, (_, m), p in zip(present, pairs, y):
+            counts[ty], row[ty] = m, p
+        orbit_counts.append(tuple(counts))
+        distribution.append(tuple(row))
+    scheme = OrbitScheme(
+        orbits=tuple(orbit_counts),
+        distribution=tuple(distribution),
+        payments=_orbit_payments(orbits, solution),
+    )
+    return SingleResult(
+        instance=typed,
+        payment_model=payment_model,
         scheme=scheme,
         utility=solution.objective,
-        dual=_follow_dual(n, solution.dual),
+        dual=_constant_dual(n, -solution.dual[0]),
         problem=problem,
         solution=solution,
     )
@@ -296,14 +390,14 @@ def _follow_dual(n: int, duals) -> SingleDual:
     )
 
 
-def _orbit_lp(code: SingleCoding, payment_model: PaymentModel) -> lp.LpProblem:
+def _orbit_lp(code: OrbitCoding, payment_model: PaymentModel) -> lp.LpProblem:
     """The LP over the symmetric schemes of a symmetric instance.
 
     A scheme that treats the actions alike is fixed, in each orbit of
-    states (code.orbits), by y[o][tau]: the probability that some action
-    of (sender, receiver) pair tau is recommended.  Column y[o][tau], in
-    the order of code.orbits, has objective mu_o * s_tau; one convexity
-    row per orbit sums them to 1; and the one follow row is the sum of
+    states, by y[o][tau]: the probability that some action of (sender,
+    receiver) pair tau is recommended.  Column y[o][tau], in the order
+    of code.counts, has objective mu_o * s_tau; one convexity row per
+    orbit sums them to 1; and the one follow row is the sum of
     build_lp's n(n-1) follow rows,
     sum mu_o * (n * r_tau - R_o) * y[o][tau] + n(n-1) * P >= 0, R_o the
     sum of the orbit's receiver payoffs.  The payment P of each action is
@@ -312,11 +406,10 @@ def _orbit_lp(code: SingleCoding, payment_model: PaymentModel) -> lp.LpProblem:
     arbitrary ones, with objective -n.  Stated in ints over code.unit.
     """
     n, unit = code.actions, code.unit
-    _, counts, mass = code.orbits
     objective: list = []
     follow: list = []
     rows = []
-    for o, (pairs, mu) in enumerate(zip(counts, mass)):
+    for o, (pairs, mu) in enumerate(zip(code.counts, code.mass)):
         total = sum([m * r for (_, r), m in pairs])
         first = len(objective)
         for j, ((s, r), _) in enumerate(pairs, first):
@@ -345,57 +438,33 @@ def _orbit_lp(code: SingleCoding, payment_model: PaymentModel) -> lp.LpProblem:
     )
 
 
-def _solve_orbits(inst: PersuasionInstance, payment_model: PaymentModel) -> tuple:
-    """solve_optimal on a symmetric instance with n >= 2: (full LP, certified pair).
+def _solve_orbits(code: OrbitCoding, payment_model: PaymentModel) -> tuple:
+    """The orbit LP (_orbit_lp) of a symmetric instance with n >= 2, and
+    its optimum, certified on it by lp.certified_solve.
 
     Averaging an optimal scheme over the permutations of the actions
-    keeps it optimal, so the orbit LP (_orbit_lp) has the full LP's
-    optimum.  Its optimal pair is lifted to build_lp's LP.  The primal:
-    x(t, i) = y[o][tau_i] / m_tau, m_tau the multiplicity of pair tau_i
-    in state t, and P on every payment column.  The dual: lambda, the
-    paper's scalar and minus the follow row's dual, as every follow
-    multiplier, and mass_t / mu_o times orbit o's row dual on state t's
-    simplex row, which at an orbit optimum is lift's mass_t * max_i
-    (s_i + lambda * (n r_i - R_o)); _claim writes both.  The lifted
-    pair is checked on the full LP by lp.check_fast_path, which solves
-    it only where the pair fails; the pair returned counts the orbit
-    LP's pivots.
+    keeps it optimal, so the orbit LP has the full LP's optimum, and
+    its certificate is one of build_lp's LP (symmetry in LPs: Bödi,
+    Herr and Joswig, Math. Program. 137, 2013; Dughmi and Xu,
+    "Algorithmic Bayesian Persuasion", STOC 2016).  Lift the optimal
+    pair: x(t, i) = y[o][tau_i] / m_tau, m_tau the multiplicity of pair
+    tau_i in state t, and P on every payment column; lambda, minus the
+    follow row's dual, on every follow row, (mu_t / mu_o) * w_o on state
+    t's simplex row, w_o orbit o's row dual, and (n-1) lambda - 1 on the
+    budget row.  Then:
+    - full column (t, i) sits in the n-1 rows i -> j, so its reduced
+      cost is mu_t / mu_o times orbit column (o, tau_i)'s;
+    - a payment column's reduced cost is the orbit P column's over n;
+    - the prior and the lifted scheme are invariant under permuting the
+      actions, and every ordered pair (i, j) lies in one orbit of S_n,
+      so every full follow row equals the orbit follow row over n(n-1);
+    - the two objective values are equal.
+    So the lifted pair is feasible, slack and tight exactly where the
+    orbit pair is, and the full LP is never built.  The solution counts
+    the orbit LP's pivots.
     """
-    code = inst.coding
-    n = code.actions
-    of, counts, mass = code.orbits
-    orbit = lp.solve(_orbit_lp(code, payment_model))
-    if orbit.status != lp.OPTIMAL:
-        raise CertificateFailed(f"orbit LP status is {orbit.status}")
-    y, (follow, *w) = orbit.primal, orbit.dual
-    shares = []
-    k = 0
-    for pairs in counts:
-        shares.append(
-            {pair: y[j] if m == 1 else y[j] / m for j, (pair, m) in enumerate(pairs, k)}
-        )
-        k += len(pairs)
-    distribution = tuple(
-        [
-            tuple([shares[o][pair] for pair in zip(sender, receiver)])
-            for o, sender, receiver in zip(of, code.sender, code.receiver)
-        ]
-    )
-    scheme = SignalingScheme(
-        distribution=distribution, payments=(y[k] if k < len(y) else ZERO,) * n
-    )
-    scale = [v / mu if mu else ZERO for v, mu in zip(w, mass)]
-    simplex = [scale[o] * m for o, m in zip(of, code.mass)]
-    problem = build_lp(inst, payment_model)
-    claim = _claim(
-        payment_model,
-        scheme,
-        orbit.objective,
-        _constant_dual(n, -follow),
-        simplex,
-        orbit.iterations,
-    )
-    return problem, lp.check_fast_path(problem, claim, "orbit LP optimum")
+    problem = _orbit_lp(code, payment_model)
+    return problem, lp.certified_solve(problem)
 
 
 def verify_support_optimality(

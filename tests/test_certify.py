@@ -179,6 +179,34 @@ def oracle_build_lp(instance, payment_model):
     return tuple(objective), tuple(free), tuple(rows)
 
 
+def certify_lifted_orbit_answer(typed, result):
+    """Lift an orbit-LP answer to build_lp's LP and certify it there.
+
+    The check that the orbit certificate cannot make: that the orbit LP
+    is the full LP's quotient.  The pair is written through
+    single._claim in build_lp's layout: the result's per-state scheme,
+    its constant multiplier on every follow row, and (mu_t / mu_o) * w_o
+    on state t's simplex row, w_o the orbit LP's row dual of state t's
+    orbit.  Returns (build_lp's LP, the claim).
+    """
+    inst = typed.expanded
+    code = inst.coding
+    of, orbits = code.orbits
+    _, *w = result.solution.dual
+    simplex = [
+        w[o] * F(mass, orbits.mass[o]) if orbits.mass[o] else ZERO
+        for o, mass in zip(of, code.mass)
+    ]
+    pm = result.payment_model
+    claim = single._claim(
+        pm, result.scheme, result.utility, result.dual, simplex,
+        result.solution.iterations,
+    )
+    problem = single.build_lp(inst, pm)
+    assert lp.certify_report(problem, claim) == []
+    return problem, claim
+
+
 # ---------------------------------------------------------------------------
 # Tampering
 

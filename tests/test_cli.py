@@ -218,7 +218,9 @@ def test_size_limit_exits_5(tmp_path, capsys, monkeypatch):
 
 
 def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
-    # 13 actions over 2 iid types: 106,496 scheme columns.
+    # 13 actions over 2 iid types: 106,496 expanded scheme columns.  The
+    # fast paths need the expansion and exit 5; lp solves the 14-orbit
+    # LP.  Neither enumerates a profile.
     typed = model.TypedInstance(
         actions=13,
         types=(
@@ -233,10 +235,49 @@ def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
         raise AssertionError("expand_typed enumerated profiles past the size cap")
 
     monkeypatch.setattr(model, "_profile_state", never_enumerate)
-    for method in ("lp", "fast"):
-        code = cli.main(["solve", path, "--model", "zero", "--method", method])
-        assert code == 5
-        assert "scheme columns" in capsys.readouterr().err
+    code = cli.main(["solve", path, "--model", "zero", "--method", "fast"])
+    assert code == 5
+    assert "scheme columns" in capsys.readouterr().err
+    assert cli.main(["solve", path, "--model", "zero", "--method", "lp"]) == 0
+    assert "dual_certified=yes" in capsys.readouterr().out
+    # Past the orbit route's own limits lp exits 5 too: 156 follow rows.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "155")
+    code = cli.main(["solve", path, "--model", "zero", "--method", "lp"])
+    assert code == 5
+    assert "156 follow rows" in capsys.readouterr().err
+
+
+def _iid_file(tmp_path, actions, types):
+    typed = model.random_instance(7, actions=actions, symmetric=True, types=types)
+    return typed, write_instance(tmp_path, typed, f"iid{actions}x{types}.json")
+
+
+@pytest.mark.parametrize("actions, types", [(6, 3), (10, 4)])
+@pytest.mark.parametrize("payment_model", cli.MODELS)
+def test_iid_lp_solves_past_the_expansion_cap(
+    tmp_path, capsys, monkeypatch, actions, types, payment_model
+):
+    # 6 x 3**6 = 4,374 and 10 x 4**10 expanded columns, over the default
+    # cap: the answer comes from the orbit LP, in orbit form.
+    def never_expand(instance):
+        raise AssertionError("expand_typed ran past the size cap")
+
+    monkeypatch.setattr(model, "expand_typed", never_expand)
+    typed, path = _iid_file(tmp_path, actions, types)
+    out = tmp_path / "scheme.json"
+    argv = ["solve", path, "--model", payment_model, "--out", str(out)]
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    assert report_line(text, "flags")["dual_certified"] == "yes"
+    assert report_line(text, "flags")["persuasive"] == "yes"
+    assert "scheme, per multiset of types" in text
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["kind"] == "orbit_scheme"
+    scheme = jsonio.scheme_from_json(doc)
+    result = single.solve_optimal(typed, model.PaymentModel.from_name(payment_model))
+    assert scheme == result.scheme
+    assert doc["sender_utility"] == format(result.utility)
+    assert doc["dual"]["symmetric_lambda"] == format(result.dual.symmetric_value)
 
 
 def test_explicit_single_size_limit_exits_5(tmp_path, capsys, monkeypatch):
@@ -434,6 +475,29 @@ def test_seed_count_below_one_is_a_usage_error(capsys, monkeypatch, seeds):
     monkeypatch.setattr(verify, "run_all", never_run)
     assert cli.main(["verify", "--seeds", seeds]) == 2
     assert f"must be at least 1, got {seeds}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value, least",
+    [
+        ("--max-states", "0", 1),
+        ("--max-actions", "1", 2),
+        ("--max-actions", "0", 2),
+        ("--max-receivers", "0", 2),
+        ("--max-multi-states", "-1", 2),
+    ],
+)
+def test_verify_size_below_its_least_is_a_usage_error(
+    capsys, monkeypatch, option, value, least
+):
+    # Below these a campaign draws no instance (a traceback) or one of a
+    # size nobody asked for (a pass).
+    def never_run(*args, **kwargs):
+        raise AssertionError("a campaign ran on sizes below their least")
+
+    monkeypatch.setattr(verify, "run_all", never_run)
+    assert cli.main(["verify", option, value]) == 2
+    assert f"must be at least {least}, got {value}" in capsys.readouterr().err
 
 
 def test_iteration_limit_exits_6(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from persuade import cli, examples, jsonio, model
 from persuade.errors import MalformedRational, PersuadeError, ValidationFailed
-from persuade.model import MultiAgentScheme, SignalingScheme
+from persuade.model import MultiAgentScheme, OrbitScheme, SignalingScheme
 
 
 def roundtrip(instance):
@@ -171,6 +171,30 @@ _junk = st.one_of(
 )
 
 
+ORBIT_SCHEME = OrbitScheme(
+    orbits=((3, 0), (2, 1), (1, 2), (0, 3)),
+    distribution=((F(1), F(0)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2)), (F(0), F(1))),
+    payments=(F(-1, 6),) * 3,
+)
+
+
+def test_orbit_scheme_documents_roundtrip():
+    doc = jsonio.scheme_to_json(
+        ORBIT_SCHEME, sender_utility=F(1, 2), dual={"symmetric_lambda": "1/2"}
+    )
+    assert doc["kind"] == "orbit_scheme"
+    assert doc["orbits"][1] == [2, 1]
+    assert jsonio.scheme_from_json(json.loads(json.dumps(doc))) == ORBIT_SCHEME
+
+
+def _orbit_scheme_documents():
+    return [
+        jsonio.scheme_to_json(
+            ORBIT_SCHEME, sender_utility=F(1, 2), dual={"symmetric_lambda": "1/2"}
+        )
+    ]
+
+
 def _scheme_documents():
     single_scheme = SignalingScheme(
         distribution=((F(1), F(0)), (F(1, 2), F(1, 2))),
@@ -255,6 +279,19 @@ def test_malformed_scheme_documents_raise_typed_errors(doc):
     else:
         vectors = (scheme.q_one, scheme.q_zero)
     assert all(type(v) is F for vector in (*rows, *vectors) for v in vector)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_malformed_document(_orbit_scheme_documents()))
+def test_malformed_orbit_scheme_documents_raise_typed_errors(doc):
+    try:
+        scheme = jsonio.scheme_from_json(doc)
+    except PersuadeError:
+        return
+    assert isinstance(scheme, OrbitScheme)
+    assert all(type(m) is int for counts in scheme.orbits for m in counts)
+    rows = (*scheme.distribution, scheme.payments)
+    assert all(type(v) is F for row in rows for v in row)
 
 
 def test_cli_solve_maps_malformed_documents_to_exit_codes():

@@ -173,6 +173,77 @@ def test_typed_expansion_is_capped_before_enumerating(monkeypatch):
     assert model.expand_typed(iid).num_states == 8
 
 
+def _iid_cases():
+    """iid instances of 1-5 actions and 1-4 types, with types of equal
+    payoffs and types of zero mass among them."""
+    for actions, types in itertools.product(range(1, 6), range(1, 5)):
+        if actions * types**actions > model.DEFAULT_SIZE_LIMIT:
+            continue
+        for seed in range(1, 6):
+            typed = model.random_instance(
+                seed, actions=actions, symmetric=True, types=types
+            )
+            yield typed
+            if types >= 2:
+                # The last type repeats the first's payoffs; the second
+                # gets no mass.
+                same = typed.types[:-1] + (typed.types[0],)
+                marginal = list(typed.iid_marginal)
+                marginal[0] += marginal[1]
+                marginal[1] = F(0)
+                yield TypedInstance(
+                    actions=actions, types=same, iid_marginal=tuple(marginal)
+                )
+
+
+def test_iid_orbits_are_the_expansions_orbits():
+    # Built without expanding, the orbit coding equals the expanded
+    # coding's, field for field, so both state the same orbit LP; each
+    # orbit's types carry its pairs.
+    for typed in _iid_cases():
+        types, coding = typed.iid_orbits
+        assert coding == typed.expanded.coding.orbits[1]
+        for present, pairs in zip(types, coding.counts, strict=True):
+            assert len(present) == len(pairs)
+            for ty, ((s, r), _) in zip(present, pairs):
+                t = typed.types[ty]
+                assert s * t.receiver == r * t.sender
+                assert ty == min(
+                    i
+                    for i, u in enumerate(typed.types)
+                    if (u.sender, u.receiver) == (t.sender, t.receiver)
+                )
+
+
+def test_iid_orbits_are_sized_before_enumerating(monkeypatch):
+    def never(*args):
+        raise AssertionError("orbits enumerated past the size cap")
+
+    types = tuple(ActionType(sender=F(i), receiver=F(-i)) for i in range(3))
+    third = (F(1, 3),) * 3
+    monkeypatch.setattr(itertools, "combinations_with_replacement", never)
+    # 10 actions over 3 types: C(12, 2) = 66 multisets, over 50.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "50")
+    many = TypedInstance(actions=10, types=types, iid_marginal=third)
+    with pytest.raises(SizeLimitExceeded, match="C\\(12, 2\\) type multisets"):
+        model._iid_orbits(many)
+    # 3 actions over 3 types: 10 multisets but 3 + 12 + 3 = 18 columns.
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "17")
+    few = TypedInstance(actions=3, types=types, iid_marginal=third)
+    with pytest.raises(SizeLimitExceeded, match="18 orbit LP columns"):
+        model._iid_orbits(few)
+    # 10**9 actions over 10**4 types: counted until past the limit.
+    huge = TypedInstance(
+        actions=10**9,
+        types=(types[0],) * 10**4,
+        iid_marginal=(F(1, 10**4),) * 10**4,
+    )
+    with pytest.raises(SizeLimitExceeded):
+        model._iid_orbits(huge)
+    monkeypatch.undo()
+    assert model._iid_orbits(few)[1].counts[0] == (((0, 0), 3),)
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
 def test_size_limit_must_be_a_positive_integer(monkeypatch, raw):
     monkeypatch.setenv(model.SIZE_LIMIT_ENV, raw)

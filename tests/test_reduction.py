@@ -394,3 +394,17 @@ def test_cutting_plane_checks_instance_preconditions():
     bad = make_instance(2, [[0, 0, 0, 1]], [[[0, 2, 0, 1], [0, 0, 1, 1]]])
     with pytest.raises(PositiveExternalityViolated):
         reduction.cutting_plane_solve(bad)
+
+
+@pytest.mark.parametrize("own_oracle", [False, True])
+def test_cutting_plane_is_sized_whatever_the_oracle(monkeypatch, own_oracle):
+    # 3 receivers: 8 subsets per state, over a limit of 4.  The final
+    # check enumerates every (state, subset) row, so a caller's oracle,
+    # built under the default limit, does not let the instance past it.
+    inst = seeded(1, 3, 2)
+    oracle = reduction.brute_force_oracle(inst) if own_oracle else None
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "4")
+    with pytest.raises(SizeLimitExceeded, match="8 subsets"):
+        reduction.cutting_plane_solve(inst, oracle)
+    monkeypatch.undo()
+    assert reduction.cutting_plane_solve(inst, oracle).objective == F(17, 3)

@@ -1,15 +1,28 @@
 """Single-receiver solver tests: LP oracle, fast paths, duality."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from persuade import examples, lp, model, single
-from persuade.errors import CertificateFailed, NotSymmetric, WrongActionCount
-from persuade.model import PaymentModel, PersuasionInstance, SignalingScheme, State
+from persuade._record import replace
+from persuade.errors import (
+    CertificateFailed,
+    NotSymmetric,
+    SizeLimitExceeded,
+    WrongActionCount,
+)
+from persuade.model import (
+    OrbitScheme,
+    PaymentModel,
+    PersuasionInstance,
+    SignalingScheme,
+    State,
+)
 
-from test_certify import oracle_dual_adjusted_payoff
+from test_certify import certify_lifted_orbit_answer, oracle_dual_adjusted_payoff
 from test_model import oracle_slack
 
 
@@ -393,22 +406,40 @@ def test_solver_is_deterministic():
 def test_claim_writes_the_layout_solve_optimal_reads(pm):
     # The encoder undoes the read-out: the scheme, the follow multipliers
     # and the solution's own simplex duals give back its primal and dual.
+    # An orbit-route answer's solution is the orbit LP's; written through
+    # the encoder with its lifted simplex duals it reads back the same
+    # scheme and multipliers, and certifies on build_lp's LP.
     explicit = model.random_instance(5, actions=3, states=4)
+    result = single.solve_optimal(explicit, pm)
+    n, m = explicit.actions, explicit.num_states
+    solution = result.solution
+    simplex = solution.dual[n * (n - 1) : n * (n - 1) + m]
+    claim = single._claim(
+        pm, result.scheme, result.utility, result.dual, simplex, solution.iterations
+    )
+    assert claim == solution
+
     typed = model.random_instance(5, actions=3, symmetric=True, types=2, joint=True)
-    for instance in (explicit, typed):
-        result = single.solve_optimal(instance, pm)
-        n, m = result.instance.actions, result.instance.num_states
-        solution = result.solution
-        simplex = solution.dual[n * (n - 1) : n * (n - 1) + m]
-        claim = single._claim(
-            pm, result.scheme, result.utility, result.dual, simplex, solution.iterations
-        )
-        assert claim == solution
+    result = single.solve_optimal(typed, pm)
+    n, m = typed.actions, typed.expanded.num_states
+    _, claim = certify_lifted_orbit_answer(typed, result)
+    primal = claim.primal
+    assert tuple(primal[k : k + n] for k in range(0, n * m, n)) == (
+        result.scheme.distribution
+    )
+    if pm is not PaymentModel.ZERO:
+        assert primal[n * m :] == result.scheme.payments
+    assert single._follow_dual(n, claim.dual) == result.dual
+    assert (claim.objective, claim.iterations) == (
+        result.utility,
+        result.solution.iterations,
+    )
 
 
 def test_solve_optimal_builds_through_build_lp(monkeypatch):
     # A wrapper on the public builder, as a tracer installs one, sees
-    # every LP solve_optimal states.
+    # every full LP solve_optimal states; the orbit route of a symmetric
+    # typed instance states the orbit LP alone, and checks no fast path.
     calls = []
     real = single.build_lp
 
@@ -416,14 +447,21 @@ def test_solve_optimal_builds_through_build_lp(monkeypatch):
         calls.append(payment_model)
         return real(instance, payment_model)
 
+    def no_fast_path(*args):
+        raise AssertionError("the orbit route checked a fast path")
+
     monkeypatch.setattr(single, "build_lp", counting)
+    monkeypatch.setattr(lp, "check_fast_path", no_fast_path)
     typed = model.random_instance(4, actions=3, symmetric=True, types=2)
-    for instance in (ZERO_SUM, typed):
-        for pm in PaymentModel:
-            calls.clear()
-            result = single.solve_optimal(instance, pm)
-            assert calls == [pm]
-            assert result.problem == real(result.instance, pm)
+    for pm in PaymentModel:
+        calls.clear()
+        result = single.solve_optimal(ZERO_SUM, pm)
+        assert calls == [pm]
+        assert result.problem == real(result.instance, pm)
+        calls.clear()
+        result = single.solve_optimal(typed, pm)
+        assert calls == []
+        assert result.problem == single._orbit_lp(typed.iid_orbits[1], pm)
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +495,22 @@ def full_solves(monkeypatch):
 
 @pytest.mark.parametrize("actions, types, joint", ORBIT_SHAPES)
 def test_orbit_route_matches_the_full_lp(full_solves, actions, types, joint):
-    # Lifted from the orbit LP, every optimum certifies on the full LP
-    # with its own dual: no full solve.
+    # The only solve is the orbit LP's, and its optimum, lifted, certifies
+    # on the full LP with its own dual.
     for seed in range(1, 41):
         typed = model.random_instance(
             seed, actions=actions, symmetric=True, types=types, joint=joint
         )
         for pm in PaymentModel:
             result = single.solve_optimal(typed, pm)
-            assert full_solves == []
+            orbits = typed.expanded.coding.orbits[1]
+            assert full_solves == [result.problem]
+            assert result.problem == single._orbit_lp(orbits, pm)
             assert result.utility == full_lp_optimum(typed, pm)
             full_solves.clear()
-            assert result.problem == single.build_lp(typed.expanded, pm)
-            assert lp.certify_report(result.problem, result.solution) == []
+            certify_lifted_orbit_answer(typed, result)
             assert model.is_persuasive(result.instance, result.scheme)
-            assert result.dual.symmetric_value is not None
+            assert result.dual.symmetric_value == -result.solution.dual[0]
 
 
 def _asymmetric_joint():
@@ -528,12 +567,123 @@ def test_orbit_route_reports_the_symmetrized_optimum():
             assert row == (dist[t][1], dist[t][0]) + dist[t][2:]
         lam = result.dual.symmetric_value
         n = inst.actions
-        assert result.solution.dual[: n * (n - 1)] == (-lam,) * (n * (n - 1))
+        assert result.solution.dual[0] == -lam
+        _, claim = certify_lifted_orbit_answer(typed, result)
+        assert claim.dual[: n * (n - 1)] == (-lam,) * (n * (n - 1))
 
 
 def test_orbit_lp_status_is_checked(monkeypatch):
     infeasible = lp.LpSolution(lp.INFEASIBLE, None, None, None, 0)
     monkeypatch.setattr(lp, "solve", lambda problem: infeasible)
     typed = model.random_instance(3, actions=3, symmetric=True)
-    with pytest.raises(CertificateFailed, match="orbit LP status is infeasible"):
+    with pytest.raises(CertificateFailed, match="status is infeasible"):
+        single.solve_optimal(typed, PaymentModel.ZERO)
+
+
+# ---------------------------------------------------------------------------
+# iid instances past the cap of their expansion: schemes in orbit form
+
+
+def per_state(typed, scheme):
+    """An OrbitScheme as a scheme over the states of typed.expanded.
+
+    Each orbit's share of a type is spread evenly over the actions of
+    that type, a type counting as the lowest-indexed type with its
+    payoffs; the states come in expand_typed's profile order.
+    """
+    first = {}
+    merged = [
+        first.setdefault((t.sender, t.receiver), i) for i, t in enumerate(typed.types)
+    ]
+    index = {counts: o for o, counts in enumerate(scheme.orbits)}
+    rows = []
+    for profile in itertools.product(range(len(typed.types)), repeat=typed.actions):
+        classes = [merged[ty] for ty in profile]
+        counts = tuple(classes.count(ty) for ty in range(len(typed.types)))
+        row = scheme.distribution[index[counts]]
+        rows.append(tuple(row[c] / counts[c] for c in classes))
+    return SignalingScheme(distribution=tuple(rows), payments=scheme.payments)
+
+
+def _past_cap(monkeypatch, typed, limit):
+    """solve_optimal's answers under every model, with the size limit at
+    limit and expand_typed refusing to run, on a fresh copy of typed."""
+
+    def never_expand(instance):
+        raise AssertionError("the orbit route expanded an iid instance past the cap")
+
+    fresh = replace(typed)  # none of typed's cached codings
+    with monkeypatch.context() as patch:
+        patch.setenv(model.SIZE_LIMIT_ENV, str(limit))
+        patch.setattr(model, "expand_typed", never_expand)
+        return fresh, {pm: single.solve_optimal(fresh, pm) for pm in PaymentModel}
+
+
+# (actions, types, size limit): the expansion is past the limit, the
+# orbit LP within it.
+PAST_CAP = ((3, 2, 20), (3, 3, 40), (4, 2, 40), (4, 3, 100))
+
+
+@pytest.mark.parametrize("actions, types, limit", PAST_CAP)
+def test_iid_past_the_cap_is_solved_in_orbit_form(monkeypatch, actions, types, limit):
+    # Past the cap the instance is never expanded, and its answer is the
+    # one below the cap: the same orbit LP pair, value and multipliers,
+    # and the per-state scheme once spread over the states.
+    for seed in range(1, 21):
+        typed = model.random_instance(
+            seed, actions=actions, symmetric=True, types=types
+        )
+        fresh, results = _past_cap(monkeypatch, typed, limit)
+        for pm, result in results.items():
+            below = single.solve_optimal(typed, pm)
+            assert result.instance is fresh
+            assert isinstance(result.scheme, OrbitScheme)
+            assert (result.utility, result.dual) == (below.utility, below.dual)
+            assert (result.problem, result.solution) == (below.problem, below.solution)
+            assert per_state(typed, result.scheme) == below.scheme
+            assert model.orbit_is_persuasive(fresh, result.scheme)
+
+
+def test_orbit_persuasiveness_matches_the_per_state_check(monkeypatch):
+    # Honest and tampered orbit-form schemes: the orbit check and
+    # model.is_persuasive on the states agree.
+    rng = random.Random(7)
+    verdicts = set()
+    for seed in range(1, 16):
+        typed = model.random_instance(seed, actions=3, symmetric=True, types=3)
+        _, results = _past_cap(monkeypatch, typed, 40)
+        for result in results.values():
+            scheme = result.scheme
+            dist = [list(row) for row in scheme.distribution]
+            o = rng.randrange(len(dist))
+            present = [ty for ty, m in enumerate(scheme.orbits[o]) if m]
+            a, b = present[0], present[-1]
+            moved = dist[o][a] / 2
+            dist[o][a] -= moved
+            dist[o][b] += moved
+            step = F(rng.choice((1, -1)), rng.choice((4, 16, 64)))
+            for candidate in (
+                scheme,
+                replace(scheme, payments=tuple(p + step for p in scheme.payments)),
+                replace(scheme, distribution=tuple(tuple(row) for row in dist)),
+            ):
+                verdict = model.orbit_is_persuasive(typed, candidate)
+                assert verdict == model.is_persuasive(
+                    typed.expanded, per_state(typed, candidate)
+                )
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_iid_past_the_cap_is_sized_before_its_orbits(monkeypatch):
+    # 5 actions over 2 types: 160 expanded columns and 20 follow rows,
+    # over a limit of 12, which the follow rows meet first.
+    typed = model.random_instance(3, actions=5, symmetric=True, types=2)
+
+    def never_enumerate(instance):
+        raise AssertionError("orbits enumerated past the size cap")
+
+    monkeypatch.setenv(model.SIZE_LIMIT_ENV, "12")
+    monkeypatch.setattr(model, "_iid_orbits", never_enumerate)
+    with pytest.raises(SizeLimitExceeded, match="follow rows"):
         single.solve_optimal(typed, PaymentModel.ZERO)
