@@ -268,7 +268,7 @@ def solve_optimal(
     """
     typed = isinstance(instance, TypedInstance)
     iid = typed and instance.iid_marginal is not None
-    if iid and not model.expands_within_limit(instance) and instance.actions >= 2:
+    if iid and instance.actions >= 2 and not model.expands_within_limit(instance):
         return _solve_orbit_form(instance, payment_model)
     inst = _as_instance(instance)
     n, m = inst.actions, inst.num_states
@@ -341,10 +341,11 @@ def _solve_orbit_form(
     """solve_optimal on an iid instance with n >= 2 past its expansion's
     cap: the orbit LP's optimum as an OrbitScheme.
 
-    Sized before anything is enumerated: the follow rows (their
-    multipliers are the result's dual matrix), then the orbits
+    Validated, then sized before anything is enumerated: the follow rows
+    (their multipliers are the result's dual matrix), then the orbits
     (TypedInstance.iid_orbits).
     """
+    model.ensure_valid(typed)
     n = typed.actions
     _require_follow_rows(n)
     types, orbits = typed.iid_orbits
