@@ -12,8 +12,9 @@ scheme.  Under the nonnegative and arbitrary models budget balance is no
 check (payments need not sum to zero there), so it is printed on a
 "properties:" line instead.  Every answer is certified once, by the
 function that makes it, and the CLI does not check it again: an LP
-answer by its certified solve, a fast-path answer by a dual checked on
-the full LP, a cutting-plane answer by its exhaustive row check.  Each
+answer by its certified solve, a fast-path answer by its own dual,
+checked on the orbit LP of a symmetric instance or on the full LP, a
+cutting-plane answer by its exhaustive row check.  Each
 raises when its certificate fails, so dual_certified reads yes on every
 report.  Each receiver kind writes its dual one way: a single-receiver
 answer its lambda matrix, a multi-receiver answer its multipliers.  Exit
@@ -21,8 +22,8 @@ codes: 0 success, 2 unreadable or invalid input (including a
 PERSUADE_SIZE_LIMIT that is not a positive integer, and a verify option
 below its least value), 3 method or model precondition unmet, 4 a
 characterization failed its check, 5 instance above the size cap (for
-an iid typed instance solved by lp, above the orbit LP's cap, since
-past its expansion's it is written in orbit form), 6 a solver exceeded its
+an iid typed instance, solved by lp or fast, above the orbit LP's cap,
+since past its expansion's it is written in orbit form), 6 a solver exceeded its
 iteration limit, 7 an answer failed its optimality certificate; "verify"
 exits 1 when any property fails.
 
@@ -113,7 +114,8 @@ def _single_fast(instance, payment_model: PaymentModel):
         sweep = single.find_lambda_star(instance)
         return sweep, [f"smallest persuasive weight: {_rat(sweep.lambda_star)}"]
     if payment_model is PaymentModel.ARBITRARY:
-        if instance.actions == 2:
+        iid = isinstance(instance, TypedInstance) and instance.iid_marginal is not None
+        if instance.actions == 2 and not iid:
             return single.canonical_two_action_scheme(instance), []
         return single.canonical_symmetric_scheme(instance), []
     if payment_model is PaymentModel.NONNEGATIVE:
@@ -137,15 +139,18 @@ def _solve_single(instance, payment_model, method):
     extra: list = []
     if method == "lp":
         result = single.solve_optimal(instance, payment_model)
-        inst = result.instance
     elif method == "fast":
         result, extra = _single_fast(instance, payment_model)
-        inst = instance.expanded if isinstance(instance, TypedInstance) else instance
     else:
         raise UnsupportedMethod(
             "cutting-plane applies to multi-receiver instances only"
         )
     scheme, utility = result.scheme, result.utility
+    # A scheme in orbit form is read on the typed instance, any other on
+    # the explicit one.
+    inst = instance
+    if isinstance(instance, TypedInstance) and not isinstance(scheme, OrbitScheme):
+        inst = instance.expanded
 
     lines = [f"objective: {_rat(utility)}"] + extra
     if isinstance(scheme, OrbitScheme):

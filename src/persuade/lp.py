@@ -32,9 +32,9 @@ returns an optimum whose certificate holds or raises CertificateFailed.
 That holds for a quotient LP too, such as the orbit LP of a symmetric
 instance, whose certificate lifts to one of the full LP without the
 full LP being built (see single._solve_orbits).
-check_fast_path() checks a closed-form answer with its own dual, lifted
-to the full problem, solves only where that dual fails, and returns the
-pair that certified;
+check_fast_path() checks a closed-form answer with its own dual, on
+the full problem or on a symmetric instance's orbit LP, solves only
+where that dual fails, and returns the pair that certified;
 require_claim() checks an answer against a dual already in hand.
 """
 

@@ -22,36 +22,41 @@ dual matrix, in ints on the instance's coding.
 
 For action-symmetric instances the dual collapses to a single scalar
 lambda, and the LP collapses the same way: averaging an optimal scheme
-over the permutations of the actions keeps it optimal, so solve_optimal
-solves and certifies a symmetric typed instance on its orbit LP (one
-column per distinct payoff pair in each orbit of states, one follow
-row), whose certificate lifts to the full LP's, and writes its scheme
-per state or, for an iid instance past the cap of its expansion, per
-multiset of types (OrbitScheme); any other instance it solves on the
-full LP.  Both go through lp.certified_solve.
+over the permutations of the actions keeps it optimal.  So every
+symmetric answer, LP or closed form, is computed on the orbits of the
+states (_orbits: one column per distinct payoff pair in each orbit),
+certified on the orbit LP (one follow row), whose certificate lifts to
+the full LP's, and written by one writer (_write): per state or, for an
+iid instance past the cap of its expansion, per multiset of types
+(OrbitScheme).  solve_optimal solves a symmetric typed instance there
+and any other instance on the full LP, both through lp.certified_solve.
 The optimizer of sender payoff + n*lambda*receiver payoff
 (ties uniform) is optimal: at the smallest persuasive lambda for the
 no-payment model, and at lambda = 1/(n-1) with threshold payments for
-free payments.  Those fast paths are implemented here, and that scalar,
-lifted to the full LP (lift), certifies their answers there; where it
-fails, the full LP is solved once and its dual is reported.  Under
-that scalar dual a scheme that treats the actions
-alike is persuasive exactly when its follow payoff (the receiver's
-expected payoff from following) reaches the unconditional expected
-payoff of one action, so the lambda sweep tests each candidate with that
-one comparison.  The fast paths compute in ints on the expanded
-instance's coding (instance.coding: masses and payoffs over one common
-denominator, built once and kept with the instance), and only the
-returned values become Fractions.
+free payments.  Those fast paths are implemented here, and that scalar
+on the orbit LP's follow row certifies their answers (_orbit_claim);
+where it fails, the orbit LP is solved once and its scalar dual is
+reported.  A scheme that treats the actions alike makes every follow
+row equal to the orbit follow row over n(n-1), so it is persuasive
+exactly when that row's activity (n times its follow payoff less the
+receiver's summed payoff of all actions) is at least 0, and the lambda
+sweep tests each candidate with that one comparison; every action's
+threshold payment is minus the activity over n(n-1).  The fast paths
+compute in ints on the orbit coding (pairs and masses over the
+instance's common denominators), and only the returned values become
+Fractions.  The two-action fast path, for any prior, reads each state's
+actions as pairs of multiplicity 1 and is certified on the full LP
+(lift).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 
 from . import lp, model
-from ._record import record, replace
+from ._record import record
 from .errors import (
     CharacterizationMismatch,
     NotSymmetric,
@@ -113,10 +118,10 @@ class LambdaStarResult:
     """Smallest persuasive lambda and its scaled-welfare scheme."""
 
     lambda_star: Fraction
-    scheme: SignalingScheme
+    scheme: SignalingScheme | OrbitScheme
     utility: Fraction
     candidates: tuple
-    # lambda_star on every follow row, or the LP's where that fails (see lift)
+    # lambda_star, or the orbit LP's where it fails (see _orbit_claim)
     dual: SingleDual
 
 
@@ -125,7 +130,7 @@ class DichotomyResult:
     """Winner of the two non-negative-payment candidates."""
 
     branch: str  # "no_payment" or "canonical_payment"
-    result: SingleResult  # its dual: lambda_star or 1/(n-1) by branch, or the LP's
+    result: SingleResult  # dual: lambda_star or 1/(n-1) by branch, or the orbit LP's
     lambda_star: Fraction
     no_payment_utility: Fraction
     canonical_utility: Fraction
@@ -168,6 +173,69 @@ def _as_instance(
         inst = model.ensure_valid(instance)
     _require_size(inst.actions, inst.num_states)
     return inst
+
+
+def _orbits(instance: PersuasionInstance | TypedInstance) -> tuple:
+    """The orbit view of an instance, (inst, of, code), which _write reads.
+
+    code is the OrbitCoding of the states under permuting the actions.
+    Below the cap of the expansion inst is the explicit instance
+    (_as_instance) and of[t] state t's orbit, both from
+    inst.coding.orbits, which for an iid instance equals iid_orbits field
+    for field.  An iid instance with n >= 2 past the cap is never
+    expanded: inst is the TypedInstance and (of, code) its iid_orbits,
+    of[o] the types of orbit o's pairs.  It is validated, then sized
+    before anything is enumerated: the follow rows (their multipliers
+    are a result's dual matrix), then the orbits.
+    """
+    if (
+        isinstance(instance, TypedInstance)
+        and instance.iid_marginal is not None
+        and instance.actions >= 2
+        and not model.expands_within_limit(instance)
+    ):
+        model.ensure_valid(instance)
+        _require_follow_rows(instance.actions)
+        return (instance, *instance.iid_orbits)
+    inst = _as_instance(instance)
+    return (inst, *inst.coding.orbits)
+
+
+def _write(view: tuple, rows, payment: Fraction) -> SignalingScheme | OrbitScheme:
+    """The scheme that treats the actions alike with these orbit shares.
+
+    rows[o][j] is the probability, in any state of orbit o, of
+    recommending some action of pair code.counts[o][j], and payment is
+    every action's expected payment; view is _orbits'.  Below the cap
+    each pair's share is spread evenly over its actions, state by state;
+    past it the scheme is an OrbitScheme, each pair's share on its type.
+    """
+    inst, of, code = view
+    payments = (payment,) * code.actions
+    if isinstance(inst, TypedInstance):
+        orbits, distribution = [], []
+        for present, pairs, y in zip(of, code.counts, rows):
+            counts = [0] * len(inst.types)
+            row = [ZERO] * len(inst.types)
+            for ty, (_, m), p in zip(present, pairs, y):
+                counts[ty], row[ty] = m, p
+            orbits.append(tuple(counts))
+            distribution.append(tuple(row))
+        return OrbitScheme(
+            orbits=tuple(orbits), distribution=tuple(distribution), payments=payments
+        )
+    shares = [
+        {pair: p if m == 1 else p / m for (pair, m), p in zip(pairs, y)}
+        for pairs, y in zip(code.counts, rows)
+    ]
+    states = inst.coding
+    distribution = tuple(
+        [
+            tuple([shares[o][pair] for pair in zip(sender, receiver)])
+            for o, sender, receiver in zip(of, states.sender, states.receiver)
+        ]
+    )
+    return SignalingScheme(distribution=distribution, payments=payments)
 
 
 def build_lp(
@@ -263,40 +331,29 @@ def solve_optimal(
     instance is solved on the full LP.  problem and solution are the LP
     solved and its certified optimum.  An iid typed instance past the
     size cap of its expansion (model.expands_within_limit) gets its
-    scheme as an OrbitScheme, and is never expanded; every other
-    instance gets a scheme per state of its explicit instance.
+    scheme as an OrbitScheme, and is never expanded (see _orbits); every
+    other instance gets a scheme per state of its explicit instance.
     """
     typed = isinstance(instance, TypedInstance)
-    iid = typed and instance.iid_marginal is not None
-    if iid and instance.actions >= 2 and not model.expands_within_limit(instance):
-        return _solve_orbit_form(instance, payment_model)
-    inst = _as_instance(instance)
-    n, m = inst.actions, inst.num_states
-    if n == 1 and payment_model is PaymentModel.ARBITRARY:
-        # With no alternative action there is no obedience constraint to
-        # price, so an unrestricted charge makes the LP unbounded.
-        raise WrongActionCount(
-            "free payments are unbounded with a single action"
-        )
-    if typed and n >= 2 and model.is_symmetric(instance):
-        of, own = inst.coding.orbits
-        orbits = instance.iid_orbits[1] if iid else own
-        problem, solution = _solve_orbits(orbits, payment_model)
-        # Each orbit's shares, per pair, spread over the pair's actions.
-        shares = [
-            {pair: p if mult == 1 else p / mult for (pair, mult), p in zip(pairs, y)}
-            for pairs, y in zip(orbits.counts, _orbit_rows(orbits, solution))
-        ]
-        code = inst.coding
-        distribution = tuple(
-            [
-                tuple([shares[o][pair] for pair in zip(sender, receiver)])
-                for o, sender, receiver in zip(of, code.sender, code.receiver)
-            ]
-        )
-        payments = _orbit_payments(orbits, solution)
+    if typed and instance.actions >= 2 and model.is_symmetric(instance):
+        view = _orbits(instance)
+        inst, _, code = view
+        n = code.actions
+        problem, solution = _solve_orbits(code, payment_model)
+        # The orbit LP's columns: each orbit's pairs, then the payment.
+        y = iter(solution.primal)
+        rows = [tuple(islice(y, len(pairs))) for pairs in code.counts]
+        scheme = _write(view, rows, next(y, ZERO))
         dual = _constant_dual(n, -solution.dual[0])
     else:
+        inst = _as_instance(instance)
+        n, m = inst.actions, inst.num_states
+        if n == 1 and payment_model is PaymentModel.ARBITRARY:
+            # With no alternative action there is no obedience constraint
+            # to price, so an unrestricted charge makes the LP unbounded.
+            raise WrongActionCount(
+                "free payments are unbounded with a single action"
+            )
         problem = build_lp(inst, payment_model)
         solution = lp.certified_solve(problem)
         # build_lp's columns: the scheme row by row, then the payments.
@@ -306,69 +363,15 @@ def solve_optimal(
             payments = (ZERO,) * n
         else:
             payments = primal[n * m : n * m + n]
+        scheme = SignalingScheme(distribution=distribution, payments=payments)
         dual = _follow_dual(n, solution.dual)
 
     return SingleResult(
         instance=inst,
         payment_model=payment_model,
-        scheme=SignalingScheme(distribution=distribution, payments=payments),
-        utility=solution.objective,
-        dual=dual,
-        problem=problem,
-        solution=solution,
-    )
-
-
-def _orbit_rows(orbits: OrbitCoding, solution: lp.LpSolution) -> list:
-    """The orbit LP's scheme columns, one tuple per orbit."""
-    rows, k = [], 0
-    for pairs in orbits.counts:
-        rows.append(solution.primal[k : k + len(pairs)])
-        k += len(pairs)
-    return rows
-
-
-def _orbit_payments(orbits: OrbitCoding, solution: lp.LpSolution) -> tuple:
-    """Every action's payment: the orbit LP's payment column, if it has one."""
-    y = solution.primal
-    k = sum([len(pairs) for pairs in orbits.counts])
-    return (y[k] if k < len(y) else ZERO,) * orbits.actions
-
-
-def _solve_orbit_form(
-    typed: TypedInstance, payment_model: PaymentModel
-) -> SingleResult:
-    """solve_optimal on an iid instance with n >= 2 past its expansion's
-    cap: the orbit LP's optimum as an OrbitScheme.
-
-    Validated, then sized before anything is enumerated: the follow rows
-    (their multipliers are the result's dual matrix), then the orbits
-    (TypedInstance.iid_orbits).
-    """
-    model.ensure_valid(typed)
-    n = typed.actions
-    _require_follow_rows(n)
-    types, orbits = typed.iid_orbits
-    problem, solution = _solve_orbits(orbits, payment_model)
-    orbit_counts, distribution = [], []
-    for present, pairs, y in zip(types, orbits.counts, _orbit_rows(orbits, solution)):
-        counts = [0] * len(typed.types)
-        row = [ZERO] * len(typed.types)
-        for ty, (_, m), p in zip(present, pairs, y):
-            counts[ty], row[ty] = m, p
-        orbit_counts.append(tuple(counts))
-        distribution.append(tuple(row))
-    scheme = OrbitScheme(
-        orbits=tuple(orbit_counts),
-        distribution=tuple(distribution),
-        payments=_orbit_payments(orbits, solution),
-    )
-    return SingleResult(
-        instance=typed,
-        payment_model=payment_model,
         scheme=scheme,
         utility=solution.objective,
-        dual=_constant_dual(n, -solution.dual[0]),
+        dual=dual,
         problem=problem,
         solution=solution,
     )
@@ -391,6 +394,18 @@ def _follow_dual(n: int, duals) -> SingleDual:
     )
 
 
+def _gains(code: OrbitCoding) -> list:
+    """Per orbit, each pair's n * r_tau - R_o: its coefficient on the
+    orbit follow row over the orbit's mass, R_o the sum of the orbit's
+    receiver payoffs."""
+    n = code.actions
+    gains = []
+    for pairs in code.counts:
+        total = sum([m * r for (_, r), m in pairs])
+        gains.append([n * r - total for (_, r), _ in pairs])
+    return gains
+
+
 def _orbit_lp(code: OrbitCoding, payment_model: PaymentModel) -> lp.LpProblem:
     """The LP over the symmetric schemes of a symmetric instance.
 
@@ -410,13 +425,12 @@ def _orbit_lp(code: OrbitCoding, payment_model: PaymentModel) -> lp.LpProblem:
     objective: list = []
     follow: list = []
     rows = []
-    for o, (pairs, mu) in enumerate(zip(code.counts, code.mass)):
-        total = sum([m * r for (_, r), m in pairs])
+    for o, (pairs, mu, gains) in enumerate(zip(code.counts, code.mass, _gains(code))):
         first = len(objective)
-        for j, ((s, r), _) in enumerate(pairs, first):
+        for j, (((s, _), _), g) in enumerate(zip(pairs, gains), first):
             objective.append(mu * s)
-            if mu * (n * r - total):
-                follow.append((j, mu * (n * r - total)))
+            if mu * g:
+                follow.append((j, mu * g))
         rows.append(
             lp.LinearConstraint(
                 coeffs=tuple([(j, unit) for j in range(first, len(objective))]),
@@ -540,59 +554,56 @@ def _adjusted(code: SingleCoding, dual: SingleDual) -> tuple:
     return values, lam, lam_den
 
 
-def _argmax_sets(code: SingleCoding, a: int, b: int) -> list:
-    """Per state, the actions maximizing s + (a/b) * r, for b > 0.
+def _argmax(counts, a: int, b: int) -> list:
+    """Per orbit, the indices of its pairs maximizing s + (a/b) * r, b > 0.
 
-    Compared in ints as b*S + a*R.  Within one set the value is constant,
-    so actions with equal receiver payoff also have equal sender payoff.
+    counts is an OrbitCoding's, or each state's actions as pairs of
+    multiplicity 1.  Compared in ints as b*s + a*r.  Within one set the
+    value is constant, so pairs with equal receiver payoff also have
+    equal sender payoff.
     """
     sets = []
-    for sender, receiver in zip(code.sender, code.receiver):
-        values = [b * s + a * r for s, r in zip(sender, receiver)]
+    for pairs in counts:
+        values = [b * s + a * r for (s, r), _ in pairs]
         best = max(values)
-        sets.append([i for i, v in enumerate(values) if v == best])
+        sets.append([j for j, v in enumerate(values) if v == best])
     return sets
 
 
-def _uniform_rows(sets, n: int) -> tuple:
-    """One distribution row per state, uniform over that state's set."""
+def _tie_break(counts, sets) -> tuple:
+    """The uniform tie-break over the sets, one row of shares per orbit:
+    each pair of the set gets its multiplicity over the set's total."""
     shares: dict = {}
     rows = []
-    for winners in sets:
-        k = len(winners)
-        share = shares.get(k)
-        if share is None:
-            share = shares[k] = Fraction(1, k)
-        row = [ZERO] * n
-        for i in winners:
-            row[i] = share
+    for pairs, winners in zip(counts, sets):
+        k = sum([pairs[j][1] for j in winners])
+        row = [ZERO] * len(pairs)
+        for j in winners:
+            m = pairs[j][1]
+            share = shares.get((m, k))
+            if share is None:
+                share = shares[m, k] = Fraction(m, k)
+            row[j] = share
         rows.append(tuple(row))
     return tuple(rows)
 
 
-def _uniform_cross(code: SingleCoding, sets) -> tuple:
-    """Cross utilities and sender payoff of the uniform rows over sets.
+def _follow(code: OrbitCoding, gains, rows) -> tuple:
+    """The orbit follow row's activity and the sender payoff of orbit shares.
 
-    Returns (X, sender, L): X[i][j] = sum over states of mass times
-    Pr[recommend i] times r(j), and the expected sender payoff, as ints
-    over code.unit * L, L the lcm of the set sizes.
+    Returns (activity, sender, scale), the first two as ints over
+    code.unit * scale, scale the shares' common denominator.
     """
-    n = code.actions
-    scale = lcm(*{len(winners) for winners in sets})
-    cross = [[0] * n for _ in range(n)]
-    sender_total = 0
-    for m, sender, receiver, winners in zip(
-        code.mass, code.sender, code.receiver, sets
-    ):
-        if not m:
-            continue
-        w = m * (scale // len(winners))
-        for i in winners:
-            sender_total += w * sender[i]
-            row = cross[i]
-            for j in range(n):
-                row[j] += w * receiver[j]
-    return cross, sender_total, scale
+    scale = lcm(*[p.denominator for row in rows for p in row])
+    activity = sender = 0
+    for pairs, mu, gain, row in zip(code.counts, code.mass, gains, rows):
+        if mu:
+            for ((s, _), _), g, p in zip(pairs, gain, row):
+                if p:
+                    w = mu * p.numerator * (scale // p.denominator)
+                    activity += w * g
+                    sender += w * s
+    return activity, sender, scale
 
 
 def welfare_weighted_scheme(
@@ -600,8 +611,10 @@ def welfare_weighted_scheme(
 ) -> tuple:
     """Distribution recommending argmax of s + weight * r, ties uniform."""
     code = instance.coding
-    sets = _argmax_sets(code, weight.numerator, weight.denominator)
-    return _uniform_rows(sets, instance.actions)
+    # Each state's actions as pairs of multiplicity 1.
+    states = zip(code.sender, code.receiver)
+    counts = [[(pair, 1) for pair in zip(s, r)] for s, r in states]
+    return _tie_break(counts, _argmax(counts, weight.numerator, weight.denominator))
 
 
 def lambda_scheme(
@@ -615,56 +628,42 @@ def lambda_scheme(
     )
 
 
-def _candidates(code: SingleCoding) -> tuple:
+def _candidates(code: OrbitCoding) -> tuple:
+    """The sweep's grid over the lambdas at which two pairs of one orbit
+    tie in s + n*lambda*r (rationals.breakpoint_grid)."""
     n = code.actions
     crossings = set()
-    for sender, receiver in zip(code.sender, code.receiver):
-        for i in range(n):
-            for j in range(i + 1, n):
-                ds = sender[i] - sender[j]
-                dr = receiver[j] - receiver[i]
+    for pairs in code.counts:
+        for k, ((s, r), _) in enumerate(pairs):
+            for (s_other, r_other), _ in pairs[k + 1 :]:
+                ds, dr = s - s_other, r_other - r
                 # The crossing ds / (n * dr) lies above 0.
                 if ds and dr and (ds > 0) == (dr > 0):
                     crossings.add((abs(ds), abs(dr)))
     return breakpoint_grid({Fraction(ds, n * dr) for ds, dr in crossings})
 
 
-def _require_symmetric(instance, inst: PersuasionInstance, what: str) -> None:
-    typed = isinstance(instance, TypedInstance)
-    if not model.is_symmetric(instance if typed else inst):
+def _require_symmetric(instance, what: str) -> None:
+    if not model.is_symmetric(instance):
         raise NotSymmetric(f"{what} requires a symmetric instance")
 
 
-def _is_persuasive(code: SingleCoding, scheme: SignalingScheme) -> bool:
-    """model.is_persuasive in ints on the instance's coding.
+def _sweep(code: OrbitCoding, gains) -> tuple:
+    """The scalar-lambda sweep on a symmetric instance's orbit coding.
 
-    X[i][j] - X[i][i] <= P[i] for every j != i, with X from _cross.
+    Returns (lambda*, rows, utility, candidates), rows the scheme's orbit
+    shares (see _write).  Raises CharacterizationMismatch unless that
+    scheme meets the orbit follow row.
     """
-    cross, scale = _cross(code, scheme.distribution)
-    for i, (xi, pay) in enumerate(zip(cross, scheme.payments)):
-        own, limit = xi[i], pay.numerator * scale
-        if any(
-            (x - own) * pay.denominator > limit for j, x in enumerate(xi) if j != i
-        ):
-            return False
-    return True
-
-
-def _sweep(code: SingleCoding) -> LambdaStarResult:
-    """The scalar-lambda sweep on a symmetric instance's integer coding."""
-    n = code.actions
-    mass, senders, receivers = code.mass, code.sender, code.receiver
-    # Unconditional expected receiver payoff of a fixed action, times
-    # unit; the same for every action on a symmetric instance.
-    unconditional = sum(m * receiver[0] for m, receiver in zip(mass, receivers))
+    n, unit = code.actions, code.unit
+    counts, mass = code.counts, code.mass
     candidates = _candidates(code)
     for lam in candidates:
-        sets = _argmax_sets(code, n * lam.numerator, lam.denominator)
-        follow_hi = sum(
-            m * max(receiver[i] for i in winners)
-            for m, receiver, winners in zip(mass, receivers, sets)
-        )
-        if follow_hi >= unconditional:
+        sets = _argmax(counts, n * lam.numerator, lam.denominator)
+        # Each tie set's receiver-best pair (its gain grows with r).
+        hi = [max(winners, key=gain.__getitem__) for gain, winners in zip(gains, sets)]
+        act_hi = sum([mu * gain[j] for mu, gain, j in zip(mass, gains, hi)])
+        if act_hi >= 0:
             break
     else:
         raise CharacterizationMismatch(
@@ -672,75 +671,43 @@ def _sweep(code: SingleCoding) -> LambdaStarResult:
             "should always end in one"
         )
 
-    # The receiver-worst and receiver-best actions of each tie set.
-    lo_sets, hi_sets = [], []
-    follow_lo = sender_lo = sender_hi = 0
-    for m, sender, receiver, winners in zip(mass, senders, receivers, sets):
-        r_lo = min(receiver[i] for i in winners)
-        r_hi = max(receiver[i] for i in winners)
-        lo = [i for i in winners if receiver[i] == r_lo]
-        hi = [i for i in winners if receiver[i] == r_hi]
-        lo_sets.append(lo)
-        hi_sets.append(hi)
-        follow_lo += m * r_lo
-        sender_lo += m * sender[lo[0]]
-        sender_hi += m * sender[hi[0]]
-
-    unit = code.unit
-    if follow_hi == follow_lo:
-        rows = _uniform_rows(hi_sets, n)
-        utility = Fraction(sender_hi, unit)
+    lo = [min(winners, key=gain.__getitem__) for gain, winners in zip(gains, sets)]
+    act_lo = sum([mu * gain[j] for mu, gain, j in zip(mass, gains, lo)])
+    sender_lo = sum([mu * pairs[j][0][0] for mu, pairs, j in zip(mass, counts, lo)])
+    sender_hi = sum([mu * pairs[j][0][0] for mu, pairs, j in zip(mass, counts, hi)])
+    if act_hi == act_lo:
+        t, utility = ONE, Fraction(sender_hi, unit)
     else:
         # Within a tie set sender payoff falls as the follow payoff
-        # rises, so mix the extremes to make the follow payoff as small
-        # as persuasiveness allows: a share t on the receiver-best side.
-        num = max(unconditional, follow_lo) - follow_lo
-        den = follow_hi - follow_lo
+        # rises, so mix the extremes to make the activity as small as
+        # persuasiveness allows: a share t on the receiver-best side.
+        num = max(0, -act_lo)
+        den = act_hi - act_lo
         t = Fraction(num, den)
-        weights = (ONE - t, t, ONE)  # receiver-worst side, best side, no sides
-        shares: dict = {}
-
-        def share(side, k):
-            value = shares.get((side, k))
-            if value is None:
-                value = shares[side, k] = weights[side] / k
-            return value
-
-        blended = []
-        for lo, hi in zip(lo_sets, hi_sets):
-            row = [ZERO] * n
-            if lo == hi:
-                for i in lo:
-                    row[i] = share(2, len(lo))
-            else:
-                for i in lo:
-                    row[i] = share(0, len(lo))
-                for i in hi:
-                    row[i] = share(1, len(hi))
-            blended.append(tuple(row))
-        rows = tuple(blended)
         utility = Fraction(
             sender_lo * den + num * (sender_hi - sender_lo), unit * den
         )
+    rows = []
+    for pairs, j_lo, j_hi in zip(counts, lo, hi):
+        row = [ZERO] * len(pairs)
+        if j_lo == j_hi:
+            row[j_lo] = ONE
+        else:
+            row[j_lo], row[j_hi] = ONE - t, t
+        rows.append(tuple(row))
 
-    cross, sender_u, scale = _uniform_cross(code, sets)
-    if sum(cross[i][i] for i in range(n)) >= unconditional * scale:
-        uniform_utility = Fraction(sender_u, unit * scale)
+    uniform = _tie_break(counts, sets)
+    activity, sender, scale = _follow(code, gains, uniform)
+    if activity >= 0:
+        uniform_utility = Fraction(sender, unit * scale)
         if uniform_utility >= utility:
-            rows, utility = _uniform_rows(sets, n), uniform_utility
+            rows, utility = uniform, uniform_utility
 
-    scheme = SignalingScheme(distribution=rows, payments=(ZERO,) * n)
-    if not _is_persuasive(code, scheme):
+    if _follow(code, gains, rows)[0] < 0:
         raise CharacterizationMismatch(
             "the scheme at the critical lambda is not persuasive"
         )
-    return LambdaStarResult(
-        lambda_star=lam,
-        scheme=scheme,
-        utility=utility,
-        candidates=candidates,
-        dual=_constant_dual(n, lam),
-    )
+    return lam, rows, utility, candidates
 
 
 def find_lambda_star(
@@ -754,45 +721,38 @@ def find_lambda_star(
     upward, the first candidate lambda is found at which some scheme
     supported on the per-state argmax sets of s + n*lambda*r is
     persuasive without payments; that support then carries the optimal
-    zero-payment scheme.  Every scheme built here treats the actions
-    alike, and on a symmetric instance such a scheme is persuasive
-    exactly when its follow payoff (the receiver's expected payoff from
-    following) reaches the unconditional expected payoff of one action.
-    So each candidate costs one scalar comparison: of the scheme that
-    takes the receiver-best action of every argmax set, whose follow
-    payoff is the largest the support allows.  Away from breakpoints the
-    argmax is essentially unique and the scheme is the uniform
-    tie-break.  At a breakpoint the uniform tie-break can overshoot the
-    follow incentive, which wastes sender payoff: within a tie set
-    s + n*lambda*r is constant, so sender utility falls one-for-one
-    (times n*lambda) as the follow payoff rises, and the best scheme
-    mixes the tied extremes so the follow payoff is as small as
-    persuasiveness allows.  The uniform scheme is returned whenever it
-    is persuasive and no such mixture beats it.  The sweep runs in ints
-    over one common denominator; the returned scheme is checked for
-    persuasiveness there too.  With cross_check the answer is certified
-    on the zero-payment LP by lambda_star on every follow row (see lift),
-    and the result's dual is the one that certified it.
+    zero-payment scheme.  Each candidate costs one comparison: the orbit
+    follow row's activity (see the module docstring) of the scheme that
+    takes each orbit's receiver-best tied pair, the largest the support
+    allows.  Away from breakpoints the scheme is the uniform tie-break.
+    At a breakpoint that can overshoot the follow incentive and waste
+    sender payoff, which falls one-for-one (times n*lambda) as the
+    follow payoff rises within a tie set; so the tied extremes are mixed
+    to make the activity as small as persuasiveness allows, and the
+    uniform scheme is returned only where it is persuasive and no
+    mixture beats it.  The returned scheme is checked against the
+    follow row too.  With cross_check the answer is certified on the
+    zero-payment orbit LP by lambda_star (see _answer).
     """
-    inst = _as_instance(instance)
-    _require_symmetric(instance, inst, "scalar-lambda sweep")
-    sweep = _sweep(inst.coding)
-    if cross_check:
-        dual = _certify(
-            inst,
-            PaymentModel.ZERO,
-            sweep.scheme,
-            sweep.utility,
-            sweep.dual,
-            "lambda sweep utility",
-        )
-        sweep = replace(sweep, dual=dual)
-    return sweep
+    view = _orbits(instance)
+    code = view[2]
+    _require_symmetric(instance, "scalar-lambda sweep")
+    lam, rows, utility, candidates = _sweep(code, _gains(code))
+    what = "lambda sweep utility" if cross_check else None
+    result = _answer(view, PaymentModel.ZERO, rows, ZERO, utility, lam, what)
+    return LambdaStarResult(
+        lambda_star=lam,
+        scheme=result.scheme,
+        utility=utility,
+        candidates=candidates,
+        dual=result.dual,
+    )
 
 
 def _constant_dual(n: int, value: Fraction) -> SingleDual:
+    """The multiplier matrix with value on every follow row."""
     lam = tuple(
-        tuple(value if i != j else ZERO for j in range(n)) for i in range(n)
+        [tuple([ZERO if i == j else value for j in range(n)]) for i in range(n)]
     )
     return SingleDual(lam=lam)
 
@@ -843,60 +803,63 @@ def lift(
     return problem, _claim(payment_model, scheme, utility, dual, y)
 
 
-def _certify(
-    inst: PersuasionInstance,
-    payment_model: PaymentModel,
-    scheme: SignalingScheme,
-    utility: Fraction,
-    dual: SingleDual,
-    what: str,
-) -> SingleDual:
-    """Check a fast path's answer on the LP with its dual (see lift).
+def _orbit_claim(code, payment_model, rows, payment, utility, lam) -> tuple:
+    """The orbit LP, and a symmetric fast path's answer claimed as its
+    optimum with the scalar dual lam.
 
-    Returns the dual that certified it: dual itself, or the LP's where
-    dual fails and lp.check_fast_path solves.
+    The primal is the orbit shares, then the payment where the LP has a
+    payment column.  The dual is -lam on the follow row and
+    mu_o * max_tau (s_tau + lam * (n * r_tau - R_o)) on orbit o's row,
+    computed in ints; lifted as in _solve_orbits, it is lift's claim.
     """
-    problem, claim = lift(inst, payment_model, scheme, utility, dual)
-    certified = lp.check_fast_path(problem, claim, what)
-    return dual if certified is claim else _follow_dual(inst.actions, certified.dual)
+    problem = _orbit_lp(code, payment_model)
+    primal = [p for row in rows for p in row]
+    if len(primal) < problem.num_vars:
+        primal.append(payment)
+    a, b = lam.numerator, lam.denominator
+    duals = [-lam]
+    for pairs, mu, gain in zip(code.counts, code.mass, _gains(code)):
+        best = max([b * s + a * g for ((s, _), _), g in zip(pairs, gain)])
+        duals.append(Fraction(mu * best, code.unit * b))
+    return problem, lp.LpSolution(lp.OPTIMAL, utility, tuple(primal), tuple(duals), 0)
 
 
-def _threshold_parts(code: SingleCoding, weight: Fraction) -> tuple:
-    """Argmax-of-s + weight*r rows (ties uniform) and their threshold payments.
+def _answer(view, payment_model, rows, payment, utility, lam, what) -> SingleResult:
+    """A symmetric fast path's answer: its orbit shares written by
+    _write, and the scalar dual lam.
 
-    Returns (rows, thresholds, gross, unit): the minimal expected payment
-    per recommendation, T[i] = max over j != i of X[i][j] - X[i][i], and
-    the expected sender payoff before payments, as ints over unit.
+    Unless what is None the answer is certified on the orbit LP (see
+    _orbit_claim), and the dual is the one that certified it: lam, or
+    minus the solved follow row dual where lam fails and
+    lp.check_fast_path solves.
     """
-    n = code.actions
-    sets = _argmax_sets(code, weight.numerator, weight.denominator)
-    cross, gross, scale = _uniform_cross(code, sets)
-    thresholds = [
-        max((cross[i][j] for j in range(n) if j != i), default=0) - cross[i][i]
-        for i in range(n)
-    ]
-    return _uniform_rows(sets, n), thresholds, gross, code.unit * scale
-
-
-def _canonical(inst: PersuasionInstance, verify: bool, what: str) -> SingleResult:
-    """Argmax of s + (n/(n-1)) r with threshold payments, and its dual 1/(n-1)."""
-    n = inst.actions
-    rows, thresholds, gross, unit = _threshold_parts(inst.coding, Fraction(n, n - 1))
-    scheme = SignalingScheme(
-        distribution=rows,
-        payments=tuple(Fraction(t, unit) for t in thresholds),
-    )
-    utility = Fraction(gross - sum(thresholds), unit)
-    dual = _constant_dual(n, Fraction(1, n - 1))
-    if verify:
-        dual = _certify(inst, PaymentModel.ARBITRARY, scheme, utility, dual, what)
+    inst, _, code = view
+    if what is not None:
+        problem, claim = _orbit_claim(code, payment_model, rows, payment, utility, lam)
+        certified = lp.check_fast_path(problem, claim, what)
+        if certified is not claim:
+            lam = -certified.dual[0]
     return SingleResult(
         instance=inst,
-        payment_model=PaymentModel.ARBITRARY,
-        scheme=scheme,
+        payment_model=payment_model,
+        scheme=_write(view, rows, payment),
         utility=utility,
-        dual=dual,
+        dual=_constant_dual(code.actions, lam),
     )
+
+
+def _threshold_scheme(code: OrbitCoding, gains) -> tuple:
+    """Argmax of s + (n/(n-1)) r, ties uniform, as orbit shares, with
+    every action's threshold payment and the gross sender payoff.
+
+    The threshold, minus the orbit follow row's activity over n(n-1), is
+    the least payment that meets every follow row.
+    """
+    n = code.actions
+    rows = _tie_break(code.counts, _argmax(code.counts, n, n - 1))
+    activity, gross, scale = _follow(code, gains, rows)
+    unit = code.unit * scale
+    return rows, Fraction(-activity, unit * n * (n - 1)), Fraction(gross, unit)
 
 
 def canonical_two_action_scheme(
@@ -909,14 +872,34 @@ def canonical_two_action_scheme(
     Recommends argmax of s + 2r (ties uniform) and charges threshold
     payments: the symmetric fast path at n = 2, where no symmetry is
     needed.  With verify the answer is certified on the LP by the dual 1
-    on both follow rows (see lift).
+    on both follow rows (see lift), and the result's dual is the one
+    that certified it.
     """
     inst = _as_instance(instance)
     if inst.actions != 2:
         raise WrongActionCount(
             f"two-action fast path got {inst.actions} actions"
         )
-    return _canonical(inst, verify, "two-action scheme utility")
+    distribution = welfare_weighted_scheme(inst, Fraction(2))
+    cross, scale = _cross(inst.coding, distribution)
+    payments = tuple(
+        [Fraction(cross[i][1 - i] - cross[i][i], scale) for i in range(2)]
+    )
+    scheme = SignalingScheme(distribution=distribution, payments=payments)
+    utility = model.sender_utility(inst, scheme)
+    dual = _constant_dual(2, ONE)
+    if verify:
+        problem, claim = lift(inst, PaymentModel.ARBITRARY, scheme, utility, dual)
+        certified = lp.check_fast_path(problem, claim, "two-action scheme utility")
+        if certified is not claim:
+            dual = _follow_dual(2, certified.dual)
+    return SingleResult(
+        instance=inst,
+        payment_model=PaymentModel.ARBITRARY,
+        scheme=scheme,
+        utility=utility,
+        dual=dual,
+    )
 
 
 def canonical_symmetric_scheme(
@@ -929,14 +912,19 @@ def canonical_symmetric_scheme(
     Recommends argmax of s + (n/(n-1)) r (the scalar dual is 1/(n-1))
     with threshold payments.  Action symmetry makes every follow row
     tight under those payments, which is what lets the single scalar
-    certify optimality; with verify it does, on the LP (see lift).
+    certify optimality; with verify it does, on the orbit LP (see
+    _orbit_claim).
     """
-    inst = _as_instance(instance)
-    n = inst.actions
+    view = _orbits(instance)
+    code = view[2]
+    n = code.actions
     if n < 2:
         raise WrongActionCount("symmetric fast path needs at least two actions")
-    _require_symmetric(instance, inst, "symmetric fast path")
-    return _canonical(inst, verify, "symmetric scheme utility")
+    _require_symmetric(instance, "symmetric fast path")
+    rows, threshold, gross = _threshold_scheme(code, _gains(code))
+    what = "symmetric scheme utility" if verify else None
+    utility, lam = gross - n * threshold, Fraction(1, n - 1)
+    return _answer(view, PaymentModel.ARBITRARY, rows, threshold, utility, lam, what)
 
 
 def nonnegative_dichotomy(
@@ -949,51 +937,35 @@ def nonnegative_dichotomy(
     Either the zero-payment optimum (payments identically 0) or the
     canonical symmetric scheme with its thresholds clipped at zero wins;
     ties go to the payment-free branch.  With verify the winner is
-    certified on the LP by its branch's scalar dual (see lift).
+    certified on the orbit LP by its branch's scalar dual (see
+    _orbit_claim).
     """
-    inst = _as_instance(instance)
-    n = inst.actions
+    view = _orbits(instance)
+    code = view[2]
+    n = code.actions
     if n < 2:
         raise WrongActionCount("dichotomy needs at least two actions")
-    _require_symmetric(instance, inst, "scalar-lambda sweep")
-    code = inst.coding
-    sweep = _sweep(code)
+    _require_symmetric(instance, "scalar-lambda sweep")
+    gains = _gains(code)
+    lam_star, free_rows, free_utility, _ = _sweep(code, gains)
+    paid_rows, threshold, gross = _threshold_scheme(code, gains)
+    clipped = max(ZERO, threshold)
+    paid_utility = gross - n * clipped
 
-    rows, thresholds, gross, unit = _threshold_parts(code, Fraction(n, n - 1))
-    clipped = [max(0, t) for t in thresholds]
-    paid_scheme = SignalingScheme(
-        distribution=rows, payments=tuple(Fraction(t, unit) for t in clipped)
-    )
-    paid_utility = Fraction(gross - sum(clipped), unit)
-
-    if sweep.utility >= paid_utility:
-        branch = "no_payment"
-        scheme, utility, dual = sweep.scheme, sweep.utility, sweep.dual
+    if free_utility >= paid_utility:
+        branch, rows, payment = "no_payment", free_rows, ZERO
+        utility, lam = free_utility, lam_star
     else:
-        branch = "canonical_payment"
-        scheme, utility = paid_scheme, paid_utility
-        dual = _constant_dual(n, Fraction(1, n - 1))
+        branch, rows, payment = "canonical_payment", paid_rows, clipped
+        utility, lam = paid_utility, Fraction(1, n - 1)
 
-    if verify:
-        dual = _certify(
-            inst,
-            PaymentModel.NONNEGATIVE,
-            scheme,
-            utility,
-            dual,
-            "dichotomy winner utility",
-        )
-    result = SingleResult(
-        instance=inst,
-        payment_model=PaymentModel.NONNEGATIVE,
-        scheme=scheme,
-        utility=utility,
-        dual=dual,
-    )
+    what = "dichotomy winner utility" if verify else None
     return DichotomyResult(
         branch=branch,
-        result=result,
-        lambda_star=sweep.lambda_star,
-        no_payment_utility=sweep.utility,
+        result=_answer(
+            view, PaymentModel.NONNEGATIVE, rows, payment, utility, lam, what
+        ),
+        lambda_star=lam_star,
+        no_payment_utility=free_utility,
         canonical_utility=paid_utility,
     )

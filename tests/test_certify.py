@@ -574,14 +574,14 @@ _UNDER_O = textwrap.dedent(
         return replace(solution, objective=solution.objective + 1)
 
     lp.solve = nudged
-    # A lifted dual that fails sends the fast path to the nudged solve.
-    lift = single.lift
+    # A claimed dual that fails sends the fast path to the nudged solve.
+    orbit_claim = single._orbit_claim
 
-    def failing_lift(*args):
-        problem, claim = lift(*args)
+    def failing_claim(*args):
+        problem, claim = orbit_claim(*args)
         return problem, replace(claim, dual=None)
 
-    single.lift = failing_lift
+    single._orbit_claim = failing_claim
     # A budget-balanced reconstruction moved off receiver 0's follow row,
     # checked against the honest LP's dual.
     normalize = multi._normalize_dead_branches

@@ -173,13 +173,12 @@ def test_characterization_mismatch_exits_4(tmp_path, capsys, monkeypatch):
     # The fast path's own check raises; the CLI does not check again.
     instance = examples.zero_sum_two_state_instance()
     path = write_instance(tmp_path, instance)
-    parts = single._threshold_parts
+    utility = model.sender_utility
 
-    def nudged(code, weight):
-        rows, thresholds, gross, unit = parts(code, weight)
-        return rows, thresholds, gross + 1, unit
+    def nudged(inst, scheme):
+        return utility(inst, scheme) + 1
 
-    monkeypatch.setattr(single, "_threshold_parts", nudged)
+    monkeypatch.setattr(model, "sender_utility", nudged)
     code = cli.main(["solve", path, "--model", "arbitrary", "--method", "fast"])
     assert code == 4
     assert "two-action scheme utility" in capsys.readouterr().err
@@ -218,9 +217,9 @@ def test_size_limit_exits_5(tmp_path, capsys, monkeypatch):
 
 
 def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
-    # 13 actions over 2 iid types: 106,496 expanded scheme columns.  The
-    # fast paths need the expansion and exit 5; lp solves the 14-orbit
-    # LP.  Neither enumerates a profile.
+    # 13 actions over 2 iid types: 106,496 expanded scheme columns.  lp
+    # and the fast paths alike work on the 14 orbits and exit 0; neither
+    # enumerates a profile.
     typed = model.TypedInstance(
         actions=13,
         types=(
@@ -235,16 +234,16 @@ def test_typed_size_limit_exits_5(tmp_path, capsys, monkeypatch):
         raise AssertionError("expand_typed enumerated profiles past the size cap")
 
     monkeypatch.setattr(model, "_profile_state", never_enumerate)
-    code = cli.main(["solve", path, "--model", "zero", "--method", "fast"])
-    assert code == 5
-    assert "scheme columns" in capsys.readouterr().err
-    assert cli.main(["solve", path, "--model", "zero", "--method", "lp"]) == 0
-    assert "dual_certified=yes" in capsys.readouterr().out
-    # Past the orbit route's own limits lp exits 5 too: 156 follow rows.
+    for method in ("fast", "lp"):
+        argv = ["solve", path, "--model", "zero", "--method", method]
+        assert cli.main(argv) == 0
+        assert "dual_certified=yes" in capsys.readouterr().out
+    # Past the orbit route's own limits both exit 5: 156 follow rows.
     monkeypatch.setenv(model.SIZE_LIMIT_ENV, "155")
-    code = cli.main(["solve", path, "--model", "zero", "--method", "lp"])
-    assert code == 5
-    assert "156 follow rows" in capsys.readouterr().err
+    for method in ("fast", "lp"):
+        argv = ["solve", path, "--model", "zero", "--method", method]
+        assert cli.main(argv) == 5
+        assert "156 follow rows" in capsys.readouterr().err
 
 
 def _iid_file(tmp_path, actions, types):
@@ -252,20 +251,34 @@ def _iid_file(tmp_path, actions, types):
     return typed, write_instance(tmp_path, typed, f"iid{actions}x{types}.json")
 
 
-@pytest.mark.parametrize("actions, types", [(6, 3), (10, 4)])
+# (actions, types, method): 6 x 3**6 = 4,374, 10 x 4**10 and 2 x 46**2 =
+# 4,232 expanded columns, each over the default cap.
+_PAST_CAP_FILES = [
+    pytest.param(actions, types, method, id=f"{actions}-{types}" + suffix)
+    for method, suffix in (("lp", ""), ("fast", "-fast"))
+    for actions, types in ((6, 3), (10, 4), (2, 46))
+]
+
+
+@pytest.mark.parametrize("actions, types, method", _PAST_CAP_FILES)
 @pytest.mark.parametrize("payment_model", cli.MODELS)
 def test_iid_lp_solves_past_the_expansion_cap(
-    tmp_path, capsys, monkeypatch, actions, types, payment_model
+    tmp_path, capsys, monkeypatch, actions, types, method, payment_model
 ):
-    # 6 x 3**6 = 4,374 and 10 x 4**10 expanded columns, over the default
-    # cap: the answer comes from the orbit LP, in orbit form.
+    # The answer comes from the orbits, in orbit form, under lp and the
+    # fast paths alike; a fast answer has lp's objective.
     def never_expand(instance):
         raise AssertionError("expand_typed ran past the size cap")
 
     monkeypatch.setattr(model, "expand_typed", never_expand)
     typed, path = _iid_file(tmp_path, actions, types)
     out = tmp_path / "scheme.json"
-    argv = ["solve", path, "--model", payment_model, "--out", str(out)]
+    argv = ["solve", path, "--model", payment_model, "--method", method]
+    argv += ["--out", str(out)]
+    if method == "fast" and payment_model == "budget_balanced":
+        assert cli.main(argv) == 3
+        assert "use --method lp" in capsys.readouterr().err
+        return
     assert cli.main(argv) == 0
     text = capsys.readouterr().out
     assert report_line(text, "flags")["dual_certified"] == "yes"
@@ -275,9 +288,10 @@ def test_iid_lp_solves_past_the_expansion_cap(
     assert doc["kind"] == "orbit_scheme"
     scheme = jsonio.scheme_from_json(doc)
     result = single.solve_optimal(typed, model.PaymentModel.from_name(payment_model))
-    assert scheme == result.scheme
     assert doc["sender_utility"] == format(result.utility)
-    assert doc["dual"]["symmetric_lambda"] == format(result.dual.symmetric_value)
+    if method == "lp":
+        assert scheme == result.scheme
+        assert doc["dual"]["symmetric_lambda"] == format(result.dual.symmetric_value)
 
 
 def test_explicit_single_size_limit_exits_5(tmp_path, capsys, monkeypatch):

@@ -338,29 +338,43 @@ def test_cutting_plane_solves_one_lp_per_round(solves):
 
 
 def _wrong_lift(monkeypatch, module):
-    real = module.lift
+    """Zero the dual of every claim a fast path makes: multi's and the
+    two-action path's through lift, the symmetric paths' through
+    single._orbit_claim."""
+    names = ("lift", "_orbit_claim") if module is single else ("lift",)
+    for name in names:
+        real = getattr(module, name)
 
-    def wrong(*args):
-        problem, claim = real(*args)
-        return problem, replace(claim, dual=tuple(ZERO for _ in claim.dual))
+        def wrong(*args, real=real):
+            problem, claim = real(*args)
+            return problem, replace(claim, dual=tuple(ZERO for _ in claim.dual))
 
-    monkeypatch.setattr(module, "lift", wrong)
+        monkeypatch.setattr(module, name, wrong)
 
 
 def _nudge_utility(monkeypatch):
-    """Raise every fast-path utility by 1/den: single via the threshold
-    schemes' gross payoff, multi via the evaluated sender payoff."""
-    parts, evaluate = single._threshold_parts, multi._evaluate
+    """Raise every fast-path utility: single via the threshold schemes'
+    gross payoff and the two-action path's model.sender_utility, multi
+    via the evaluated sender payoff."""
+    parts, utility, evaluate = (
+        single._threshold_scheme,
+        model.sender_utility,
+        multi._evaluate,
+    )
 
-    def nudged_parts(code, weight):
-        rows, thresholds, gross, unit = parts(code, weight)
-        return rows, thresholds, gross + 1, unit
+    def nudged_parts(code, gains):
+        rows, threshold, gross = parts(code, gains)
+        return rows, threshold, gross + F(1, 1000)
+
+    def nudged_utility(inst, scheme):
+        return utility(inst, scheme) + F(1, 1000)
 
     def nudged_evaluate(code, distribution):
         sender, follow_one, switch_zero, den = evaluate(code, distribution)
         return sender + 1, follow_one, switch_zero, den
 
-    monkeypatch.setattr(single, "_threshold_parts", nudged_parts)
+    monkeypatch.setattr(single, "_threshold_scheme", nudged_parts)
+    monkeypatch.setattr(model, "sender_utility", nudged_utility)
     monkeypatch.setattr(multi, "_evaluate", nudged_evaluate)
 
 
@@ -430,26 +444,29 @@ def test_check_fast_path_returns_the_pair_that_certified(solves):
 
 @pytest.mark.parametrize("payment_model", ["zero", "nonnegative", "arbitrary"])
 def test_fast_paths_report_the_dual_that_certified(
-    tmp_path, capsys, monkeypatch, payment_model
+    tmp_path, capsys, monkeypatch, solves, payment_model
 ):
-    # With each lifted dual zeroed, the fast paths fall back to one solve
-    # and report its dual, in their results and in the written JSON.
-    # Under zero payments that dual is not the closed form's constant.
+    # With each claimed dual zeroed, the fast paths fall back to one
+    # solve of the orbit LP and report its scalar dual, in their results
+    # and in the written JSON; lifted, it certifies on the full LP.
+    # Under zero payments the full LP's own dual is not constant.
     pm = PaymentModel.from_name(payment_model)
     typed = _symmetric(4)
     inst = typed.expanded
-    solved = single._follow_dual(
-        inst.actions, lp.solve(single.build_lp(inst, pm)).dual
-    )
-    assert (solved.symmetric_value is None) is (pm is PaymentModel.ZERO)
+    orbit_lp = single._orbit_lp(inst.coding.orbits[1], pm)
+    solved = single._constant_dual(inst.actions, -lp.solve(orbit_lp).dual[0])
+    full = single._follow_dual(inst.actions, lp.solve(single.build_lp(inst, pm)).dual)
+    assert (full == solved) is (pm is not PaymentModel.ZERO)
     certifies = _single_certifies  # through the unpatched lift
     _wrong_lift(monkeypatch, single)
+    solves.clear()
     if pm is PaymentModel.ZERO:
         result = single.find_lambda_star(typed)
     elif pm is PaymentModel.NONNEGATIVE:
         result = single.nonnegative_dichotomy(typed).result
     else:
         result = single.canonical_symmetric_scheme(typed)
+    assert solves == [orbit_lp]
     monkeypatch.undo()
     assert result.dual == solved
     assert certifies(inst, pm, result.scheme, result.utility, result.dual) == []

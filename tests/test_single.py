@@ -10,6 +10,7 @@ from persuade import examples, lp, model, single
 from persuade._record import replace
 from persuade.errors import (
     CertificateFailed,
+    CharacterizationMismatch,
     NotSymmetric,
     SizeLimitExceeded,
     WrongActionCount,
@@ -192,13 +193,29 @@ def test_lambda_star_can_sit_below_first_uniform_persuasive_candidate():
     assert later and min(later) > sweep.lambda_star
 
 
+def test_sweep_checks_its_scheme_with_or_without_cross_check(monkeypatch):
+    # The returned scheme must meet the orbit follow row on every call;
+    # here every activity the check reads is pushed below 0.
+    follow = single._follow
+
+    def short(code, gains, rows):
+        activity, sender, scale = follow(code, gains, rows)
+        return -abs(activity) - 1, sender, scale
+
+    monkeypatch.setattr(single, "_follow", short)
+    typed = model.random_instance(4, actions=3, symmetric=True, types=2)
+    for cross_check in (False, True):
+        with pytest.raises(CharacterizationMismatch, match="is not persuasive"):
+            single.find_lambda_star(typed, cross_check=cross_check)
+
+
 def test_lambda_sweep_monotone():
     for seed in range(8):
         typed = model.random_instance(
             seed, actions=2, symmetric=True, types=3, joint=bool(seed % 2)
         )
         inst = model.expand_typed(typed)
-        grid = single._candidates(inst.coding)
+        grid = single._candidates(inst.coding.orbits[1])
         persuasive_flags = []
         utilities = []
         for lam in grid:
@@ -462,6 +479,30 @@ def test_solve_optimal_builds_through_build_lp(monkeypatch):
         result = single.solve_optimal(typed, pm)
         assert calls == []
         assert result.problem == single._orbit_lp(typed.iid_orbits[1], pm)
+
+
+def test_symmetric_fast_paths_never_build_the_full_lp(monkeypatch):
+    # The symmetric fast paths certify on the orbit LP, typed or
+    # explicit, and so does the one solve after a claimed dual fails.
+    def never_build(*args):
+        raise AssertionError("a symmetric fast path built the full LP")
+
+    claim = single._orbit_claim
+
+    def zeroed(*args):
+        problem, solution = claim(*args)
+        return problem, replace(solution, dual=(F(0),) * len(solution.dual))
+
+    iid = model.random_instance(4, actions=3, symmetric=True, types=2)
+    joint = model.random_instance(4, actions=3, symmetric=True, types=2, joint=True)
+    monkeypatch.setattr(single, "build_lp", never_build)
+    for failing in (False, True):
+        if failing:
+            monkeypatch.setattr(single, "_orbit_claim", zeroed)
+        for instance in (iid, joint, iid.expanded):
+            single.find_lambda_star(instance)
+            single.canonical_symmetric_scheme(instance)
+            single.nonnegative_dichotomy(instance)
 
 
 # ---------------------------------------------------------------------------

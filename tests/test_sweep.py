@@ -3,23 +3,24 @@
 The oracle below is the scalar-lambda sweep, the threshold scheme and
 the dichotomy's paid branch as first written: every value a Fraction,
 and each sweep candidate checked with the full model.is_persuasive.  The
-package computes the same things in ints over one common denominator and
-tests each candidate with the scalar comparison "follow payoff reaches
-the unconditional payoff".  Every returned value must be equal.
+package computes the same things in ints on the instance's orbits and
+tests each candidate by the sign of one sum, the orbit follow row's
+activity.  Every returned value must be equal, and every answer must
+certify on the full LP with the dual it reports.
 """
 
 import itertools
 from fractions import Fraction as F
-from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from persuade import model, single
+from persuade import lp, model, single
 from persuade.errors import WrongActionCount
 from persuade.model import (
     ActionType,
+    PaymentModel,
     PersuasionInstance,
     SignalingScheme,
     State,
@@ -224,6 +225,15 @@ def _all_fractions(scheme):
 # Tests
 
 
+def _lifts(inst, payment_model, result):
+    """Whether a fast answer, with the dual it reports, certifies on
+    build_lp's LP (single.lift): a check of the orbit route's writer and
+    of the orbit LP, whose certificate the fast paths rely on."""
+    scheme, utility, dual = result.scheme, result.utility, result.dual
+    problem, claim = single.lift(inst, payment_model, scheme, utility, dual)
+    return lp.certify_report(problem, claim) == []
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_symmetric)
 def test_fast_paths_match_the_fraction_oracle(instance):
@@ -231,14 +241,15 @@ def test_fast_paths_match_the_fraction_oracle(instance):
     n = inst.actions
     assert model.is_symmetric(instance)
 
-    sweep = single.find_lambda_star(instance, cross_check=False)
+    sweep = single.find_lambda_star(instance)
     lam, scheme, utility, candidates = oracle_find_lambda_star(inst)
     assert sweep.lambda_star == lam
     assert sweep.candidates == candidates
     assert sweep.scheme == scheme
     assert sweep.utility == utility
     assert _all_fractions(sweep.scheme)
-    assert single._candidates(inst.coding) == candidates
+    assert _lifts(inst, PaymentModel.ZERO, sweep)
+    assert single._candidates(inst.coding.orbits[1]) == candidates
     for weight in (ZERO, n * lam, F(n, max(n - 1, 1)), F(7, 3)):
         assert single.welfare_weighted_scheme(
             inst, weight
@@ -251,16 +262,18 @@ def test_fast_paths_match_the_fraction_oracle(instance):
             single.nonnegative_dichotomy(instance, verify=False)
         return
 
-    canonical = single.canonical_symmetric_scheme(instance, verify=False)
+    canonical = single.canonical_symmetric_scheme(instance)
     scheme, utility = oracle_threshold_scheme(inst, F(n, n - 1))
     assert canonical.scheme == scheme
     assert canonical.utility == utility
     assert _all_fractions(canonical.scheme)
+    assert _lifts(inst, PaymentModel.ARBITRARY, canonical)
     if n == 2:
-        two = single.canonical_two_action_scheme(instance, verify=False)
+        two = single.canonical_two_action_scheme(instance)
         assert (two.scheme, two.utility) == oracle_threshold_scheme(inst, F(2))
+        assert _lifts(inst, PaymentModel.ARBITRARY, two)
 
-    outcome = single.nonnegative_dichotomy(instance, verify=False)
+    outcome = single.nonnegative_dichotomy(instance)
     branch, scheme, utility, free, paid = oracle_dichotomy(inst)
     assert outcome.branch == branch
     assert outcome.result.scheme == scheme
@@ -269,6 +282,7 @@ def test_fast_paths_match_the_fraction_oracle(instance):
     assert outcome.no_payment_utility == free
     assert outcome.canonical_utility == paid
     assert _all_fractions(outcome.result.scheme)
+    assert _lifts(inst, PaymentModel.NONNEGATIVE, outcome.result)
 
 
 @st.composite
@@ -297,66 +311,3 @@ def test_two_action_scheme_matches_the_fraction_oracle_on_any_prior(inst):
     result = single.canonical_two_action_scheme(inst, verify=False)
     assert (result.scheme, result.utility) == oracle_threshold_scheme(inst, F(2))
     assert _all_fractions(result.scheme)
-
-
-_share = st.sampled_from([ZERO, ZERO, F(1, 3), F(1, 2), ONE])
-
-
-@st.composite
-def _scheme_on_instance(draw):
-    """Any instance with a scheme whose payments tie, pass or miss its thresholds."""
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(1, 4))
-    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
-    if not any(weights):
-        weights[0] = 1
-    total = sum(weights)
-    inst = PersuasionInstance(
-        actions=n,
-        states=tuple(
-            State(
-                F(w, total),
-                tuple(draw(_payoff) for _ in range(n)),
-                tuple(draw(_payoff) for _ in range(n)),
-            )
-            for w in weights
-        ),
-    )
-    rows = []
-    for _ in range(m):
-        shares = draw(st.lists(_share, min_size=n, max_size=n))
-        if not any(shares):
-            shares[draw(st.integers(0, n - 1))] = ONE
-        rows.append(tuple(v / sum(shares) for v in shares))
-    thresholds = model.payment_thresholds(inst, rows)
-    offsets = st.sampled_from([ZERO, ZERO, F(1, 4), F(-1, 4), F(-3)])
-    payments = tuple(t + draw(offsets) for t in thresholds)
-    return inst, SignalingScheme(distribution=tuple(rows), payments=payments)
-
-
-def test_int_persuasiveness_matches_the_model():
-    # The sweep's own check against model.is_persuasive, the Fraction
-    # oracle, on payments at (tied with), above and below the thresholds,
-    # and on payments at the thresholds with one entry moved by +-1/den,
-    # den the scale of the int comparison: the coding's unit times the
-    # distribution's common denominator.
-    seen = set()
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_scheme_on_instance(), st.integers(0, 3), st.sampled_from([1, -1]))
-    def check(case, pick, sign):
-        inst, scheme = case
-        dist = scheme.distribution
-        den = inst.coding.unit * lcm(*[v.denominator for row in dist for v in row])
-        moved = list(model.payment_thresholds(inst, dist))
-        moved[pick % inst.actions] += F(sign, den)
-        for payments in (scheme.payments, tuple(moved)):
-            tampered = SignalingScheme(distribution=dist, payments=payments)
-            expected = model.is_persuasive(inst, tampered)
-            assert single._is_persuasive(inst.coding, tampered) == expected
-            seen.add(expected)
-        if any(not state.prob for state in inst.states):
-            seen.add("zero_mass")
-
-    check()
-    assert seen == {True, False, "zero_mass"}
